@@ -25,8 +25,8 @@ from .fluxon import (CURRENT_ACTIVATED_BIAS_PHI0, JunctionArrayModel,
                      coincidence_analysis, detect_jumps,
                      effective_junction_count, estimate_lifetime,
                      phase_slip_rate, simulate_telegraph)
-from .spectrum import (FockBasisSpec, SolverError, convergence_report,
-                       dispersive_shift, flux_sweep)
+from .spectrum import (FockBasisSpec, LabelError, SolverError,
+                       convergence_report, dispersive_shift, flux_sweep)
 
 
 class ConfigError(ValueError):
@@ -467,7 +467,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FitError, SolverError) as exc:
+    except (FitError, LabelError, SolverError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,6 @@ shift (bracketed root search), exponential/Ramsey/echo decay-curve fits,
 and the parabolic kinetic-inductance frequency shift.
 """
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -20,10 +19,11 @@ import numpy as np
 from scipy.optimize import brentq, curve_fit, minimize
 
 from .circuit import DEVICE_GEOMETRY, balanced_branch_circuit, reduce_circuit
-from .spectrum import (DEFAULT_BASIS, FockBasisSpec, _LevelSet,
-                       _resolved_transition, build_hamiltonian,
-                       dispersive_shift, parse_transition)
-from .units import EC_GHZ_FF, EL_GHZ_NH, charging_energy, inductive_energy
+from .spectrum import (DEFAULT_BASIS, FockBasisSpec, build_hamiltonian,
+                       diagonalize_labeled, dispersive_shift,
+                       parse_transition, qubit_hamiltonians,
+                       transition_frequency)
+from .units import EC_GHZ_FF, EL_GHZ_NH
 
 TRANSITION_KINDS = ("f01", "f02")
 
@@ -86,24 +86,12 @@ class SpectroscopyDataset:
 def single_loop_transitions(lq, cj, ej, phis, m=30, n_levels=3):
     """Batched single-loop fluxonium levels over flux points.
 
-    Returns an (n_flux, n_levels) array of the lowest eigenvalues [GHz].
-    The phase-operator eigenbasis is computed once per parameter set; only
-    the cosine of the shifted eigenvalues varies along the flux axis, and
-    the resulting Hamiltonian stack is diagonalized in one batched call.
+    Returns an (n_flux, n_levels) array of the lowest eigenvalues [GHz]:
+    the Hamiltonian stack of :func:`~gradflux.spectrum.qubit_hamiltonians`,
+    diagonalized in one batched call.
     """
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    ec = charging_energy(cj)
-    el = inductive_energy(lq)
-    f_q = math.sqrt(8.0 * ec * el)
-    zpf = (2.0 * ec / el) ** 0.25
-    a = np.diag(np.sqrt(np.arange(1, m)), 1)
-    theta, v = np.linalg.eigh(zpf * (a + a.T))
-    cos_stack = np.einsum("ik,pk,jk->pij", v,
-                          np.cos(theta[None, :] + 2.0 * np.pi * phis[:, None]),
-                          v, optimize=True)
-    h = np.diag(f_q * np.arange(m))[None, :, :] - ej * cos_stack
-    w = np.linalg.eigvalsh(h)
-    return w[:, :n_levels]
+    return np.linalg.eigvalsh(qubit_hamiltonians(lq, cj, ej, phis, m))[
+        :, :n_levels]
 
 
 def _model_freqs_single_loop(lq, cj, ej, phis, transitions, m):
@@ -121,9 +109,10 @@ def _model_freqs_coupled(lq, cj, ej, phis, transitions, resonator, basis,
         cr=resonator["cr"], cj=cj, ej=ej))
     out = np.empty(len(phis))
     for i, phi in enumerate(phis):
-        levels = _LevelSet(build_hamiltonian(eff, phi, basis), n_lowest=60)
-        pair = parse_transition(transitions[i])
-        out[i], _ = _resolved_transition(levels, pair, min_confidence)
+        spec = diagonalize_labeled(build_hamiltonian(eff, phi, basis),
+                                   n_lowest=60)
+        out[i] = transition_frequency(spec, *parse_transition(transitions[i]),
+                                      min_confidence)
     return out
 
 

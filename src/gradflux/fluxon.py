@@ -21,13 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 #: Gaussian consistency factor: sigma = MAD_GAUSS * mad.
 MAD_GAUSS = 1.4826022185056018
 
 #: Std of a sample median relative to sigma/sqrt(n) for Gaussian noise.
 MEDIAN_EFF = 1.2533141373155003
+
+#: Largest expected switch count of simulate_telegraph's Python loop.
+MAX_SWITCHES = 10**6
 
 
 @dataclass(frozen=True)
@@ -141,11 +144,18 @@ def simulate_telegraph(rate_eo_hz: float, rate_oe_hz: float,
     reverse; dwell times are exponential. The trace starts in the even
     state at level ``levels[0]``. Gaussian readout noise of standard
     deviation ``noise_sigma`` is added per sample. Reproducible per seed.
+    Raises ``ValueError`` when the expected number of switches,
+    2 T / (1/rate_eo + 1/rate_oe), exceeds :data:`MAX_SWITCHES`.
     """
-    if rate_eo_hz < 0 or rate_oe_hz < 0:
-        raise ValueError("rates must be >= 0")
+    if not (0 <= rate_eo_hz < math.inf and 0 <= rate_oe_hz < math.inf):
+        raise ValueError("rates must be finite and >= 0")
     if dt_s <= 0 or duration_s < dt_s:
         raise ValueError("need dt_s > 0 and duration_s >= dt_s")
+    if rate_eo_hz > 0 and rate_oe_hz > 0:
+        expected = 2.0 * duration_s / (1.0 / rate_eo_hz + 1.0 / rate_oe_hz)
+        if expected > MAX_SWITCHES:
+            raise ValueError(f"{expected:.3g} switches expected, more than "
+                             f"MAX_SWITCHES = {MAX_SWITCHES}")
     rng = np.random.default_rng(seed)
     n = int(math.floor(duration_s / dt_s))
     t = dt_s * np.arange(n)
@@ -326,9 +336,7 @@ def estimate_lifetime(events, span, confidence: float = 0.95) -> DwellStats:
     t0, t1 = (float(span[0]), float(span[1]))
     if t1 <= t0:
         raise ValueError("span end must exceed span start")
-    times = np.sort(np.asarray(
-        [e.time_s if isinstance(e, JumpEvent) else float(e) for e in events],
-        dtype=float))
+    times = _event_times(events)
     if times.size and (times[0] < t0 or times[-1] > t1):
         raise ValueError("events must lie within the span")
 
@@ -341,13 +349,14 @@ def estimate_lifetime(events, span, confidence: float = 0.95) -> DwellStats:
 
     alpha = 1.0 - confidence
     rate = n / total
+    # exact Poisson limits: chi2.ppf(q, 2k) / 2 = gammaincinv(k, q)
     if n > 0:
-        ci_low = chi2.ppf(alpha / 2.0, 2 * n) / (2.0 * total)
-        ci_high = chi2.ppf(1.0 - alpha / 2.0, 2 * n + 2) / (2.0 * total)
+        ci_low = gammaincinv(n, alpha / 2.0) / total
+        ci_high = gammaincinv(n + 1, 1.0 - alpha / 2.0) / total
     else:
         # one-sided upper bound: -ln(alpha)/T, the rule of three at 95%
         ci_low = 0.0
-        ci_high = chi2.ppf(confidence, 2) / (2.0 * total)
+        ci_high = gammaincinv(1, confidence) / total
     return DwellStats(rate_hz=float(rate), ci_low_hz=float(ci_low),
                       ci_high_hz=float(ci_high), n_events=int(n),
                       total_time_s=float(total),

@@ -44,7 +44,7 @@ def _sanitize(obj):
     if isinstance(obj, np.ndarray):
         return [_sanitize(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
         return repr(obj)     # "inf" / "-inf" / "nan" as strings
     return obj

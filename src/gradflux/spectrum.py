@@ -17,9 +17,15 @@ eigenvalues and rotating back, which avoids series-truncation artifacts.
 Eigenvalues are reported relative to the harmonic zero-point energy, so two
 uncoupled linear modes give exactly n*f_r + m*f_q.
 
-Dressed levels are labeled |n_r m_q> by maximal squared overlap with the
-product states of the uncoupled junction-included qubit and the bare
-resonator. Near avoided crossings this overlap drops and label-dependent
+One builder, :func:`qubit_hamiltonians`, supplies the fluxonium here and
+in the spectroscopy forward model of :mod:`gradflux.estimation`.
+
+Dressed levels get one exclusive labeling, by :func:`diagonalize_labeled`
+for full and subset (``n_lowest``) solves alike: each level takes the
+|n_r m_q> label of the product state (uncoupled junction-included qubit x
+bare resonator) it overlaps most, and of two levels claiming one label
+only the higher-overlap one keeps it. A label no solved level keeps counts
+as overlap 0. Near avoided crossings the overlap drops and label-dependent
 quantities (transition frequencies, dispersive shift) are flagged invalid
 below a configurable confidence.
 """
@@ -32,7 +38,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .circuit import EffectiveFluxonium
-from .units import EL_GHZ_NH, charging_energy, inductive_energy
+from .units import EL_GHZ_NH, mode_frequency, phase_zpf
 
 
 class SolverError(RuntimeError):
@@ -84,35 +90,33 @@ class HamiltonianMatrix:
     f_res: float
 
 
-def _ladder(n):
-    return np.diag(np.sqrt(np.arange(1, n)), 1)
-
-
 def _phase_quadrature(n):
-    a = _ladder(n)
+    a = np.diag(np.sqrt(np.arange(1, n)), 1)
     return a + a.T
 
 
-def qubit_hamiltonian(lq: float, cj: float, ej: float, phi_eff: float,
-                      m: int) -> np.ndarray:
-    """Fluxonium Hamiltonian (m x m, GHz) in its harmonic Fock basis.
+def qubit_hamiltonians(lq: float, cj: float, ej: float, phis,
+                       m: int) -> np.ndarray:
+    """Fluxonium Hamiltonians (n_flux x m x m, GHz) in harmonic Fock bases.
 
     The cosine is evaluated exactly on the truncated phase operator: the
-    tridiagonal phi matrix is diagonalized, cos(theta + 2 pi phi_eff) is
-    applied to its eigenvalues, and the result rotated back.
+    tridiagonal phi matrix is diagonalized once, cos(theta + 2 pi phi) is
+    applied to its eigenvalues for every flux in ``phis``, and the stack is
+    rotated back in one contraction. Symmetric up to rounding.
     """
     if lq <= 0 or cj <= 0:
         raise ValueError("inductance and capacitance must be positive")
     if m < 2:
         raise ValueError("need at least 2 Fock states")
-    ec = charging_energy(cj)
-    el = inductive_energy(lq)
-    f_q = math.sqrt(8.0 * ec * el)
-    zpf = (2.0 * ec / el) ** 0.25
-    theta, v = np.linalg.eigh(zpf * _phase_quadrature(m))
-    cos_op = (v * np.cos(theta + 2.0 * np.pi * phi_eff)) @ v.T
-    h = np.diag(f_q * np.arange(m)) - ej * cos_op
-    return 0.5 * (h + h.T)
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    theta, v = np.linalg.eigh(phase_zpf(lq, cj) * _phase_quadrature(m))
+    h = np.einsum("ik,pk,jk->pij", v,
+                  np.cos(theta[None, :] + 2.0 * np.pi * phis[:, None]),
+                  v, optimize=True)
+    # in place: each stack-sized temporary is paged in again on every call
+    h *= -ej
+    h += np.diag(mode_frequency(lq, cj) * np.arange(m))
+    return h
 
 
 def single_loop_reference(lq: float, cj: float, ej: float, phi_ext: float,
@@ -123,7 +127,8 @@ def single_loop_reference(lq: float, cj: float, ej: float, phi_ext: float,
     gradiometer with ls = 0, l2 = 0 and l1 = l3 = 2 lq reproduces this
     spectrum as a function of the inner-loop flux imbalance.
     """
-    return np.linalg.eigvalsh(qubit_hamiltonian(lq, cj, ej, phi_ext, m_qubit))
+    return np.linalg.eigvalsh(qubit_hamiltonians(lq, cj, ej, phi_ext,
+                                                 m_qubit))[0]
 
 
 def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
@@ -132,17 +137,15 @@ def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
     if not math.isfinite(phi_eff):
         raise ValueError("phi_eff must be finite")
     m, n = basis.m_qubit, basis.n_res
-    h_q = qubit_hamiltonian(eff.lq, eff.cj, eff.ej, phi_eff, m)
-    f_q = math.sqrt(8.0 * charging_energy(eff.cj) * inductive_energy(eff.lq))
-    f_r = math.sqrt(8.0 * charging_energy(eff.cr) * inductive_energy(eff.lr))
+    h_q = qubit_hamiltonians(eff.lq, eff.cj, eff.ej, phi_eff, m)[0]
+    f_q = float(mode_frequency(eff.lq, eff.cj))
+    f_r = float(mode_frequency(eff.lr, eff.cr))
     h_r = np.diag(f_r * np.arange(n))
     h = np.kron(h_q, np.eye(n)) + np.kron(np.eye(m), h_r)
     if math.isfinite(eff.lrq):
-        el_rq = EL_GHZ_NH / eff.lrq
-        zq = (2.0 * charging_energy(eff.cj) / inductive_energy(eff.lq)) ** 0.25
-        zr = (2.0 * charging_energy(eff.cr) / inductive_energy(eff.lr)) ** 0.25
-        h -= 0.5 * el_rq * zq * zr * np.kron(_phase_quadrature(m),
-                                             _phase_quadrature(n))
+        h -= (0.5 * (EL_GHZ_NH / eff.lrq) * phase_zpf(eff.lq, eff.cj)
+              * phase_zpf(eff.lr, eff.cr)
+              * np.kron(_phase_quadrature(m), _phase_quadrature(n)))
     return HamiltonianMatrix(matrix=0.5 * (h + h.T), basis=basis,
                              phi_eff=phi_eff, eff=eff,
                              f_qubit=f_q, f_res=f_r)
@@ -213,36 +216,35 @@ class SpectrumResult:
 def _bare_overlaps(h: HamiltonianMatrix, vectors: np.ndarray) -> np.ndarray:
     """Squared overlaps of bare product states with dressed eigenvectors.
 
-    Returns an (m_qubit, n_res, n_vec) array: entry [mq, nr, j] is the
-    squared overlap of |n_r=nr, m_q=mq> with eigenvector j. The bare qubit
-    reference includes the junction (it is the uncoupled fluxonium at the
-    same flux), so labels stay meaningful at any E_J.
+    Returns an (m_qubit * n_res, n_vec) array: entry [mq * n_res + nr, j]
+    is the squared overlap of |n_r=nr, m_q=mq> with eigenvector j. The bare
+    qubit reference includes the junction (it is the uncoupled fluxonium at
+    the same flux), so labels stay meaningful at any E_J.
     """
     m, n = h.basis.m_qubit, h.basis.n_res
-    hq = qubit_hamiltonian(h.eff.lq, h.eff.cj, h.eff.ej, h.phi_eff, m)
-    _, u_q = np.linalg.eigh(hq)
-    v3 = vectors.reshape(m, n, vectors.shape[1])
-    amps = np.tensordot(u_q.T, v3, axes=1)   # (mq, nr, j)
-    return np.abs(amps) ** 2
+    hq = qubit_hamiltonians(h.eff.lq, h.eff.cj, h.eff.ej, h.phi_eff, m)[0]
+    _, u_q = np.linalg.eigh(0.5 * (hq + hq.T))
+    amps = np.tensordot(u_q.T, vectors.reshape(m, n, -1), axes=1)
+    return np.abs(amps.reshape(m * n, -1)) ** 2
 
 
-def diagonalize_labeled(h: HamiltonianMatrix) -> SpectrumResult:
-    """Full ascending spectrum with |n_r m_q> labels by maximal overlap.
+def diagonalize_labeled(h: HamiltonianMatrix,
+                        n_lowest: int | None = None) -> SpectrumResult:
+    """Ascending spectrum with |n_r m_q> labels by maximal overlap.
 
+    ``n_lowest`` restricts the solve to the lowest levels (all by default).
     Every eigenvector is matched against the bare product states; when two
     levels claim the same bare label (possible near avoided crossings) only
     the higher-overlap claimant retains it.
     """
-    w, v = solve_hermitian(h.matrix)
+    w, v = solve_hermitian(h.matrix, lowest=n_lowest)
     ov = _bare_overlaps(h, v)
-    m, n = h.basis.m_qubit, h.basis.n_res
-    flat = ov.reshape(m * n, -1)
-    best_bare = np.argmax(flat, axis=0)          # per level: best bare index
-    conf = flat[best_bare, np.arange(flat.shape[1])]
+    best_bare = np.argmax(ov, axis=0)          # per level: best bare index
+    conf = ov[best_bare, np.arange(w.size)]
     labels = [None] * w.size
     index_of = {}
     for j in range(w.size):
-        mq, nr = divmod(int(best_bare[j]), n)
+        mq, nr = divmod(int(best_bare[j]), h.basis.n_res)
         label = (nr, mq)
         prev = index_of.get(label)
         if prev is None or conf[j] > conf[prev]:
@@ -282,36 +284,6 @@ def transition_frequency(spec: SpectrumResult, from_label, to_label,
     return e1 - e0
 
 
-class _LevelSet:
-    """Lowest-lying labeled levels from a subset eigensolve."""
-
-    def __init__(self, h: HamiltonianMatrix, n_lowest: int):
-        k = min(n_lowest, h.basis.dim)
-        self.energies, vectors = solve_hermitian(h.matrix, lowest=k)
-        self._ov = _bare_overlaps(h, vectors)
-
-    def energy(self, label):
-        """(energy [GHz], overlap confidence) of the best match for label."""
-        nr, mq = label
-        if mq >= self._ov.shape[0] or nr >= self._ov.shape[1]:
-            raise LabelError(f"label {label} outside basis", label=label)
-        scores = self._ov[mq, nr, :]
-        j = int(np.argmax(scores))
-        return float(self.energies[j]), float(scores[j])
-
-
-def _resolved_transition(levels: _LevelSet, pair, min_confidence):
-    (e0, c0) = levels.energy(pair[0])
-    (e1, c1) = levels.energy(pair[1])
-    conf = min(c0, c1)
-    if conf < min_confidence:
-        lbl = pair[0] if c0 <= c1 else pair[1]
-        raise LabelError(
-            f"transition {pair} unresolved: overlap {conf:.3f} < "
-            f"{min_confidence:.3f}", label=lbl, confidence=conf)
-    return e1 - e0, conf
-
-
 @dataclass(frozen=True)
 class DispersiveShiftResult:
     """Qubit-state-dependent pull of the readout mode at one flux point.
@@ -329,19 +301,18 @@ class DispersiveShiftResult:
     reason: str | None = None
 
 
-def _chi_from_levels(levels: _LevelSet, phi_eff: float,
+def _chi_from_levels(spec: SpectrumResult, phi_eff: float,
                      min_confidence: float) -> DispersiveShiftResult:
-    pulls = {}
-    worst = 1.0
-    for label in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-        e, c = levels.energy(label)
-        pulls[label] = e
-        worst = min(worst, c)
-    if worst < min_confidence:
+    levels = [spec.index_of.get(label)
+              for label in [(0, 0), (1, 0), (0, 1), (1, 1)]]
+    worst = min(0.0 if j is None else float(spec.confidence[j])
+                for j in levels)
+    if None in levels or worst < min_confidence:
         return DispersiveShiftResult(flux_phi0=phi_eff, chi_mhz=None,
                                      valid=False, min_overlap=worst,
                                      reason="avoided-crossing exclusion zone")
-    chi_ghz = (pulls[(1, 1)] - pulls[(0, 1)]) - (pulls[(1, 0)] - pulls[(0, 0)])
+    e00, e10, e01, e11 = (float(spec.energies[j]) for j in levels)
+    chi_ghz = (e11 - e01) - (e10 - e00)
     return DispersiveShiftResult(flux_phi0=phi_eff, chi_mhz=1e3 * chi_ghz,
                                  valid=True, min_overlap=worst)
 
@@ -356,8 +327,9 @@ def dispersive_shift(eff: EffectiveFluxonium, phi_eff: float,
     levels (0,0), (1,0), (0,1), (1,1) lie at the bottom of the spectrum for
     the device regime. Results are flagged invalid near avoided crossings.
     """
-    levels = _LevelSet(build_hamiltonian(eff, phi_eff, basis), n_lowest)
-    return _chi_from_levels(levels, phi_eff, min_confidence)
+    spec = diagonalize_labeled(build_hamiltonian(eff, phi_eff, basis),
+                               n_lowest)
+    return _chi_from_levels(spec, phi_eff, min_confidence)
 
 
 @dataclass(frozen=True)
@@ -412,13 +384,14 @@ def flux_sweep(eff: EffectiveFluxonium, flux_grid,
     def solve_point(phi):
         points, errors = [], []
         try:
-            levels = _LevelSet(build_hamiltonian(eff, phi, basis), n_lowest)
+            spec = diagonalize_labeled(build_hamiltonian(eff, phi, basis),
+                                       n_lowest)
         except SolverError as exc:
             return [], [SweepError(phi, "*", str(exc))]
-        shift = _chi_from_levels(levels, phi, min_confidence)
+        shift = _chi_from_levels(spec, phi, min_confidence)
         for name, pair in pairs:
             try:
-                freq, _ = _resolved_transition(levels, pair, min_confidence)
+                freq = transition_frequency(spec, *pair, min_confidence)
             except LabelError as exc:
                 errors.append(SweepError(phi, name, str(exc)))
                 continue
@@ -466,9 +439,10 @@ def convergence_report(eff: EffectiveFluxonium, phi_eff: float,
     prev_f01 = prev_chi = None
     for m, n in basis_ladder:
         basis = FockBasisSpec(int(m), int(n))
-        levels = _LevelSet(build_hamiltonian(eff, phi_eff, basis), n_lowest)
-        f01, _ = _resolved_transition(levels, ((0, 0), (0, 1)), 0.0)
-        shift = _chi_from_levels(levels, phi_eff, min_confidence)
+        spec = diagonalize_labeled(build_hamiltonian(eff, phi_eff, basis),
+                                   n_lowest)
+        f01 = transition_frequency(spec, (0, 0), (0, 1), 0.0)
+        shift = _chi_from_levels(spec, phi_eff, min_confidence)
         chi = shift.chi_mhz
         rows.append(ConvergenceRow(
             m_qubit=basis.m_qubit, n_res=basis.n_res, dim=basis.dim,

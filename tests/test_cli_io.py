@@ -1,16 +1,21 @@
 """File-format and command-line behavior tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gradflux import (DecayCurve, SpectroscopyDataset, balanced_branch_circuit,
                       flux_sweep, reduce_circuit, simulate_telegraph)
+from gradflux import cli
 from gradflux import io as gfio
 from gradflux.cli import (ConfigError, build_meta, effective_from_config,
                           load_config, main)
-from gradflux.spectrum import FockBasisSpec
+from gradflux.spectrum import FockBasisSpec, LabelError
 
 
 @pytest.fixture
@@ -98,6 +103,18 @@ class TestFileFormats:
         payload = gfio.read_json(json_path)
         assert payload["meta"]["tool"] == "gradflux"
         assert payload["points"][0]["transition"] == "f01"
+
+    def test_numpy_non_finite_written_as_strings(self, tmp_path):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        path = tmp_path / "payload.json"
+        gfio.write_json(path, {"a": np.float64("inf"), "b": np.float32("nan"),
+                               "c": [np.float64("-inf"), float("inf")],
+                               "d": np.float64(1.5)})
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        assert payload == {"a": "inf", "b": "nan", "c": ["-inf", "inf"],
+                           "d": 1.5}
 
 
 class TestConfig:
@@ -320,3 +337,24 @@ class TestCli:
         code = main(["fit", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o.json")])
         assert code == 2
+
+    def test_label_error_exit_1(self, tmp_path, monkeypatch, capsys):
+        def unresolved(args):
+            raise LabelError("label (1, 1) not retained in spectrum",
+                             label=(1, 1))
+
+        monkeypatch.setattr(cli, "cmd_chi", unresolved)
+        code = main(["chi", "--flux", "0.5",
+                     "--out", str(tmp_path / "chi.json")])
+        assert code == 1
+        assert "numerical error" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy_stats():
+    code = ("import sys, gradflux; "
+            "print('scipy.stats' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60, env=env)
+    assert proc.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 """Fluxon-dynamics tests: phase slips, telegraph traces, dwell statistics."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -131,6 +132,15 @@ class TestSimulateTelegraph:
             simulate_telegraph(-0.1, 0.1, 10.0, 1.0)
         with pytest.raises(ValueError):
             simulate_telegraph(0.1, 0.1, 0.5, 1.0)
+
+    def test_switch_count_cap_rejects_up_front(self):
+        # 1e12 expected switches: refused before any switch is drawn
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="MAX_SWITCHES"):
+            simulate_telegraph(1e9, 1e9, 1e3, 1.0)
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(ValueError):
+            simulate_telegraph(math.inf, 1.0, 1e3, 1.0)
 
 
 class TestDetectJumps:

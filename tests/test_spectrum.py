@@ -202,6 +202,25 @@ class TestLabeledTransitions:
         assert err.value.confidence is not None
         assert err.value.confidence < 0.7
 
+    def test_one_level_never_carries_two_labels(self):
+        # at phi = 0.247 one dressed level overlaps both (1,1) and (2,0)
+        # by about one half; only one label may keep it
+        pairs = (((0, 0), (1, 1)), ((0, 0), (2, 0)))
+        sweep = flux_sweep(EFF, [0.247], FockBasisSpec(25, 15),
+                           transitions=pairs, min_confidence=0.0)
+        freqs = [p.freq_ghz for p in sweep.points]
+        assert len(freqs) == len(set(freqs))
+        assert len(sweep.points) + len(sweep.errors) == 2
+        assert not dispersive_shift(EFF, 0.247).valid
+
+    def test_subset_labels_match_full_solve(self):
+        h = build_hamiltonian(EFF, 0.3, BASIS)
+        full = diagonalize_labeled(h)
+        low = diagonalize_labeled(h, n_lowest=40)
+        assert low.energies.size == 40
+        assert np.allclose(low.energies, full.energies[:40], atol=1e-9)
+        assert low.labels[:10] == full.labels[:10]
+
     def test_parse_transition(self):
         assert parse_transition("f01") == ((0, 0), (0, 1))
         assert parse_transition("f12") == ((0, 1), (0, 2))
