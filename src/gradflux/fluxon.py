@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gammaincinv
+from scipy.stats import chi2
 
 #: Gaussian consistency factor: sigma = MAD_GAUSS * mad.
 MAD_GAUSS = 1.4826022185056018
@@ -349,14 +349,13 @@ def estimate_lifetime(events, span, confidence: float = 0.95) -> DwellStats:
 
     alpha = 1.0 - confidence
     rate = n / total
-    # exact Poisson limits: chi2.ppf(q, 2k) / 2 = gammaincinv(k, q)
     if n > 0:
-        ci_low = gammaincinv(n, alpha / 2.0) / total
-        ci_high = gammaincinv(n + 1, 1.0 - alpha / 2.0) / total
+        ci_low = chi2.ppf(alpha / 2.0, 2 * n) / (2.0 * total)
+        ci_high = chi2.ppf(1.0 - alpha / 2.0, 2 * n + 2) / (2.0 * total)
     else:
         # one-sided upper bound: -ln(alpha)/T, the rule of three at 95%
         ci_low = 0.0
-        ci_high = gammaincinv(1, confidence) / total
+        ci_high = chi2.ppf(confidence, 2) / (2.0 * total)
     return DwellStats(rate_hz=float(rate), ci_low_hz=float(ci_low),
                       ci_high_hz=float(ci_high), n_events=int(n),
                       total_time_s=float(total),

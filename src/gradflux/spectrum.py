@@ -110,13 +110,10 @@ def qubit_hamiltonians(lq: float, cj: float, ej: float, phis,
         raise ValueError("need at least 2 Fock states")
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     theta, v = np.linalg.eigh(phase_zpf(lq, cj) * _phase_quadrature(m))
-    h = np.einsum("ik,pk,jk->pij", v,
-                  np.cos(theta[None, :] + 2.0 * np.pi * phis[:, None]),
-                  v, optimize=True)
-    # in place: each stack-sized temporary is paged in again on every call
-    h *= -ej
-    h += np.diag(mode_frequency(lq, cj) * np.arange(m))
-    return h
+    cos_stack = np.einsum("ik,pk,jk->pij", v,
+                          np.cos(theta[None, :] + 2.0 * np.pi * phis[:, None]),
+                          v, optimize=True)
+    return np.diag(mode_frequency(lq, cj) * np.arange(m)) - ej * cos_stack
 
 
 def single_loop_reference(lq: float, cj: float, ej: float, phi_ext: float,
@@ -223,7 +220,7 @@ def _bare_overlaps(h: HamiltonianMatrix, vectors: np.ndarray) -> np.ndarray:
     """
     m, n = h.basis.m_qubit, h.basis.n_res
     hq = qubit_hamiltonians(h.eff.lq, h.eff.cj, h.eff.ej, h.phi_eff, m)[0]
-    _, u_q = np.linalg.eigh(0.5 * (hq + hq.T))
+    _, u_q = np.linalg.eigh(hq)
     amps = np.tensordot(u_q.T, vectors.reshape(m, n, -1), axes=1)
     return np.abs(amps.reshape(m * n, -1)) ** 2
 
@@ -433,7 +430,9 @@ def convergence_report(eff: EffectiveFluxonium, phi_eff: float,
 
     ``basis_ladder`` is an ascending sequence of (m_qubit, n_res) pairs.
     Quote chi at the +-0.01 MHz level only after the chi deltas at the top
-    of the ladder drop below that scale.
+    of the ladder drop below that scale. f01 is read at any overlap, but a
+    rung where no solved level keeps the (0, 0) or (0, 1) label raises
+    :class:`LabelError`.
     """
     rows = []
     prev_f01 = prev_chi = None

@@ -1,10 +1,6 @@
 """File-format and command-line behavior tests."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,12 +345,3 @@ class TestCli:
         assert code == 1
         assert "numerical error" in capsys.readouterr().err
 
-
-def test_import_does_not_load_scipy_stats():
-    code = ("import sys, gradflux; "
-            "print('scipy.stats' in sys.modules)")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, timeout=60, env=env)
-    assert proc.stdout.strip() == "False"
