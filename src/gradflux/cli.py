@@ -2,10 +2,12 @@
 
 Subcommands wrap the library for batch use: flux sweeps, spectrum fits,
 dispersive-shift and phase-slip evaluation, telegraph-trace simulation and
-analysis. Configuration comes from an INI file ([section] key = value)
-merged with command-line overrides; unknown sections or keys are rejected.
-Every output embeds the resolved configuration and tool version, and
-re-running with the same inputs reproduces outputs bit-identically.
+analysis. :func:`main` resolves the configuration once: built-in defaults,
+then the INI file given by ``--config`` (unknown sections or keys are
+rejected), then the flags given, whose argparse ``dest`` names their
+"section.key". Every output embeds the resolved configuration and tool
+version, and re-running with the same inputs reproduces outputs
+bit-identically.
 
 Exit codes: 0 success, 1 numerical non-convergence, 2 input/config error.
 """
@@ -19,10 +21,9 @@ import numpy as np
 
 from . import __version__, io
 from .circuit import BranchCircuit, balanced_branch_circuit, reduce_circuit
-from .estimation import DecayCurve, FitError, fit_decay, fit_parabola, \
-    fit_spectrum
-from .fluxon import (CURRENT_ACTIVATED_BIAS_PHI0, JunctionArrayModel,
-                     coincidence_analysis, detect_jumps,
+from .estimation import FitError, fit_decay, fit_parabola, fit_spectrum
+from .fluxon import (CURRENT_ACTIVATED_BIAS_PHI0, DEVICE_ARRAY,
+                     JunctionArrayModel, coincidence_analysis, detect_jumps,
                      effective_junction_count, estimate_lifetime,
                      phase_slip_rate, simulate_telegraph)
 from .spectrum import (FockBasisSpec, LabelError, SolverError,
@@ -32,24 +33,6 @@ from .spectrum import (FockBasisSpec, LabelError, SolverError,
 class ConfigError(ValueError):
     """Invalid configuration file or option."""
 
-
-CONFIG_SCHEMA = {
-    "circuit": {"lq_eff": float, "cj": float, "ej": float, "cr": float,
-                "lr": float, "ls": float, "l1": float, "l2": float,
-                "l3": float},
-    "basis": {"m_qubit": int, "n_res": int},
-    "sweep": {"start": float, "stop": float, "points": int,
-              "transitions": str},
-    "geometry": {"outer_area_m2": float, "wire_length_m": float,
-                 "grain_size_m": float},
-    "trace": {"rate_eo_hz": float, "rate_oe_hz": float, "duration_s": float,
-              "dt_s": float, "noise_sigma": float, "seed": int,
-              "threshold_mads": float, "window": int},
-    "fit": {"n_starts": int, "seed": int, "basis_m": int, "forward": str,
-            "max_nfev": int},
-    "tolerances": {"min_confidence": float},
-    "run": {"threads": int},
-}
 
 DEFAULT_CONFIG = {
     "circuit": {"lq_eff": 172.0, "cj": 3.4, "ej": 5.1, "cr": 20.2,
@@ -68,6 +51,12 @@ DEFAULT_CONFIG = {
     "run": {"threads": 1},
 }
 
+#: Type of every config key: that of its default, plus the optional branch
+#: inductances.
+CONFIG_SCHEMA = {sec: {key: type(value) for key, value in vals.items()}
+                 for sec, vals in DEFAULT_CONFIG.items()}
+CONFIG_SCHEMA["circuit"].update(l1=float, l2=float, l3=float)
+
 
 def load_config(path=None) -> dict:
     """Defaults merged with an INI file; unknown keys are rejected."""
@@ -75,13 +64,17 @@ def load_config(path=None) -> dict:
     if path is None:
         return config
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {sec: parser.items(sec) for sec in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in CONFIG_SCHEMA[section]:
                 raise ConfigError(
                     f"unknown config key '{key}' in section [{section}]")
@@ -125,17 +118,7 @@ def _basis_from(config):
                          config["basis"]["n_res"])
 
 
-def _apply_overrides(config, section, **overrides):
-    for key, value in overrides.items():
-        if value is not None:
-            config[section][key] = value
-
-
-def cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, "sweep", start=args.start, stop=args.stop,
-                     points=args.points, transitions=args.transitions)
-    _apply_overrides(config, "run", threads=args.threads)
+def cmd_sweep(args, config, meta) -> int:
     eff = effective_from_config(config["circuit"])
     sweep_cfg = config["sweep"]
     grid = np.linspace(sweep_cfg["start"], sweep_cfg["stop"],
@@ -146,7 +129,6 @@ def cmd_sweep(args) -> int:
                        transitions=transitions,
                        min_confidence=config["tolerances"]["min_confidence"],
                        workers=config["run"]["threads"])
-    meta = build_meta("sweep", config)
     out = Path(args.out)
     io.write_sweep_csv(out, sweep, meta=meta)
     io.write_sweep_json(out.with_suffix(".json"), sweep, meta=meta)
@@ -158,11 +140,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_chi(args) -> int:
-    config = load_config(args.config)
+def cmd_chi(args, config, meta) -> int:
     eff = effective_from_config(config["circuit"])
     min_conf = config["tolerances"]["min_confidence"]
-    meta = build_meta("chi", config)
     if args.ladder:
         ladder = []
         for token in args.ladder.split(","):
@@ -171,7 +151,7 @@ def cmd_chi(args) -> int:
         rows = convergence_report(eff, args.flux, ladder,
                                   min_confidence=min_conf)
         payload = {"meta": meta, "flux_phi0": args.flux,
-                   "rows": [vars(r) for r in rows],
+                   "rows": rows,
                    "chi_MHz": rows[-1].chi_mhz}
         chi = rows[-1].chi_mhz
     else:
@@ -190,10 +170,7 @@ def cmd_chi(args) -> int:
     return 0
 
 
-def cmd_fit(args) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, "fit", n_starts=args.starts, seed=args.seed,
-                     basis_m=args.basis_m, forward=args.forward)
+def cmd_fit(args, config, meta) -> int:
     dataset = io.read_spectroscopy_csv(args.data)
     fit_cfg = config["fit"]
     resonator = None
@@ -205,30 +182,24 @@ def cmd_fit(args) -> int:
                        n_starts=fit_cfg["n_starts"], seed=fit_cfg["seed"],
                        max_nfev=fit_cfg["max_nfev"],
                        workers=config["run"]["threads"])
-    io.write_fit_json(args.out, fit, meta=build_meta("fit", config))
+    io.write_fit_json(args.out, fit, meta=meta)
     pstr = ", ".join(f"{k}={v:.6g}" for k, v in fit.params.items())
     print(f"fit: {pstr} (rms {fit.rms_residual_ghz * 1e3:.3f} MHz)")
     return 0
 
 
-def cmd_phaseslip(args) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, "geometry", wire_length_m=args.wire_length_m,
-                     grain_size_m=args.grain_size_m)
-    if args.n_junctions is not None:
-        n = args.n_junctions
-    else:
+def cmd_phaseslip(args, config, meta) -> int:
+    n = args.n_junctions
+    if n is None:
         geom = config["geometry"]
         n = effective_junction_count(geom["wire_length_m"],
                                      geom["grain_size_m"])
-    model = JunctionArrayModel(
-        n_junctions=n,
-        ej_grain_ghz=args.ej_ghz if args.ej_ghz is not None else 53_000.0,
-        ec_grain_ghz=args.ec_ghz if args.ec_ghz is not None else 48.0)
+    model = JunctionArrayModel(n_junctions=n, ej_grain_ghz=args.ej_ghz,
+                               ec_grain_ghz=args.ec_ghz)
     rate = phase_slip_rate(model)
     if args.out:
         io.write_json(args.out, {
-            "meta": build_meta("phaseslip", config),
+            "meta": meta,
             "n_junctions": model.n_junctions,
             "ej_grain_GHz": model.ej_grain_ghz,
             "ec_grain_GHz": model.ec_grain_ghz,
@@ -244,56 +215,47 @@ def cmd_phaseslip(args) -> int:
     return 0
 
 
-def cmd_junctions(args) -> int:
-    n = effective_junction_count(args.wire_length_m, args.grain_size_m)
+def cmd_junctions(args, config, meta) -> int:
+    geom = config["geometry"]
+    n = effective_junction_count(geom["wire_length_m"], geom["grain_size_m"])
     if args.out:
         io.write_json(args.out, {
-            "meta": build_meta("junctions", load_config(None)),
-            "wire_length_m": args.wire_length_m,
-            "grain_size_m": args.grain_size_m,
+            "meta": meta,
+            "wire_length_m": geom["wire_length_m"],
+            "grain_size_m": geom["grain_size_m"],
             "n_junctions": n,
         })
     print(f"effective junctions: {n}")
     return 0
 
 
-def cmd_simulate_trace(args) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, "trace", rate_eo_hz=args.rate_eo,
-                     rate_oe_hz=args.rate_oe, duration_s=args.duration,
-                     dt_s=args.dt, noise_sigma=args.noise, seed=args.seed)
+def cmd_simulate_trace(args, config, meta) -> int:
     tc = config["trace"]
     trace = simulate_telegraph(tc["rate_eo_hz"], tc["rate_oe_hz"],
                                tc["duration_s"], tc["dt_s"],
                                noise_sigma=tc["noise_sigma"], seed=tc["seed"],
                                label=args.label)
-    io.write_trace_csv(args.out, trace,
-                       meta=build_meta("simulate-trace", config))
+    io.write_trace_csv(args.out, trace, meta=meta)
     n_switch = 0 if trace.switch_times is None else trace.switch_times.size
     print(f"trace: {trace.t_s.size} samples, {n_switch} switches -> "
           f"{args.out}")
     return 0
 
 
-def cmd_analyze_trace(args) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, "trace", threshold_mads=args.threshold,
-                     window=args.window)
+def cmd_analyze_trace(args, config, meta) -> int:
     trace = io.read_trace_csv(args.trace)
     events = detect_jumps(trace,
                           threshold_in_mads=config["trace"]["threshold_mads"],
                           window=config["trace"]["window"])
     stats = estimate_lifetime(events, trace.span_s)
-    io.write_dwell_json(args.out, stats, events=events,
-                        meta=build_meta("analyze-trace", config))
+    io.write_dwell_json(args.out, stats, events=events, meta=meta)
     print(f"analyze: {stats.n_events} events, lambda = "
           f"{stats.rate_hz:.3e} Hz "
           f"[{stats.ci_low_hz:.3e}, {stats.ci_high_hz:.3e}]")
     return 0
 
 
-def cmd_coincidence(args) -> int:
-    config = load_config(args.config)
+def cmd_coincidence(args, config, meta) -> int:
     if len(args.traces) < 2:
         raise ConfigError("coincidence needs at least two traces")
     traces = [io.read_trace_csv(p) for p in args.traces]
@@ -304,15 +266,11 @@ def cmd_coincidence(args) -> int:
         window=config["trace"]["window"]) for tr in traces]
     result = coincidence_analysis(event_lists, args.window, span)
     io.write_json(args.out, {
-        "meta": build_meta("coincidence", config),
+        "meta": meta,
         "window_s": result.window_s,
         "span_s": list(result.span),
         "traces": [str(p) for p in args.traces],
-        "pairs": [{"trace_a": p.trace_a, "trace_b": p.trace_b,
-                   "observed": p.observed, "expected": p.expected,
-                   "excess_ratio": p.excess_ratio,
-                   "rate_a_hz": p.rate_a_hz, "rate_b_hz": p.rate_b_hz}
-                  for p in result.pairs],
+        "pairs": result.pairs,
     })
     for p in result.pairs:
         ratio = "n/a" if p.excess_ratio is None else f"{p.excess_ratio:.3f}"
@@ -321,11 +279,11 @@ def cmd_coincidence(args) -> int:
     return 0
 
 
-def cmd_decay_fit(args) -> int:
+def cmd_decay_fit(args, config, meta) -> int:
     curve = io.read_decay_csv(args.data, args.kind)
     fit = fit_decay(curve)
     io.write_json(args.out, {
-        "meta": build_meta("decay-fit", load_config(args.config)),
+        "meta": meta,
         "kind": fit.kind,
         "tau_us": fit.tau,
         "tau_stderr_us": fit.tau_stderr,
@@ -337,11 +295,10 @@ def cmd_decay_fit(args) -> int:
     return 0
 
 
-def cmd_parabola_fit(args) -> int:
-    curve = io.read_decay_csv(args.data, "parabola")
-    fit = fit_parabola(curve)
+def cmd_parabola_fit(args, config, meta) -> int:
+    fit = fit_parabola(*io.read_columns(args.data, io.PARABOLA_COLUMNS))
     io.write_json(args.out, {
-        "meta": build_meta("parabola-fit", load_config(args.config)),
+        "meta": meta,
         "f_max_GHz": fit.f_max,
         "b_offset_uT": fit.b_offset,
         "curvature_GHz_per_uT2": fit.curvature,
@@ -362,16 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "trace analysis")
     parser.add_argument("--version", action="version",
                         version=f"gradflux {__version__}")
+    parser.set_defaults(config=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="flux sweep of transitions and chi")
     _add_config(p)
-    p.add_argument("--start", type=float, default=None)
-    p.add_argument("--stop", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--transitions", default=None,
+    p.add_argument("--start", dest="sweep.start", type=float)
+    p.add_argument("--stop", dest="sweep.stop", type=float)
+    p.add_argument("--points", dest="sweep.points", type=int)
+    p.add_argument("--transitions", dest="sweep.transitions",
                    help="comma list, e.g. f01,f02,fr")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", dest="run.threads", type=int)
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero on any per-point error")
     p.add_argument("--out", required=True, help="output CSV path")
@@ -389,37 +347,41 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config(p)
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--out", required=True, help="output JSON path")
-    p.add_argument("--forward", choices=("single-loop", "coupled"),
-                   default=None)
-    p.add_argument("--starts", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--basis-m", type=int, default=None)
+    p.add_argument("--forward", dest="fit.forward",
+                   choices=("single-loop", "coupled"))
+    p.add_argument("--starts", dest="fit.n_starts", type=int)
+    p.add_argument("--seed", dest="fit.seed", type=int)
+    p.add_argument("--basis-m", dest="fit.basis_m", type=int)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("phaseslip", help="junction-array phase-slip rate")
     _add_config(p)
     p.add_argument("--n-junctions", type=int, default=None)
-    p.add_argument("--ej-ghz", type=float, default=None)
-    p.add_argument("--ec-ghz", type=float, default=None)
-    p.add_argument("--wire-length-m", type=float, default=None)
-    p.add_argument("--grain-size-m", type=float, default=None)
+    p.add_argument("--ej-ghz", type=float, default=DEVICE_ARRAY.ej_grain_ghz)
+    p.add_argument("--ec-ghz", type=float, default=DEVICE_ARRAY.ec_grain_ghz)
+    p.add_argument("--wire-length-m", dest="geometry.wire_length_m",
+                   type=float)
+    p.add_argument("--grain-size-m", dest="geometry.grain_size_m",
+                   type=float)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_phaseslip)
 
     p = sub.add_parser("junctions", help="effective junction count")
-    p.add_argument("--wire-length-m", type=float, required=True)
-    p.add_argument("--grain-size-m", type=float, required=True)
+    p.add_argument("--wire-length-m", dest="geometry.wire_length_m",
+                   type=float, required=True)
+    p.add_argument("--grain-size-m", dest="geometry.grain_size_m",
+                   type=float, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_junctions)
 
     p = sub.add_parser("simulate-trace", help="synthetic telegraph trace")
     _add_config(p)
-    p.add_argument("--rate-eo", type=float, default=None)
-    p.add_argument("--rate-oe", type=float, default=None)
-    p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--rate-eo", dest="trace.rate_eo_hz", type=float)
+    p.add_argument("--rate-oe", dest="trace.rate_oe_hz", type=float)
+    p.add_argument("--duration", dest="trace.duration_s", type=float)
+    p.add_argument("--dt", dest="trace.dt_s", type=float)
+    p.add_argument("--noise", dest="trace.noise_sigma", type=float)
+    p.add_argument("--seed", dest="trace.seed", type=int)
     p.add_argument("--label", default="")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_simulate_trace)
@@ -427,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-trace", help="detect jumps, estimate rate")
     _add_config(p)
     p.add_argument("--trace", required=True, help="trace CSV")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--threshold", dest="trace.threshold_mads", type=float)
+    p.add_argument("--window", dest="trace.window", type=int)
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=cmd_analyze_trace)
 
@@ -457,14 +419,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        config = load_config(args.config)
+        for dest, value in vars(args).items():
+            section, dot, key = dest.partition(".")
+            if dot and value is not None:
+                config[section][key] = value
+        return args.func(args, config, build_meta(args.command, config))
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FitError, LabelError, SolverError) as exc:

@@ -355,19 +355,19 @@ def fit_shared_inductance(chi_measured_mhz: float, *, lq_nh: float,
     Solves chi_model(ls) = chi_measured by bracketed root search, where the
     model chi is evaluated at phi_eff = 0.5 for the balanced gradiometer
     with all other parameters held fixed. |chi_model| grows monotonically
-    with ls in the working range, so the root is unique.
+    with ls in the working range, so the root is unique. A model chi with
+    unresolved labels raises :class:`FitError`.
     """
     if chi_measured_mhz == 0.0:
         raise ValueError("chi_measured must be nonzero")
 
-    def chi_model(ls):
+    def residual(ls):
         eff = reduce_circuit(balanced_branch_circuit(
             lq_eff=lq_nh, ls=ls, lr=lr_nh, cr=cr_ff, cj=cj_ff, ej=ej_ghz))
-        shift = dispersive_shift_at_half_flux(eff, basis)
-        return shift
-
-    def residual(ls):
-        return chi_model(ls) - chi_measured_mhz
+        shift = dispersive_shift(eff, 0.5, basis)
+        if not shift.valid:
+            raise FitError(f"chi invalid at half flux: {shift.reason}")
+        return shift.chi_mhz - chi_measured_mhz
 
     fa, fb = residual(bracket[0]), residual(bracket[1])
     if np.sign(fa) == np.sign(fb):
@@ -376,17 +376,9 @@ def fit_shared_inductance(chi_measured_mhz: float, *, lq_nh: float,
             f"{bracket} (values {fa:+.3f}, {fb:+.3f} MHz); widen the bracket")
     ls = brentq(residual, bracket[0], bracket[1], xtol=xtol)
     return SharedInductanceFit(ls_nh=float(ls),
-                               chi_model_mhz=chi_model(ls),
+                               chi_model_mhz=chi_measured_mhz + residual(ls),
                                chi_target_mhz=chi_measured_mhz,
                                bracket=tuple(bracket))
-
-
-def dispersive_shift_at_half_flux(eff, basis=DEFAULT_BASIS):
-    """chi(phi_eff = 0.5) in MHz; raises if the labels are unresolved."""
-    shift = dispersive_shift(eff, 0.5, basis)
-    if not shift.valid:
-        raise FitError(f"chi invalid at half flux: {shift.reason}")
-    return shift.chi_mhz
 
 
 @dataclass(frozen=True)
@@ -394,8 +386,7 @@ class DecayCurve:
     """Sampled time-domain curve (population inversion versus time).
 
     ``kind`` selects the fit model: "exponential" (energy relaxation),
-    "ramsey" (decaying cosine), "echo" (exponential), or "parabola"
-    (frequency versus field, for the kinetic-inductance shift).
+    "ramsey" (decaying cosine) or "echo" (exponential).
     """
 
     t: np.ndarray
@@ -406,11 +397,10 @@ class DecayCurve:
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
         object.__setattr__(self, "value",
                            np.asarray(self.value, dtype=float))
-        if self.kind not in ("exponential", "ramsey", "echo", "parabola"):
+        if self.kind not in ("exponential", "ramsey", "echo"):
             raise ValueError(f"unknown curve kind {self.kind!r}")
-        min_pts = 3 if self.kind == "parabola" else 5
-        if self.t.size < min_pts:
-            raise ValueError(f"{self.kind} curve needs >= {min_pts} samples")
+        if self.t.size < 5:
+            raise ValueError(f"{self.kind} curve needs >= 5 samples")
         if self.t.size != self.value.size:
             raise ValueError("t and value must have equal length")
         if not np.all(np.diff(self.t) > 0):
@@ -436,8 +426,6 @@ def fit_decay(curve: DecayCurve) -> DecayFit:
     the fitted time constant exactly. Negative fitted time constants and
     unresolvable (constant) curves raise :class:`FitError`.
     """
-    if curve.kind == "parabola":
-        raise ValueError("use fit_parabola for parabola curves")
     t, y = curve.t, curve.value
     if np.ptp(y) == 0.0:
         raise FitError("constant curve: no decay resolvable")
@@ -498,16 +486,17 @@ class ParabolaFit:
     curvature: float       # c >= 0 in f(B) = f_max - c (B - B_offset)^2
 
 
-def fit_parabola(curve: DecayCurve) -> ParabolaFit:
+def fit_parabola(b, f) -> ParabolaFit:
     """Least-squares concave parabola f(B) = f_max - c (B - B_offset)^2.
 
-    The curvature c is required to be non-negative (the kinetic-inductance
+    ``b`` holds the fields and ``f`` the frequencies, of equal length. The
+    curvature c is required to be non-negative (the kinetic-inductance
     shift always bends the resonance down); convex or collinear-degenerate
     data raise :class:`FitError`.
     """
-    if curve.kind != "parabola":
-        raise ValueError("curve kind must be 'parabola'")
-    b, fvals = curve.t, curve.value
+    b, fvals = np.asarray(b, dtype=float), np.asarray(f, dtype=float)
+    if b.shape != fvals.shape:
+        raise ValueError("b and f must have equal length")
     if np.unique(b).size < 3:
         raise FitError("degenerate data: need >= 3 distinct abscissae")
     a2, a1, a0 = np.polyfit(b, fvals, 2)

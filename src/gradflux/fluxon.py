@@ -392,7 +392,9 @@ def coincidence_analysis(event_lists, window_s: float,
                          span) -> CoincidenceResult:
     """Pairwise coincidence counts between event lists on a common span.
 
-    For each ordered pair the observed count is the number of events in the
+    Only events inside ``span`` (ends included) count, in the rates as in
+    the observed coincidences; events outside it are dropped. For each
+    ordered pair the observed count is the number of events in the
     first list with at least one partner in the second within +-window; the
     expectation under independent Poisson processes is
     2 * rate_a * rate_b * window * T, and the excess ratio their quotient
@@ -408,7 +410,11 @@ def coincidence_analysis(event_lists, window_s: float,
     if total <= 0:
         raise ValueError("span end must exceed span start")
 
-    times = [_event_times(ev) for ev in event_lists]
+    times = []
+    for ev in event_lists:
+        tt = _event_times(ev)
+        times.append(tt[np.searchsorted(tt, t0, side="left"):
+                        np.searchsorted(tt, t1, side="right")])
     rates = [tt.size / total for tt in times]
     pairs = []
     for i in range(len(times)):

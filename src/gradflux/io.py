@@ -8,6 +8,7 @@ with '#'-prefixed metadata comment lines; JSON files keep metadata under a
 """
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -36,7 +37,13 @@ def _fmt(x):
 
 
 def _sanitize(obj):
-    """Make a payload json-serializable (arrays to lists, numpy scalars)."""
+    """Make a payload json-serializable.
+
+    Arrays become lists, numpy scalars Python numbers, and dataclass
+    instances dicts of their fields.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -70,29 +77,45 @@ def _write_csv(path, columns, rows, meta=None):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _read_csv(path, expected_columns):
-    meta = None
+def _read_csv(path, expected_columns, required=None):
+    """Data rows of a CSV file whose header is ``expected_columns``.
+
+    '#' lines and blank rows are skipped. Every row needs at least
+    ``required`` cells (default: one per column); a shorter row, like a
+    file without data rows, raises ValueError naming the file and line.
+    """
+    if required is None:
+        required = len(expected_columns)
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = []
-        for line in fh:
-            if line.startswith("#"):
-                stripped = line[1:].strip()
-                if stripped.startswith("meta:"):
-                    meta = json.loads(stripped[len("meta:"):])
-                continue
-            lines.append(line)
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{path}: empty CSV") from None
-    header = tuple(h.strip() for h in header)
-    if header != tuple(expected_columns):
-        raise ValueError(
-            f"{path}: expected header {','.join(expected_columns)}, "
-            f"got {','.join(header)}")
-    rows = [row for row in reader if row and any(c.strip() for c in row)]
-    return header, rows, meta
+        # comment lines read as blank rows, so line_num counts file lines
+        reader = csv.reader("" if line.startswith("#") else line
+                            for line in fh)
+        nonblank = (row for row in reader if "".join(row).strip())
+        header = next(nonblank, None)
+        if header is None:
+            raise ValueError(f"{path}: empty CSV")
+        header = tuple(h.strip() for h in header)
+        if header != tuple(expected_columns):
+            raise ValueError(
+                f"{path}: expected header {','.join(expected_columns)}, "
+                f"got {','.join(header)}")
+        rows = []
+        for row in nonblank:
+            if len(row) < required:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: {len(row)} cells, "
+                    f"expected at least {required}")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return rows
+
+
+def read_columns(path, columns) -> list:
+    """One float array per column of a numeric CSV file."""
+    rows = _read_csv(path, columns)
+    return [np.array([float(r[k]) for r in rows])
+            for k in range(len(columns))]
 
 
 def write_sweep_csv(path, sweep, meta=None) -> None:
@@ -110,8 +133,7 @@ def write_sweep_json(path, sweep, meta=None) -> None:
         "points": [{"flux_phi0": p.flux_phi0, "transition": p.transition,
                     "freq_GHz": p.freq_ghz, "chi_MHz": p.chi_mhz,
                     "chi_valid": p.chi_valid} for p in sweep.points],
-        "errors": [{"flux_phi0": e.flux_phi0, "transition": e.transition,
-                    "message": e.message} for e in sweep.errors],
+        "errors": sweep.errors,
     }
     write_json(path, payload)
 
@@ -126,9 +148,8 @@ def write_spectroscopy_csv(path, dataset: SpectroscopyDataset,
 
 def read_spectroscopy_csv(path) -> SpectroscopyDataset:
     """Load a spectroscopy dataset; missing sigmas default to 1 MHz."""
-    _, rows, _ = _read_csv(path, DATASET_COLUMNS)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+    # the sigma cell may be left out
+    rows = _read_csv(path, DATASET_COLUMNS, len(DATASET_COLUMNS) - 1)
     x, units, trans, freq, sigma = [], set(), [], [], []
     defaulted = False
     for row in rows:
@@ -166,11 +187,7 @@ def write_trace_csv(path, trace: TimeTrace, meta=None) -> None:
 
 def read_trace_csv(path) -> TimeTrace:
     path = Path(path)
-    _, rows, _ = _read_csv(path, TRACE_COLUMNS)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    t = np.array([float(r[0]) for r in rows])
-    v = np.array([float(r[1]) for r in rows])
+    t, v = read_columns(path, TRACE_COLUMNS)
     noise = 0.0
     label = ""
     sidecar = path.with_suffix(".json")
@@ -197,9 +214,7 @@ def write_dwell_json(path, stats, events=None, meta=None) -> None:
         "censored": [bool(c) for c in stats.censored],
     }
     if events is not None:
-        payload["events"] = [{"time_s": e.time_s, "index": e.index,
-                              "direction": e.direction, "size": e.size}
-                             for e in events]
+        payload["events"] = events
     write_json(path, payload)
 
 
@@ -227,15 +242,9 @@ def write_fit_json(path, fit, meta=None) -> None:
 
 
 def read_decay_csv(path, kind: str) -> DecayCurve:
-    columns = PARABOLA_COLUMNS if kind == "parabola" else DECAY_COLUMNS
-    _, rows, _ = _read_csv(path, columns)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    t = np.array([float(r[0]) for r in rows])
-    v = np.array([float(r[1]) for r in rows])
+    t, v = read_columns(path, DECAY_COLUMNS)
     return DecayCurve(t=t, value=v, kind=kind)
 
 
 def write_decay_csv(path, curve: DecayCurve, meta=None) -> None:
-    columns = PARABOLA_COLUMNS if curve.kind == "parabola" else DECAY_COLUMNS
-    _write_csv(path, columns, zip(curve.t, curve.value), meta=meta)
+    _write_csv(path, DECAY_COLUMNS, zip(curve.t, curve.value), meta=meta)

@@ -86,8 +86,6 @@ class HamiltonianMatrix:
     basis: FockBasisSpec
     phi_eff: float
     eff: EffectiveFluxonium
-    f_qubit: float
-    f_res: float
 
 
 def _phase_quadrature(n):
@@ -135,7 +133,6 @@ def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
         raise ValueError("phi_eff must be finite")
     m, n = basis.m_qubit, basis.n_res
     h_q = qubit_hamiltonians(eff.lq, eff.cj, eff.ej, phi_eff, m)[0]
-    f_q = float(mode_frequency(eff.lq, eff.cj))
     f_r = float(mode_frequency(eff.lr, eff.cr))
     h_r = np.diag(f_r * np.arange(n))
     h = np.kron(h_q, np.eye(n)) + np.kron(np.eye(m), h_r)
@@ -144,8 +141,7 @@ def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
               * phase_zpf(eff.lr, eff.cr)
               * np.kron(_phase_quadrature(m), _phase_quadrature(n)))
     return HamiltonianMatrix(matrix=0.5 * (h + h.T), basis=basis,
-                             phi_eff=phi_eff, eff=eff,
-                             f_qubit=f_q, f_res=f_r)
+                             phi_eff=phi_eff, eff=eff)
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:

@@ -56,6 +56,14 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="expected header"):
             gfio.read_spectroscopy_csv(path)
 
+    def test_sigma_cell_may_be_left_out(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        path.write_text("field_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
+                        "0.5,phi0,f01,3.9\n0.3,phi0,f01,5.0,0.002\n")
+        loaded = gfio.read_spectroscopy_csv(path)
+        assert loaded.sigma_defaulted
+        assert list(loaded.sigma_ghz) == [1e-3, 2e-3]
+
     def test_empty_csv_rejected(self, tmp_path):
         path = tmp_path / "spec.csv"
         path.write_text("field_or_flux,unit,transition,freq_GHz,sigma_GHz\n")
@@ -150,7 +158,119 @@ class TestConfig:
         assert eff.alpha == pytest.approx(0.0, abs=1e-15)
 
 
+INPUTS_INI = ("[basis]\nm_qubit = 20\nn_res = 8\n"
+              "[trace]\nthreshold_mads = 5.5\n[fit]\nbasis_m = 20\n")
+
+# command, its arguments, the config keys its flags set, output file name
+COMMAND_RUNS = [
+    ("sweep", ["--start", "0.4", "--stop", "0.6", "--points", "3",
+               "--transitions", "f01,fr", "--threads", "1"],
+     {"sweep.start": 0.4, "sweep.stop": 0.6, "sweep.points": 3,
+      "sweep.transitions": "f01,fr", "run.threads": 1}, "out.csv"),
+    ("chi", ["--flux", "0.5"], {}, "out.json"),
+    ("fit", ["--data", "{spec}", "--starts", "1", "--seed", "3",
+             "--basis-m", "24", "--forward", "single-loop"],
+     {"fit.n_starts": 1, "fit.seed": 3, "fit.basis_m": 24,
+      "fit.forward": "single-loop"}, "out.json"),
+    ("phaseslip", ["--wire-length-m", "2e-4", "--grain-size-m", "5e-9",
+                   "--ej-ghz", "50000"],
+     {"geometry.wire_length_m": 2e-4, "geometry.grain_size_m": 5e-9},
+     "out.json"),
+    ("junctions", ["--wire-length-m", "1e-6", "--grain-size-m", "4e-9"],
+     {"geometry.wire_length_m": 1e-6, "geometry.grain_size_m": 4e-9},
+     "out.json"),
+    ("simulate-trace", ["--rate-eo", "0.002", "--rate-oe", "0.003",
+                        "--duration", "2000", "--dt", "0.5",
+                        "--noise", "0.2", "--seed", "5"],
+     {"trace.rate_eo_hz": 0.002, "trace.rate_oe_hz": 0.003,
+      "trace.duration_s": 2000.0, "trace.dt_s": 0.5,
+      "trace.noise_sigma": 0.2, "trace.seed": 5}, "out.csv"),
+    ("analyze-trace", ["--trace", "{trace_a}", "--threshold", "5.0",
+                       "--window", "11"],
+     {"trace.threshold_mads": 5.0, "trace.window": 11}, "out.json"),
+    ("coincidence", ["--traces", "{trace_a}", "{trace_b}",
+                     "--window", "5.0"], {}, "out.json"),
+    ("decay-fit", ["--data", "{decay}", "--kind", "exponential"], {},
+     "out.json"),
+    ("parabola-fit", ["--data", "{parabola}"], {}, "out.json"),
+]
+
+
+@pytest.fixture
+def command_inputs(tmp_path):
+    """Input files for every subcommand, by the placeholder names above."""
+    inputs = {"spec": tmp_path / "spec.csv", "decay": tmp_path / "t1.csv",
+              "parabola": tmp_path / "par.csv"}
+    phis = np.linspace(0.1, 0.9, 6)
+    gfio.write_spectroscopy_csv(inputs["spec"], SpectroscopyDataset(
+        x=phis, transition=("f01",) * 6,
+        freq_ghz=np.linspace(9.0, 4.0, 6), sigma_ghz=np.full(6, 1e-3)))
+    t = np.linspace(0.0, 40.0, 30)
+    gfio.write_decay_csv(inputs["decay"], DecayCurve(
+        t=t, value=0.8 * np.exp(-t / 10.0)))
+    b = np.linspace(-5.0, 5.0, 11).tolist()
+    inputs["parabola"].write_text("b_ut,freq_GHz\n" + "".join(
+        f"{x!r},{7.445 - 3e-4 * (x - 0.2) ** 2!r}\n" for x in b))
+    for name, seed in (("trace_a", 1), ("trace_b", 2)):
+        inputs[name] = tmp_path / f"{name}.csv"
+        gfio.write_trace_csv(inputs[name], simulate_telegraph(
+            0.01, 0.01, 2000.0, 1.0, noise_sigma=0.1, seed=seed))
+    ini = tmp_path / "inputs.ini"
+    ini.write_text(INPUTS_INI)
+    return ini, {k: str(v) for k, v in inputs.items()}
+
+
 class TestCli:
+    @pytest.mark.parametrize("command, extra, flags, out_name", COMMAND_RUNS,
+                             ids=[run[0] for run in COMMAND_RUNS])
+    def test_rerun_identical_and_config_resolved(self, tmp_path,
+                                                 command_inputs, command,
+                                                 extra, flags, out_name):
+        ini, inputs = command_inputs
+        argv = [command] + [a.format(**inputs) for a in extra]
+        if command != "junctions":        # the one command without --config
+            argv += ["--config", str(ini)]
+        expected = load_config(None if command == "junctions" else ini)
+        for key, value in flags.items():
+            section, name = key.split(".")
+            expected[section][name] = value
+        runs = []
+        for run in ("first", "second"):
+            (tmp_path / run).mkdir()
+            assert main(argv + ["--out", str(tmp_path / run / out_name)]) == 0
+            runs.append({p.name: p.read_bytes()
+                         for p in sorted((tmp_path / run).iterdir())})
+        assert runs[0] == runs[1]
+        metas = [json.loads(text)["meta"]
+                 for name, text in runs[0].items() if name.endswith(".json")]
+        assert metas
+        for meta in metas:
+            assert meta["command"] == command
+            assert meta["config"] == expected
+
+    @pytest.mark.parametrize("command, name, text, where", [
+        ("sweep", "cfg.ini", "points = 3\n", "cfg.ini"),
+        ("sweep", "cfg.ini", "[sweep]\npoints = 3\npoints = 4\n", "cfg.ini"),
+        ("sweep", "cfg.ini", "[sweep]\ntransitions = f01%\n", "cfg.ini"),
+        ("analyze-trace", "trace.csv", "t_s,value\n0.0,0.1\n1.0\n",
+         "trace.csv, line 3"),
+        ("fit", "spec.csv",
+         "# meta: {}\nfield_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
+         "0.5,phi0\n", "spec.csv, line 3"),
+    ], ids=["ini-no-section", "ini-duplicate-key", "ini-stray-percent",
+            "trace-short-row", "dataset-short-row"])
+    def test_malformed_input_exit_2(self, tmp_path, capsys, command, name,
+                                    text, where):
+        path = tmp_path / name
+        path.write_text(text)
+        out = str(tmp_path / "out")
+        argv = {"sweep": ["sweep", "--config", str(path), "--out", out],
+                "analyze-trace": ["analyze-trace", "--trace", str(path),
+                                  "--out", out],
+                "fit": ["fit", "--data", str(path), "--out", out]}[command]
+        assert main(argv) == 2
+        assert where in capsys.readouterr().err
+
     def test_single_point_sweep_matches_direct_call(self, tmp_path):
         out = tmp_path / "one.csv"
         code = main(["sweep", "--start", "0.5", "--stop", "0.5",
@@ -305,7 +425,8 @@ class TestCli:
         b = np.linspace(-5.0, 5.0, 11)
         y = 7.445 - 3e-4 * (b - 0.2) ** 2
         data = tmp_path / "par.csv"
-        gfio.write_decay_csv(data, DecayCurve(t=b, value=y, kind="parabola"))
+        data.write_text("b_ut,freq_GHz\n" + "".join(
+            f"{float(x)!r},{float(v)!r}\n" for x, v in zip(b, y)))
         out = tmp_path / "par.json"
         assert main(["parabola-fit", "--data", str(data),
                      "--out", str(out)]) == 0
@@ -335,7 +456,7 @@ class TestCli:
         assert code == 2
 
     def test_label_error_exit_1(self, tmp_path, monkeypatch, capsys):
-        def unresolved(args):
+        def unresolved(args, config, meta):
             raise LabelError("label (1, 1) not retained in spectrum",
                              label=(1, 1))
 

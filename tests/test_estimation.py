@@ -261,7 +261,7 @@ class TestFitParabola:
     def test_exact_parabola(self):
         b = np.linspace(-4.0, 9.0, 9)
         y = 7.4321 - 0.025 * (b - 1.5) ** 2
-        fit = fit_parabola(DecayCurve(t=b, value=y, kind="parabola"))
+        fit = fit_parabola(b, y)
         assert fit.f_max == pytest.approx(7.4321, abs=1e-10)
         assert fit.b_offset == pytest.approx(1.5, abs=1e-9)
         assert fit.curvature == pytest.approx(0.025, rel=1e-9)
@@ -270,24 +270,22 @@ class TestFitParabola:
         b0 = 0.14
         b = b0 + np.linspace(-5, 5, 11)
         y = 7.445 - 0.01 * (b - b0) ** 2
-        fit = fit_parabola(DecayCurve(t=b, value=y, kind="parabola"))
+        fit = fit_parabola(b, y)
         assert fit.b_offset == pytest.approx(b0, abs=1e-10)
 
     def test_noisy_curvature_within_five_percent(self):
         rng = np.random.default_rng(12)
         b = np.linspace(-10.0, 10.0, 41)
         y = 7.445 - 2e-4 * (b - 0.3) ** 2 + rng.normal(0, 1e-6, b.size)
-        fit = fit_parabola(DecayCurve(t=b, value=y, kind="parabola"))
+        fit = fit_parabola(b, y)
         assert fit.curvature == pytest.approx(2e-4, rel=0.05)
 
     def test_collinear_rejected(self):
         b = np.linspace(0, 10, 7)
         with pytest.raises(FitError, match="degenerate"):
-            fit_parabola(DecayCurve(t=b, value=2.0 + 0.5 * b,
-                                    kind="parabola"))
+            fit_parabola(b, 2.0 + 0.5 * b)
 
     def test_convex_rejected(self):
         b = np.linspace(-5, 5, 9)
         with pytest.raises(FitError, match="convex"):
-            fit_parabola(DecayCurve(t=b, value=1.0 + 0.3 * b ** 2,
-                                    kind="parabola"))
+            fit_parabola(b, 1.0 + 0.3 * b ** 2)

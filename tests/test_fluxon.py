@@ -306,6 +306,18 @@ class TestCoincidence:
         result = coincidence_analysis([events, events], 1.0, (0.0, 10.0))
         assert result.pairs[0].observed == 1
 
+    def test_events_outside_span_dropped(self):
+        # A covers [0, 1000] s and B [500, 1500] s; on their common span
+        # each holds 50 events, one every 10 s, and A's events at 5..495 s
+        # and B's at 1005..1495 s must not count
+        a = np.arange(5.0, 1000.0, 10.0)
+        b = np.arange(505.0, 1500.0, 10.0)
+        pair = coincidence_analysis([a, b], 1.0, (500.0, 1000.0)).pairs[0]
+        assert pair.rate_a_hz == pytest.approx(0.1, rel=1e-12)
+        assert pair.rate_b_hz == pytest.approx(0.1, rel=1e-12)
+        assert pair.observed == 50
+        assert pair.expected == pytest.approx(2 * 0.1 * 0.1 * 1.0 * 500.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             coincidence_analysis([np.array([1.0])], 1.0, (0.0, 10.0))
