@@ -121,6 +121,9 @@ def _basis_from(config):
 def cmd_sweep(args, config, meta) -> int:
     eff = effective_from_config(config["circuit"])
     sweep_cfg = config["sweep"]
+    if sweep_cfg["points"] < 1:
+        raise ConfigError(
+            f"sweep.points must be at least 1, got {sweep_cfg['points']}")
     grid = np.linspace(sweep_cfg["start"], sweep_cfg["stop"],
                        sweep_cfg["points"])
     transitions = tuple(t.strip() for t in

@@ -3,9 +3,11 @@
 Spectrum fits recover the effective circuit parameters (shunt inductance,
 junction capacitance, Josephson energy) from measured f01/f02 transition
 frequencies by weighted least squares against the numerically diagonalized
-fluxonium model. The forward model has no analytic gradient, so the
-optimizer is a bounded derivative-free simplex with a Latin-hypercube
-multi-start; everything is deterministic given the seed.
+fluxonium model. Each start of a Latin-hypercube multi-start runs scipy's
+trust-region-reflective least squares (Branch, Coleman & Li, SIAM J. Sci.
+Comput. 21, 1 (1999)) on the weighted residual vector, with the bounds
+handled by reflection and a forward-difference Jacobian; everything is
+deterministic given the seed.
 
 Also here: extraction of the shared inductance from a measured dispersive
 shift (bracketed root search), exponential/Ramsey/echo decay-curve fits,
@@ -16,13 +18,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, curve_fit, minimize
+from scipy.optimize import brentq, curve_fit, least_squares
 
 from .circuit import DEVICE_GEOMETRY, balanced_branch_circuit, reduce_circuit
-from .spectrum import (DEFAULT_BASIS, FockBasisSpec, build_hamiltonian,
-                       diagonalize_labeled, dispersive_shift,
-                       parse_transition, qubit_hamiltonians,
-                       transition_frequency)
+from .spectrum import (DEFAULT_BASIS, FockBasisSpec, LabelError,
+                       SolverError, build_hamiltonian, diagonalize_labeled,
+                       dispersive_shift, parse_transition,
+                       qubit_hamiltonians, transition_frequency)
 from .units import EC_GHZ_FF, EL_GHZ_NH
 
 TRANSITION_KINDS = ("f01", "f02")
@@ -185,6 +187,22 @@ def _latin_hypercube(lo, hi, n_starts, rng):
     return pts
 
 
+class _StopStart(Exception):
+    """Ends one fit start: its budget ran out or the forward model failed."""
+
+
+@dataclass
+class _Start:
+    """Best point one fit start evaluated, and what the start spent."""
+
+    p: np.ndarray
+    chi2: float = np.inf
+    freqs: np.ndarray | None = None
+    nfev: int = 0
+    converged: bool = False
+    history: list = field(default_factory=list)
+
+
 def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
                  bounds: dict | None = None, *, forward: str = "single-loop",
                  resonator: dict | None = None, basis_m: int = 30,
@@ -193,13 +211,25 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
                  workers: int | None = None) -> FitResult:
     """Weighted least-squares fit of circuit parameters to a spectrum.
 
-    Minimizes sum(((f_model - f_meas)/sigma)^2) with a bounded Nelder-Mead
-    simplex started from the heuristic initial guess plus ``n_starts - 1``
-    Latin-hypercube points over the bounds (deterministic per ``seed``).
+    Minimizes sum(((f_model - f_meas)/sigma)^2) by trust-region-reflective
+    least squares (``scipy.optimize.least_squares``, method "trf") on the
+    weighted residual vector, with a forward-difference Jacobian, from the
+    heuristic initial guess plus ``n_starts - 1`` Latin-hypercube points
+    over the bounds (deterministic per ``seed``). Parameters with
+    zero-width bounds are pinned at that value and left out of the solve.
     ``forward`` selects the single-loop fluxonium model (default) or the
     coupled two-mode model; the choice is recorded in the result. Datasets
     in tesla add field-to-flux scale and offset nuisance parameters unless
     they are pinned via ``init``/``bounds`` with zero-width bounds.
+
+    Each start may spend ``max_nfev`` forward evaluations, Jacobian probes
+    included; ``nfev`` is their total over all starts. A start whose budget
+    runs out, or whose model raises :class:`LabelError` or
+    :class:`SolverError`, ends at the best point it evaluated. The result
+    is the lowest chi^2 any start evaluated; ``history`` lists that start's
+    successive best values. If the model fails while the central-difference
+    Jacobian is taken at the optimum, that parameter's ``sensitivity`` and
+    every ``stderr`` (the covariance needs all columns) are nan.
 
     Raises :class:`FitError` (with best-so-far attached) if no start
     converges, and ``ValueError`` for under-determined datasets.
@@ -249,13 +279,6 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
         return _model_freqs_coupled(p[0], p[1], p[2], phis, trs, resonator,
                                     coupled_basis)
 
-    def objective(p):
-        try:
-            r = (model(p) - f_meas) / sig
-        except Exception:
-            return np.inf
-        return float(np.dot(r, r))
-
     rng = np.random.default_rng(seed)
     starts = [x0]
     if n_starts > 1:
@@ -267,68 +290,91 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
             pts[:, k] = lo[k] + rng.random(n_starts - 1) * (hi[k] - lo[k])
         starts += [np.clip(p, lo, hi) for p in pts]
 
-    nm_bounds = list(zip(lo, hi))
+    # least_squares rejects zero-width bounds: pinned parameters stay out of
+    # the solver's vector and keep their start value, which is the pin
+    free = lo < hi
 
-    def run_start(idx_start):
-        idx, st = idx_start
-        history = []
-        best_f = [np.inf]
+    def run_start(st):
+        out = _Start(p=st)
 
-        def tracked(p):
-            f = objective(p)
-            if f < best_f[0]:
-                best_f[0] = f
-                history.append(f)
-            return f
+        def residuals(x):
+            # every forward evaluation counts, Jacobian probes included
+            if out.nfev == max_nfev:
+                raise _StopStart
+            out.nfev += 1
+            p = st.copy()
+            p[free] = x
+            try:
+                freqs = model(p)
+            except (LabelError, SolverError):
+                raise _StopStart from None
+            r = (freqs - f_meas) / sig
+            chi2 = float(np.dot(r, r))
+            if chi2 < out.chi2:
+                out.p, out.chi2, out.freqs = p, chi2, freqs
+                out.history.append(chi2)
+            return r
 
-        res = minimize(tracked, st, method="Nelder-Mead", bounds=nm_bounds,
-                       options=dict(xatol=1e-6, fatol=1e-9,
-                                    maxfev=max_nfev, adaptive=False))
-        return idx, res, np.asarray(history)
+        # TRF's own count leaves out Jacobian probes, so its max_nfev never
+        # binds before ours; passing it only lifts TRF's default of 100 n
+        try:
+            out.converged = least_squares(
+                residuals, st[free], bounds=(lo[free], hi[free]),
+                method="trf", x_scale="jac", xtol=1e-10, ftol=1e-12,
+                gtol=1e-12, max_nfev=max_nfev).success
+        except _StopStart:
+            pass        # the start ends at its best point so far
+        return out
 
-    jobs = list(enumerate(starts))
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_start, jobs))
+            outcomes = list(pool.map(run_start, starts))
     else:
-        outcomes = [run_start(j) for j in jobs]
+        outcomes = [run_start(st) for st in starts]
 
-    outcomes.sort(key=lambda t: (t[1].fun, t[0]))
-    best_idx, best, history = outcomes[0]
-    start_objs = tuple(float(o[1].fun) for o in sorted(outcomes,
-                                                       key=lambda t: t[0]))
-    converged = any(o[1].success for o in outcomes) and np.isfinite(best.fun)
+    start_objs = tuple(o.chi2 for o in outcomes)
+    best_idx = int(np.argmin(start_objs))
+    best = outcomes[best_idx]
+    if best.freqs is None:
+        raise FitError("the forward model failed at every start point")
+    converged = any(o.converged for o in outcomes)
 
-    p = best.x
-    resid = model(p) - f_meas
+    p = best.p
+    resid = best.freqs - f_meas
     params = dict(zip(names, (float(v) for v in p)))
 
-    # covariance proxy and sensitivities from central differences at optimum
-    jac = np.empty((len(dataset), len(names)))
+    # covariance proxy and sensitivities from central differences at optimum;
+    # a parameter whose probes fail the model keeps a nan column
+    jac = np.full((len(dataset), len(names)), np.nan)
     for k in range(len(names)):
         step = 1e-4 * max(abs(p[k]), 1e-6)
         pp, pm = p.copy(), p.copy()
         pp[k] += step
         pm[k] -= step
-        jac[:, k] = (model(pp) - model(pm)) / (2.0 * step)
+        try:
+            jac[:, k] = (model(pp) - model(pm)) / (2.0 * step)
+        except (LabelError, SolverError):
+            continue
     sensitivity = {names[k]: float(np.sqrt(np.mean(jac[:, k] ** 2)))
                    for k in range(len(names))}
     jw = jac / sig[:, None]
-    try:
-        cov = np.linalg.inv(jw.T @ jw)
-        stderr = {names[k]: float(np.sqrt(max(cov[k, k], 0.0)))
-                  for k in range(len(names))}
-    except np.linalg.LinAlgError:
-        stderr = {k: float("nan") for k in names}
+    stderr = {k: float("nan") for k in names}
+    if np.all(np.isfinite(jw)):
+        try:
+            cov = np.linalg.inv(jw.T @ jw)
+            stderr = {names[k]: float(np.sqrt(max(cov[k, k], 0.0)))
+                      for k in range(len(names))}
+        except np.linalg.LinAlgError:
+            pass
 
     result = FitResult(
         params=params, stderr=stderr, sensitivity=sensitivity,
         rms_residual_ghz=float(np.sqrt(np.mean(resid ** 2))),
-        chi2=float(best.fun), residuals_ghz=resid,
+        chi2=best.chi2, residuals_ghz=resid,
         status="converged" if converged else "max-evaluations",
-        forward=forward, n_starts=len(starts), best_start=int(best_idx),
-        seed=seed, nfev=int(sum(o[1].nfev for o in outcomes)),
-        history=history, start_objectives=start_objs,
+        forward=forward, n_starts=len(starts), best_start=best_idx,
+        seed=seed, nfev=sum(o.nfev for o in outcomes),
+        history=np.asarray(best.history), start_objectives=start_objs,
         sigma_defaulted=dataset.sigma_defaulted,
         bounds={k: tuple(map(float, all_bounds[k])) for k in names})
     if not converged:

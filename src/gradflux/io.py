@@ -78,7 +78,8 @@ def _write_csv(path, columns, rows, meta=None):
 
 
 def _read_csv(path, expected_columns, required=None):
-    """Data rows of a CSV file whose header is ``expected_columns``.
+    """Data rows of a CSV file whose header is ``expected_columns``, and
+    the line number of each.
 
     '#' lines and blank rows are skipped. Every row needs at least
     ``required`` cells (default: one per column); a shorter row, like a
@@ -99,23 +100,37 @@ def _read_csv(path, expected_columns, required=None):
             raise ValueError(
                 f"{path}: expected header {','.join(expected_columns)}, "
                 f"got {','.join(header)}")
-        rows = []
+        rows, lines = [], []
         for row in nonblank:
             if len(row) < required:
                 raise ValueError(
                     f"{path}, line {reader.line_num}: {len(row)} cells, "
                     f"expected at least {required}")
             rows.append(row)
+            lines.append(reader.line_num)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return rows
+    return rows, lines
+
+
+def _number(path, line, cell):
+    try:
+        return float(cell)
+    except ValueError as exc:
+        raise ValueError(f"{path}, line {line}: {exc}") from None
 
 
 def read_columns(path, columns) -> list:
     """One float array per column of a numeric CSV file."""
-    rows = _read_csv(path, columns)
-    return [np.array([float(r[k]) for r in rows])
-            for k in range(len(columns))]
+    rows, lines = _read_csv(path, columns)
+    try:
+        return [np.array([float(r[k]) for r in rows])
+                for k in range(len(columns))]
+    except ValueError:      # find the cell, off the per-cell path
+        for line, r in zip(lines, rows):
+            for cell in r[:len(columns)]:
+                _number(path, line, cell)
+        raise
 
 
 def write_sweep_csv(path, sweep, meta=None) -> None:
@@ -149,17 +164,17 @@ def write_spectroscopy_csv(path, dataset: SpectroscopyDataset,
 def read_spectroscopy_csv(path) -> SpectroscopyDataset:
     """Load a spectroscopy dataset; missing sigmas default to 1 MHz."""
     # the sigma cell may be left out
-    rows = _read_csv(path, DATASET_COLUMNS, len(DATASET_COLUMNS) - 1)
+    rows, lines = _read_csv(path, DATASET_COLUMNS, len(DATASET_COLUMNS) - 1)
     x, units, trans, freq, sigma = [], set(), [], [], []
     defaulted = False
-    for row in rows:
-        x.append(float(row[0]))
+    for line, row in zip(lines, rows):
+        x.append(_number(path, line, row[0]))
         units.add(row[1].strip())
         trans.append(row[2].strip())
-        freq.append(float(row[3]))
+        freq.append(_number(path, line, row[3]))
         cell = row[4].strip() if len(row) > 4 else ""
         if cell:
-            sigma.append(float(cell))
+            sigma.append(_number(path, line, cell))
         else:
             sigma.append(DEFAULT_SIGMA_GHZ)
             defaulted = True

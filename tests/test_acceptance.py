@@ -101,9 +101,22 @@ def test_criterion_4_field_calibration():
           f"({abs(b_phi0 - 280e-9) / 280e-9 * 100:.2f}% off, <= 3%) -- PASS")
 
 
+#: chi^2 the earlier bounded Nelder-Mead multistart reached on each
+#: criterion-5 seed; the least-squares fit must do at least as well.
+NELDER_MEAD_CHI2 = (
+    23.76829684942249, 33.333383459953, 33.70961051358292,
+    49.362339551722776, 44.2074099791842, 25.968382737242944,
+    38.43841055917795, 23.696444340278443, 46.00147329948559,
+    40.105679631522506, 24.36165102476399, 25.293790638795354,
+    31.250284008316836, 46.744237131067194, 51.527444477489716,
+    38.88263022053061, 34.36928616649422, 49.98291640875933,
+    29.551682278539413, 28.688859122110728)
+
+
 def test_criterion_5_fit_roundtrip_20_seeds():
     """40 synthetic f01/f02 points with 1 MHz noise: all three circuit
-    parameters recovered within 1%, 20 seeds out of 20, in under 10 min."""
+    parameters recovered within 1%, 20 seeds out of 20, in under 10 min,
+    each at a chi^2 no higher than the Nelder-Mead fit's."""
     t0 = time.time()
     true = dict(lq_nh=172.0, cj_ff=3.4, ej_ghz=5.1)
     phis = np.linspace(0.05, 0.95, 40)
@@ -125,6 +138,7 @@ def test_criterion_5_fit_roundtrip_20_seeds():
             err = abs(fit.params[key] - val) / val
             worst = max(worst, err)
             assert err < 0.01, f"seed {seed}: {key} off by {err:.2%}"
+        assert fit.chi2 <= NELDER_MEAD_CHI2[seed] * (1 + 1e-9), seed
     elapsed = time.time() - t0
     assert elapsed < 600.0
     print(f"\nACCEPTANCE 5 fit roundtrip: 20/20 seeds within 1% "

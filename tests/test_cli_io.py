@@ -257,8 +257,18 @@ class TestCli:
         ("fit", "spec.csv",
          "# meta: {}\nfield_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
          "0.5,phi0\n", "spec.csv, line 3"),
+        ("analyze-trace", "trace.csv", "t_s,value\n0.0,0.1\n1.0,abc\n",
+         "trace.csv, line 3"),
+        ("fit", "spec.csv",
+         "field_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
+         "0.5,phi0,f01,3.9,0.001\n0.3,phi0,f01,5.0,1e-3x\n",
+         "spec.csv, line 3"),
+        ("sweep", "cfg.ini", "[sweep]\npoints = 0\n", "sweep.points"),
+        ("sweep", "cfg.ini", "[sweep]\npoints = -3\n", "sweep.points"),
     ], ids=["ini-no-section", "ini-duplicate-key", "ini-stray-percent",
-            "trace-short-row", "dataset-short-row"])
+            "trace-short-row", "dataset-short-row", "trace-non-numeric",
+            "dataset-non-numeric", "sweep-zero-points",
+            "sweep-negative-points"])
     def test_malformed_input_exit_2(self, tmp_path, capsys, command, name,
                                     text, where):
         path = tmp_path / name

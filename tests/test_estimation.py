@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from gradflux import (DecayCurve, FitError, SpectroscopyDataset,
-                      balanced_branch_circuit, dispersive_shift, fit_decay,
-                      fit_parabola, fit_shared_inductance, fit_spectrum,
-                      initial_guess, reduce_circuit, single_loop_transitions)
+from gradflux import (DecayCurve, FitError, LabelError, SpectroscopyDataset,
+                      balanced_branch_circuit, dispersive_shift, estimation,
+                      fit_decay, fit_parabola, fit_shared_inductance,
+                      fit_spectrum, initial_guess, reduce_circuit,
+                      single_loop_transitions)
 from gradflux.spectrum import FockBasisSpec
 
 TRUE = dict(lq_nh=172.0, cj_ff=3.4, ej_ghz=5.1)
@@ -120,6 +121,46 @@ class TestFitSpectrum:
         assert best.status == "max-evaluations"
         assert set(best.params) == {"lq_nh", "cj_ff", "ej_ghz"}
         assert np.isfinite(best.chi2)
+
+    def test_nfev_counts_every_forward_evaluation(self, monkeypatch):
+        """nfev is every forward call of the optimization, Jacobian probes
+        included (the 6 central-difference calls at the optimum come after
+        it); an exhausted budget stops each start at exactly max_nfev."""
+        calls = []
+        model = estimation._model_freqs_single_loop
+        monkeypatch.setattr(estimation, "_model_freqs_single_loop",
+                            lambda *a: calls.append(a) or model(*a))
+        data = synthetic_dataset(noise_ghz=1e-3, seed=4)
+        fit = fit_spectrum(data, n_starts=3, seed=0)
+        assert fit.status == "converged"
+        assert fit.nfev == len(calls) - 6
+        calls.clear()
+        with pytest.raises(FitError) as err:
+            fit_spectrum(data, n_starts=3, seed=0, max_nfev=10)
+        assert err.value.best.nfev == len(calls) - 6 == 3 * 10
+
+    def test_model_failure_at_optimum_keeps_fit(self, monkeypatch):
+        """A label failure in the central-difference probes of one parameter
+        leaves the converged fit and makes only its diagnostics nan."""
+        data = synthetic_dataset(noise_ghz=1e-3, seed=2)
+        clean = fit_spectrum(data, n_starts=2, seed=0)
+        model = estimation._model_freqs_single_loop
+        calls = []
+
+        def failing(lq, *rest):
+            calls.append(lq)
+            if len(calls) > clean.nfev and lq != clean.params["lq_nh"]:
+                raise LabelError("label (0, 1) not retained in spectrum")
+            return model(lq, *rest)
+
+        monkeypatch.setattr(estimation, "_model_freqs_single_loop", failing)
+        fit = fit_spectrum(data, n_starts=2, seed=0)
+        assert fit.params == clean.params
+        assert fit.chi2 == clean.chi2
+        assert np.isnan(fit.sensitivity["lq_nh"])
+        for key in ("cj_ff", "ej_ghz"):
+            assert fit.sensitivity[key] == clean.sensitivity[key]
+        assert all(np.isnan(v) for v in fit.stderr.values())
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
