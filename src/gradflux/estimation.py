@@ -126,7 +126,9 @@ class FitResult:
     nuisance scale_phi0_per_t and offset_phi0. ``sensitivity`` is the rms
     finite-difference derivative of the model frequencies per parameter
     (GHz per parameter unit); ``stderr`` the covariance-proxy standard
-    errors from the weighted Jacobian.
+    errors from the weighted Jacobian. ``status`` is "converged", or, on
+    the result a :class:`FitError` carries, "max-evaluations" or
+    "model-failure".
     """
 
     params: dict
@@ -188,7 +190,7 @@ def _latin_hypercube(lo, hi, n_starts, rng):
 
 
 class _StopStart(Exception):
-    """Ends one fit start: its budget ran out or the forward model failed."""
+    """Ends one fit start; its argument is how the start ended."""
 
 
 @dataclass
@@ -199,7 +201,8 @@ class _Start:
     chi2: float = np.inf
     freqs: np.ndarray | None = None
     nfev: int = 0
-    converged: bool = False
+    end: str = "converged"      # or "max-evaluations", "model-failure"
+    failure: str = ""           # the model's error, for "model-failure"
     history: list = field(default_factory=list)
 
 
@@ -225,19 +228,24 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
     Each start may spend ``max_nfev`` forward evaluations, Jacobian probes
     included; ``nfev`` is their total over all starts. A start whose budget
     runs out, or whose model raises :class:`LabelError` or
-    :class:`SolverError`, ends at the best point it evaluated. The result
+    :class:`SolverError` at any evaluation (trial step or Jacobian probe),
+    ends at the best point it evaluated; the other starts go on. The result
     is the lowest chi^2 any start evaluated; ``history`` lists that start's
     successive best values. If the model fails while the central-difference
     Jacobian is taken at the optimum, that parameter's ``sensitivity`` and
     every ``stderr`` (the covariance needs all columns) are nan.
 
-    Raises :class:`FitError` (with best-so-far attached) if no start
-    converges, and ``ValueError`` for under-determined datasets.
+    Raises :class:`FitError` if no start converges, with the best-so-far
+    result attached: its ``status`` is "max-evaluations" if some start ran
+    out of budget, else "model-failure". Raises ``ValueError`` for
+    under-determined datasets and a ``max_nfev`` below 1.
     """
     if forward not in ("single-loop", "coupled"):
         raise ValueError("forward must be 'single-loop' or 'coupled'")
     if forward == "coupled" and resonator is None:
         raise ValueError("coupled forward model needs resonator={ls, lr, cr}")
+    if max_nfev < 1:
+        raise ValueError(f"max_nfev must be at least 1, got {max_nfev}")
 
     init = dict(init) if init else initial_guess(dataset)
     names = ["lq_nh", "cj_ff", "ej_ghz"]
@@ -300,14 +308,15 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
         def residuals(x):
             # every forward evaluation counts, Jacobian probes included
             if out.nfev == max_nfev:
-                raise _StopStart
+                raise _StopStart("max-evaluations")
             out.nfev += 1
             p = st.copy()
             p[free] = x
             try:
                 freqs = model(p)
-            except (LabelError, SolverError):
-                raise _StopStart from None
+            except (LabelError, SolverError) as exc:
+                out.failure = str(exc)
+                raise _StopStart("model-failure") from None
             r = (freqs - f_meas) / sig
             chi2 = float(np.dot(r, r))
             if chi2 < out.chi2:
@@ -318,12 +327,13 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
         # TRF's own count leaves out Jacobian probes, so its max_nfev never
         # binds before ours; passing it only lifts TRF's default of 100 n
         try:
-            out.converged = least_squares(
-                residuals, st[free], bounds=(lo[free], hi[free]),
-                method="trf", x_scale="jac", xtol=1e-10, ftol=1e-12,
-                gtol=1e-12, max_nfev=max_nfev).success
-        except _StopStart:
-            pass        # the start ends at its best point so far
+            if not least_squares(
+                    residuals, st[free], bounds=(lo[free], hi[free]),
+                    method="trf", x_scale="jac", xtol=1e-10, ftol=1e-12,
+                    gtol=1e-12, max_nfev=max_nfev).success:
+                out.end = "max-evaluations"
+        except _StopStart as stop:
+            out.end = stop.args[0]  # at its best point so far
         return out
 
     if workers is not None and workers > 1:
@@ -335,9 +345,13 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
     start_objs = tuple(o.chi2 for o in outcomes)
     best_idx = int(np.argmin(start_objs))
     best = outcomes[best_idx]
+    failures = [o.failure for o in outcomes if o.end == "model-failure"]
     if best.freqs is None:
-        raise FitError("the forward model failed at every start point")
-    converged = any(o.converged for o in outcomes)
+        raise FitError("the forward model failed at every start point: "
+                       f"{failures[0]}")
+    ends = [o.end for o in outcomes]
+    status = next(e for e in ("converged", "max-evaluations",
+                              "model-failure") if e in ends)
 
     p = best.p
     resid = best.freqs - f_meas
@@ -371,15 +385,19 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
         params=params, stderr=stderr, sensitivity=sensitivity,
         rms_residual_ghz=float(np.sqrt(np.mean(resid ** 2))),
         chi2=best.chi2, residuals_ghz=resid,
-        status="converged" if converged else "max-evaluations",
+        status=status,
         forward=forward, n_starts=len(starts), best_start=best_idx,
         seed=seed, nfev=sum(o.nfev for o in outcomes),
         history=np.asarray(best.history), start_objectives=start_objs,
         sigma_defaulted=dataset.sigma_defaulted,
         bounds={k: tuple(map(float, all_bounds[k])) for k in names})
-    if not converged:
-        raise FitError("no start converged within the evaluation budget",
-                       best=result)
+    if status != "converged":
+        message = (f"no start converged: {ends.count('max-evaluations')} of "
+                   f"{len(ends)} used up their {max_nfev} evaluations, "
+                   f"{len(failures)} stopped on a model failure")
+        if failures:
+            message += f" (first: {failures[0]})"
+        raise FitError(message, best=result)
     return result
 
 

@@ -123,14 +123,9 @@ def _number(path, line, cell):
 def read_columns(path, columns) -> list:
     """One float array per column of a numeric CSV file."""
     rows, lines = _read_csv(path, columns)
-    try:
-        return [np.array([float(r[k]) for r in rows])
-                for k in range(len(columns))]
-    except ValueError:      # find the cell, off the per-cell path
-        for line, r in zip(lines, rows):
-            for cell in r[:len(columns)]:
-                _number(path, line, cell)
-        raise
+    return [np.array([_number(path, line, r[k])
+                      for line, r in zip(lines, rows)])
+            for k in range(len(columns))]
 
 
 def write_sweep_csv(path, sweep, meta=None) -> None:

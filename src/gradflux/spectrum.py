@@ -33,7 +33,6 @@ below a configurable confidence.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -94,23 +93,6 @@ def _phase_quadrature(n):
     return a + a.T
 
 
-_COS_STACK = "ik,pk,jk->pij"
-
-
-@lru_cache(maxsize=64)
-def _cos_stack_path(n_flux, m):
-    """The contraction order ``optimize=True`` picks for these shapes.
-
-    numpy's greedy search depends on the operand shapes only, so the path
-    is found once per (n_flux, m) instead of on every call; the result is
-    bit-identical to searching each time.
-    """
-    path, _ = np.einsum_path(_COS_STACK, np.empty((m, m)),
-                             np.empty((n_flux, m)), np.empty((m, m)),
-                             optimize=True)
-    return tuple(path)
-
-
 def qubit_hamiltonians(lq: float, cj: float, ej: float, phis,
                        m: int) -> np.ndarray:
     """Fluxonium Hamiltonians (n_flux x m x m, GHz) in harmonic Fock bases.
@@ -126,9 +108,9 @@ def qubit_hamiltonians(lq: float, cj: float, ej: float, phis,
         raise ValueError("need at least 2 Fock states")
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     theta, v = np.linalg.eigh(phase_zpf(lq, cj) * _phase_quadrature(m))
-    cos_stack = np.einsum(_COS_STACK, v,
+    cos_stack = np.einsum("ik,pk,jk->pij", v,
                           np.cos(theta[None, :] + 2.0 * np.pi * phis[:, None]),
-                          v, optimize=_cos_stack_path(phis.size, m))
+                          v, optimize=True)
     return np.diag(mode_frequency(lq, cj) * np.arange(m)) - ej * cos_stack
 
 

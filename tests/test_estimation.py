@@ -112,6 +112,11 @@ class TestFitSpectrum:
         with pytest.raises(ValueError, match="under-determined"):
             fit_spectrum(data)
 
+    def test_budget_below_one_rejected(self):
+        data = synthetic_dataset(n=12)
+        with pytest.raises(ValueError, match="max_nfev must be at least 1"):
+            fit_spectrum(data, n_starts=1, max_nfev=0)
+
     def test_exhausted_budget_carries_best_so_far(self):
         data = synthetic_dataset(noise_ghz=1e-3, seed=4)
         with pytest.raises(FitError) as err:
@@ -138,6 +143,46 @@ class TestFitSpectrum:
         with pytest.raises(FitError) as err:
             fit_spectrum(data, n_starts=3, seed=0, max_nfev=10)
         assert err.value.best.nfev == len(calls) - 6 == 3 * 10
+
+    def test_model_failure_during_optimization_ends_start(self, monkeypatch):
+        """A label failure partway through a start ends that start at its
+        best point while the others go on; if no start can converge, the
+        FitError says a model failure ended them, not the budget."""
+        data = synthetic_dataset(noise_ghz=1e-3, seed=4)
+        clean = fit_spectrum(data, n_starts=3, seed=0)
+        model = estimation._model_freqs_single_loop
+
+        def failing(fails_at):
+            calls = []
+
+            def wrapped(*a):
+                calls.append(a)
+                if fails_at(len(calls)):
+                    raise LabelError("label (1, 1) not retained in spectrum")
+                return model(*a)
+            return wrapped
+
+        # from the 8th call on, inside the first start, every call fails
+        monkeypatch.setattr(estimation, "_model_freqs_single_loop",
+                            failing(lambda n: n >= 8))
+        with pytest.raises(FitError, match=r"0 of 3 used up their 2000 "
+                           r"evaluations, 3 stopped on a model failure "
+                           r"\(first: label \(1, 1\)") as err:
+            fit_spectrum(data, n_starts=3, seed=0)
+        best = err.value.best
+        assert best.status == "model-failure"
+        assert best.best_start == 0 and best.nfev == 8 + 1 + 1
+        assert best.start_objectives[1:] == (np.inf, np.inf)
+        assert best.chi2 == best.history[-1] > clean.chi2
+
+        # only the 8th call fails: the first start ends, the others converge
+        monkeypatch.setattr(estimation, "_model_freqs_single_loop",
+                            failing(lambda n: n == 8))
+        fit = fit_spectrum(data, n_starts=3, seed=0)
+        assert fit.status == "converged"
+        assert fit.start_objectives[0] == best.start_objectives[0]
+        assert fit.start_objectives[1:] == clean.start_objectives[1:]
+        assert fit.chi2 == pytest.approx(clean.chi2, rel=1e-9)
 
     def test_model_failure_at_optimum_keeps_fit(self, monkeypatch):
         """A label failure in the central-difference probes of one parameter

@@ -10,7 +10,7 @@ from gradflux import (EffectiveFluxonium, FockBasisSpec, LabelError,
                       convergence_report, diagonalize_labeled,
                       dispersive_shift, flux_sweep, hermiticity_defect,
                       parse_transition, reduce_circuit, single_loop_reference,
-                      single_loop_transitions, spectrum, transition_frequency)
+                      transition_frequency)
 from gradflux.spectrum import solve_hermitian
 from gradflux.units import charging_energy, inductive_energy, mode_frequency
 
@@ -115,19 +115,6 @@ class TestHamiltonianProperties:
         w2, _ = solve_hermitian(
             build_hamiltonian(EFF, 0.5 - delta, BASIS).matrix, lowest=40)
         assert np.max(np.abs(w1 - w2)) < 1e-9
-
-    def test_cached_contraction_path_bit_identical(self, monkeypatch):
-        """The per-shape cached einsum path gives the bits of a search on
-        every call, batched over flux and at single fluxes of any size."""
-        phis = np.linspace(0.05, 0.95, 40)
-        cases = [lambda: single_loop_transitions(172.0, 3.4, 5.1, phis,
-                                                 m=30)]
-        cases += [lambda m=m: build_hamiltonian(
-            EFF, 0.37, FockBasisSpec(m, 6)).matrix for m in (25, 30, 70)]
-        cached = [case() for case in cases]
-        monkeypatch.setattr(spectrum, "_cos_stack_path", lambda n, m: True)
-        for case, value in zip(cases, cached):
-            assert np.array_equal(case(), value)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
