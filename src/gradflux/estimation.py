@@ -104,8 +104,7 @@ def _model_freqs_single_loop(lq, cj, ej, phis, transitions, m):
     return np.where(kind == 1, f02, f01)
 
 
-def _model_freqs_coupled(lq, cj, ej, phis, transitions, resonator, basis,
-                         min_confidence=0.0):
+def _model_freqs_coupled(lq, cj, ej, phis, transitions, resonator, basis):
     eff = reduce_circuit(balanced_branch_circuit(
         lq_eff=lq, ls=resonator["ls"], lr=resonator["lr"],
         cr=resonator["cr"], cj=cj, ej=ej))
@@ -114,7 +113,7 @@ def _model_freqs_coupled(lq, cj, ej, phis, transitions, resonator, basis,
         spec = diagonalize_labeled(build_hamiltonian(eff, phi, basis),
                                    n_lowest=60)
         out[i] = transition_frequency(spec, *parse_transition(transitions[i]),
-                                      min_confidence)
+                                      min_confidence=0.0)
     return out
 
 

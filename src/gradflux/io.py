@@ -14,8 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimation import DEFAULT_SIGMA_GHZ, DecayCurve, SpectroscopyDataset
-from .fluxon import TimeTrace
+from .estimation import (DEFAULT_SIGMA_GHZ, DecayCurve, FitResult,
+                         SpectroscopyDataset)
+from .fluxon import DwellStats, TimeTrace
+from .spectrum import SweepPoint
 
 SWEEP_COLUMNS = ("flux_phi0", "transition", "freq_GHz", "chi_MHz",
                  "chi_valid")
@@ -24,6 +26,15 @@ DATASET_COLUMNS = ("field_or_flux", "unit", "transition", "freq_GHz",
 TRACE_COLUMNS = ("t_s", "value")
 DECAY_COLUMNS = ("t_us", "inversion")
 PARABOLA_COLUMNS = ("b_ut", "freq_GHz")
+
+#: JSON keys of the result fields that are written under another name.
+JSON_KEYS = {
+    SweepPoint: {"freq_ghz": "freq_GHz", "chi_mhz": "chi_MHz"},
+    FitResult: {"rms_residual_ghz": "rms_residual_GHz",
+                "residuals_ghz": "residuals_GHz",
+                "history": "objective_history"},
+    DwellStats: {"rate_hz": "lambda_hz"},
+}
 
 
 def _fmt(x):
@@ -36,14 +47,21 @@ def _fmt(x):
     return str(x)
 
 
+def _fields(obj) -> dict:
+    """A dataclass instance's fields by their :data:`JSON_KEYS` names."""
+    keys = JSON_KEYS.get(type(obj), {})
+    return {keys.get(f.name, f.name): getattr(obj, f.name)
+            for f in dataclasses.fields(obj)}
+
+
 def _sanitize(obj):
     """Make a payload json-serializable.
 
     Arrays become lists, numpy scalars Python numbers, and dataclass
-    instances dicts of their fields.
+    instances dicts of their fields, keyed as in :data:`JSON_KEYS`.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        obj = _fields(obj)
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -135,17 +153,7 @@ def write_sweep_csv(path, sweep, meta=None) -> None:
 
 
 def write_sweep_json(path, sweep, meta=None) -> None:
-    payload = {
-        "meta": meta or {},
-        "basis": {"m_qubit": sweep.basis.m_qubit, "n_res": sweep.basis.n_res},
-        "transitions": list(sweep.transitions),
-        "min_confidence": sweep.min_confidence,
-        "points": [{"flux_phi0": p.flux_phi0, "transition": p.transition,
-                    "freq_GHz": p.freq_ghz, "chi_MHz": p.chi_mhz,
-                    "chi_valid": p.chi_valid} for p in sweep.points],
-        "errors": sweep.errors,
-    }
-    write_json(path, payload)
+    write_json(path, {"meta": meta or {}, **_fields(sweep)})
 
 
 def write_spectroscopy_csv(path, dataset: SpectroscopyDataset,
@@ -209,46 +217,16 @@ def read_trace_csv(path) -> TimeTrace:
 
 
 def write_dwell_json(path, stats, events=None, meta=None) -> None:
-    payload = {
-        "meta": meta or {},
-        "lambda_hz": stats.rate_hz,
-        "ci_low_hz": stats.ci_low_hz,
-        "ci_high_hz": stats.ci_high_hz,
-        "n_events": stats.n_events,
-        "total_time_s": stats.total_time_s,
-        "censored_time_s": stats.censored_time_s,
-        "confidence": stats.confidence,
-        "lifetime_s": stats.lifetime_s,
-        "lifetime_lower_bound_s": stats.lifetime_lower_bound_s,
-        "dwell_times_s": stats.dwell_times_s,
-        "censored": [bool(c) for c in stats.censored],
-    }
+    payload = {"meta": meta or {}, **_fields(stats),
+               "lifetime_s": stats.lifetime_s,
+               "lifetime_lower_bound_s": stats.lifetime_lower_bound_s}
     if events is not None:
         payload["events"] = events
     write_json(path, payload)
 
 
 def write_fit_json(path, fit, meta=None) -> None:
-    payload = {
-        "meta": meta or {},
-        "params": fit.params,
-        "stderr": fit.stderr,
-        "sensitivity": fit.sensitivity,
-        "rms_residual_GHz": fit.rms_residual_ghz,
-        "chi2": fit.chi2,
-        "residuals_GHz": fit.residuals_ghz,
-        "status": fit.status,
-        "forward": fit.forward,
-        "n_starts": fit.n_starts,
-        "best_start": fit.best_start,
-        "seed": fit.seed,
-        "nfev": fit.nfev,
-        "objective_history": fit.history,
-        "start_objectives": list(fit.start_objectives),
-        "sigma_defaulted": fit.sigma_defaulted,
-        "bounds": fit.bounds,
-    }
-    write_json(path, payload)
+    write_json(path, {"meta": meta or {}, **_fields(fit)})
 
 
 def read_decay_csv(path, kind: str) -> DecayCurve:

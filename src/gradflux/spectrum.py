@@ -1,4 +1,4 @@
-"""Two-mode qubit-resonator spectra in a truncated Fock basis.
+"""Two-mode qubit-resonator spectra in a truncated product basis.
 
 The coupled Hamiltonian, with energies expressed as frequencies (GHz) and
 phases dimensionless, is
@@ -9,10 +9,13 @@ phases dimensionless, is
       - E_Lrq phi_r phi_q / 2                    (inductive coupling)
 
 with E_C = e^2/2C and E_L = (Phi_0/2pi)^2/L for each mode, and
-E_Lrq = (Phi_0/2pi)^2 / L_rq for the coupling. Each mode is expanded in the
-Fock basis of its own harmonic part; the cosine is evaluated by
-diagonalizing the truncated phase operator, applying the cosine to its
-eigenvalues and rotating back, which avoids series-truncation artifacts.
+E_Lrq = (Phi_0/2pi)^2 / L_rq for the coupling. The fluxonium is first
+expanded in the Fock basis of its own harmonic part; the cosine is
+evaluated by diagonalizing the truncated phase operator, applying the
+cosine to its eigenvalues and rotating back, which avoids
+series-truncation artifacts. The two-mode matrix is then written in the
+basis of uncoupled fluxonium eigenstates x resonator Fock states, where
+everything but the coupling is diagonal.
 
 Eigenvalues are reported relative to the harmonic zero-point energy, so two
 uncoupled linear modes give exactly n*f_r + m*f_q.
@@ -22,12 +25,12 @@ in the spectroscopy forward model of :mod:`gradflux.estimation`.
 
 Dressed levels get one exclusive labeling, by :func:`diagonalize_labeled`
 for full and subset (``n_lowest``) solves alike: each level takes the
-|n_r m_q> label of the product state (uncoupled junction-included qubit x
-bare resonator) it overlaps most, and of two levels claiming one label
-only the higher-overlap one keeps it. A label no solved level keeps counts
-as overlap 0. Near avoided crossings the overlap drops and label-dependent
-quantities (transition frequencies, dispersive shift) are flagged invalid
-below a configurable confidence.
+|n_r m_q> label of the basis state (uncoupled fluxonium eigenstate x
+resonator Fock state) with its largest squared eigenvector component, and
+of two levels claiming one label only the higher-overlap one keeps it. A
+label no solved level keeps counts as overlap 0. Near avoided crossings
+the overlap drops and label-dependent quantities (transition frequencies,
+dispersive shift) are flagged invalid below a configurable confidence.
 """
 
 import math
@@ -56,7 +59,8 @@ class LabelError(RuntimeError):
 
 @dataclass(frozen=True)
 class FockBasisSpec:
-    """Truncation of the product Fock basis (qubit x resonator)."""
+    """Truncation: m_qubit fluxonium Fock states, whose eigenstates are all
+    kept, and n_res resonator Fock states."""
 
     m_qubit: int = 25
     n_res: int = 15
@@ -78,14 +82,14 @@ DEFAULT_BASIS = FockBasisSpec(25, 15)
 class HamiltonianMatrix:
     """Dense real-symmetric two-mode Hamiltonian with basis metadata.
 
-    Basis ordering is qubit-major: composite index k = i_q * n_res + i_r.
-    Entries are in GHz.
+    The basis is uncoupled fluxonium eigenstates x resonator Fock states,
+    qubit-major: composite index k = i_q * n_res + i_r, where i_q counts
+    the fluxonium eigenstates at ``phi_eff`` upwards. Entries are in GHz.
     """
 
     matrix: np.ndarray
     basis: FockBasisSpec
     phi_eff: float
-    eff: EffectiveFluxonium
 
 
 def _phase_quadrature(n):
@@ -128,20 +132,24 @@ def single_loop_reference(lq: float, cj: float, ej: float, phi_ext: float,
 
 def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
                       basis: FockBasisSpec = DEFAULT_BASIS) -> HamiltonianMatrix:
-    """Assemble the dense two-mode Hamiltonian at a given effective flux."""
+    """Assemble the dense two-mode Hamiltonian at a given effective flux.
+
+    The fluxonium is diagonalized once; its eigenenergies and the resonator
+    ladder fill the diagonal and the coupling is one Kronecker product of
+    symmetric factors, so the matrix is exactly symmetric.
+    """
     if not math.isfinite(phi_eff):
         raise ValueError("phi_eff must be finite")
     m, n = basis.m_qubit, basis.n_res
-    h_q = qubit_hamiltonians(eff.lq, eff.cj, eff.ej, phi_eff, m)[0]
+    e_q, u_q = np.linalg.eigh(
+        qubit_hamiltonians(eff.lq, eff.cj, eff.ej, phi_eff, m)[0])
+    phi_q = u_q.T @ _phase_quadrature(m) @ u_q
+    g = (0.5 * (EL_GHZ_NH / eff.lrq) * phase_zpf(eff.lq, eff.cj)
+         * phase_zpf(eff.lr, eff.cr))
+    h = np.kron(-g * (0.5 * (phi_q + phi_q.T)), _phase_quadrature(n))
     f_r = float(mode_frequency(eff.lr, eff.cr))
-    h_r = np.diag(f_r * np.arange(n))
-    h = np.kron(h_q, np.eye(n)) + np.kron(np.eye(m), h_r)
-    if math.isfinite(eff.lrq):
-        h -= (0.5 * (EL_GHZ_NH / eff.lrq) * phase_zpf(eff.lq, eff.cj)
-              * phase_zpf(eff.lr, eff.cr)
-              * np.kron(_phase_quadrature(m), _phase_quadrature(n)))
-    return HamiltonianMatrix(matrix=0.5 * (h + h.T), basis=basis,
-                             phi_eff=phi_eff, eff=eff)
+    h.flat[::m * n + 1] += np.add.outer(e_q, f_r * np.arange(n)).ravel()
+    return HamiltonianMatrix(matrix=h, basis=basis, phi_eff=phi_eff)
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
@@ -177,8 +185,8 @@ class SpectrumResult:
 
     ``labels[j]`` is the (n_r, m_q) product label retained for level j, or
     None where another level claims the same label with larger overlap.
-    ``confidence[j]`` is the squared overlap with the best-matching bare
-    product state.
+    ``confidence[j]`` is the squared overlap with the best-matching
+    uncoupled product state.
     """
 
     energies: np.ndarray
@@ -206,38 +214,25 @@ class SpectrumResult:
         return float(self.energies[self.level_index(label, min_confidence)])
 
 
-def _bare_overlaps(h: HamiltonianMatrix, vectors: np.ndarray) -> np.ndarray:
-    """Squared overlaps of bare product states with dressed eigenvectors.
-
-    Returns an (m_qubit * n_res, n_vec) array: entry [mq * n_res + nr, j]
-    is the squared overlap of |n_r=nr, m_q=mq> with eigenvector j. The bare
-    qubit reference includes the junction (it is the uncoupled fluxonium at
-    the same flux), so labels stay meaningful at any E_J.
-    """
-    m, n = h.basis.m_qubit, h.basis.n_res
-    hq = qubit_hamiltonians(h.eff.lq, h.eff.cj, h.eff.ej, h.phi_eff, m)[0]
-    _, u_q = np.linalg.eigh(hq)
-    amps = np.tensordot(u_q.T, vectors.reshape(m, n, -1), axes=1)
-    return np.abs(amps.reshape(m * n, -1)) ** 2
-
-
 def diagonalize_labeled(h: HamiltonianMatrix,
                         n_lowest: int | None = None) -> SpectrumResult:
     """Ascending spectrum with |n_r m_q> labels by maximal overlap.
 
     ``n_lowest`` restricts the solve to the lowest levels (all by default).
-    Every eigenvector is matched against the bare product states; when two
-    levels claim the same bare label (possible near avoided crossings) only
-    the higher-overlap claimant retains it.
+    The basis states (uncoupled fluxonium eigenstates x resonator Fock
+    states) are the unit vectors, so a level's squared overlaps are its
+    squared eigenvector components, and it claims the label of the largest;
+    when two levels claim the same label (possible near avoided crossings)
+    only the higher-overlap claimant retains it.
     """
     w, v = solve_hermitian(h.matrix, lowest=n_lowest)
-    ov = _bare_overlaps(h, v)
-    best_bare = np.argmax(ov, axis=0)          # per level: best bare index
-    conf = ov[best_bare, np.arange(w.size)]
+    ov = v ** 2
+    best = np.argmax(ov, axis=0)               # per level: best basis index
+    conf = ov[best, np.arange(w.size)]
     labels = [None] * w.size
     index_of = {}
     for j in range(w.size):
-        mq, nr = divmod(int(best_bare[j]), h.basis.n_res)
+        mq, nr = divmod(int(best[j]), h.basis.n_res)
         label = (nr, mq)
         prev = index_of.get(label)
         if prev is None or conf[j] > conf[prev]:

@@ -11,8 +11,9 @@ from gradflux import (EffectiveFluxonium, FockBasisSpec, LabelError,
                       dispersive_shift, flux_sweep, hermiticity_defect,
                       parse_transition, reduce_circuit, single_loop_reference,
                       transition_frequency)
-from gradflux.spectrum import solve_hermitian
-from gradflux.units import charging_energy, inductive_energy, mode_frequency
+from gradflux.spectrum import qubit_hamiltonians, solve_hermitian
+from gradflux.units import (charging_energy, inductive_energy, mode_frequency,
+                            phase_zpf)
 
 # effective parameters of the measured device (balanced reconstruction)
 EFF = reduce_circuit(balanced_branch_circuit(172.0, 2.8, 21.6, 20.2, 3.4, 5.1))
@@ -98,7 +99,7 @@ class TestHamiltonianProperties:
             eff = EffectiveFluxonium(lq=lq, lr=lr, lrq=lrq, cj=cj, cr=cr,
                                      ej=ej, alpha=0.0)
             h = build_hamiltonian(eff, rng.uniform(0, 1), FockBasisSpec(8, 6))
-            assert hermiticity_defect(h.matrix) <= 1e-12
+            assert hermiticity_defect(h.matrix) == 0.0
 
     def test_periodicity_one_flux_quantum(self):
         for phi in (0.13, 0.37):
@@ -124,6 +125,59 @@ class TestHamiltonianProperties:
             build_hamiltonian(EFF, math.nan, BASIS)
         with pytest.raises(ValueError):
             FockBasisSpec(1, 5)
+
+
+def fock_basis_reference(eff, phi, basis):
+    """Spectrum, labels and index_of from the harmonic Fock basis of both
+    modes, labeled by squared overlaps with the uncoupled product states."""
+    m, n = basis.m_qubit, basis.n_res
+    h_q = qubit_hamiltonians(eff.lq, eff.cj, eff.ej, phi, m)[0]
+    quad = [np.diag(np.sqrt(np.arange(1, k)), 1) for k in (m, n)]
+    h = (np.kron(h_q, np.eye(n))
+         + np.kron(np.eye(m), np.diag(mode_frequency(eff.lr, eff.cr)
+                                      * np.arange(n))))
+    if math.isfinite(eff.lrq):
+        h -= (0.5 * inductive_energy(eff.lrq) * phase_zpf(eff.lq, eff.cj)
+              * phase_zpf(eff.lr, eff.cr)
+              * np.kron(quad[0] + quad[0].T, quad[1] + quad[1].T))
+    w, v = np.linalg.eigh(0.5 * (h + h.T))
+    _, u_q = np.linalg.eigh(h_q)
+    amps = np.tensordot(u_q.T, v.reshape(m, n, -1), axes=1)
+    ov = amps.reshape(m * n, -1) ** 2
+    labels, index_of = [None] * w.size, {}
+    for j in range(w.size):
+        mq, nr = divmod(int(np.argmax(ov[:, j])), n)
+        prev = index_of.get((nr, mq))
+        if prev is None or ov[:, j].max() > ov[:, prev].max():
+            if prev is not None:
+                labels[prev] = None
+            index_of[(nr, mq)] = j
+            labels[j] = (nr, mq)
+    return w, labels, index_of
+
+
+class TestFockBasisReference:
+    """The uncoupled-eigenbasis build against the two-mode Fock basis."""
+
+    def cases(self):
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            lq, lr, lrq = rng.uniform(10, 500, 3)
+            cj, cr = rng.uniform(1, 30, 2)
+            yield (EffectiveFluxonium(lq=lq, lr=lr, lrq=lrq, cj=cj, cr=cr,
+                                      ej=rng.uniform(0, 12), alpha=0.0),
+                   rng.uniform(0, 1), FockBasisSpec(10, 6))
+        yield uncoupled(ej=5.1), 0.3, FockBasisSpec(10, 6)
+        yield EFF, 0.247, BASIS
+        yield EFF, 0.5, BASIS
+
+    def test_spectrum_and_labels_match(self):
+        for eff, phi, basis in self.cases():
+            w, labels, index_of = fock_basis_reference(eff, phi, basis)
+            spec = diagonalize_labeled(build_hamiltonian(eff, phi, basis))
+            assert np.max(np.abs(spec.energies - w)) < 1e-9
+            assert spec.labels == labels
+            assert spec.index_of == index_of
 
 
 class TestSingleLoopEquivalence:
