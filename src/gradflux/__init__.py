@@ -26,8 +26,7 @@ from .spectrum import (DEFAULT_BASIS, DispersiveShiftResult, FockBasisSpec,
                        SpectrumResult, SweepResult, build_hamiltonian,
                        convergence_report, diagonalize_labeled,
                        dispersive_shift, flux_sweep, hermiticity_defect,
-                       parse_transition, single_loop_reference,
-                       transition_frequency)
+                       parse_transition, transition_frequency)
 from .units import EC_GHZ_FF, EL_GHZ_NH, PHI0
 
 __all__ = [name for name in dir() if not name.startswith("_")]

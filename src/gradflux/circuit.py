@@ -174,24 +174,16 @@ class TrappedFluxState:
     """Fluxon count trapped in the outer loop and the bias it locks in."""
 
     n_fluxons: int
-    parity: str              # "even" or "odd"
-    phi_eff_locked: float    # 0.0 or 0.5 [Phi_0]
 
-    def __post_init__(self):
-        if self.parity not in ("even", "odd"):
-            raise ValueError("parity must be 'even' or 'odd'")
-        expected = "even" if self.n_fluxons % 2 == 0 else "odd"
-        if self.parity != expected:
-            raise ValueError("parity inconsistent with n_fluxons")
-        locked = 0.0 if expected == "even" else 0.5
-        if self.phi_eff_locked != locked:
-            raise ValueError("phi_eff_locked inconsistent with parity")
+    @property
+    def parity(self) -> str:
+        """Parity of the count, "even" or "odd"."""
+        return "even" if self.n_fluxons % 2 == 0 else "odd"
 
-    @classmethod
-    def from_count(cls, n_fluxons: int) -> "TrappedFluxState":
-        parity = "even" if n_fluxons % 2 == 0 else "odd"
-        return cls(n_fluxons=n_fluxons, parity=parity,
-                   phi_eff_locked=0.0 if parity == "even" else 0.5)
+    @property
+    def phi_eff_locked(self) -> float:
+        """Locked effective bias: 0.0 for even counts, 0.5 for odd [Phi_0]."""
+        return 0.0 if self.n_fluxons % 2 == 0 else 0.5
 
 
 def reduce_circuit(c: BranchCircuit) -> EffectiveFluxonium:
@@ -266,7 +258,7 @@ def initialization_parity(b_init_t: float,
     """
     flux = flux_from_field(b_init_t, geometry).outer
     n = int(round(flux))               # round-half-to-even
-    return TrappedFluxState.from_count(n)
+    return TrappedFluxState(n)
 
 
 def balanced_branch_circuit(lq_eff: float, ls: float, lr: float,

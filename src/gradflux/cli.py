@@ -48,7 +48,6 @@ DEFAULT_CONFIG = {
     "fit": {"n_starts": 8, "seed": 0, "basis_m": 30,
             "forward": "single-loop", "max_nfev": 2000},
     "tolerances": {"min_confidence": 0.7},
-    "run": {"threads": 1},
 }
 
 #: Type of every config key: that of its default, plus the optional branch
@@ -130,8 +129,7 @@ def cmd_sweep(args, config, meta) -> int:
                         sweep_cfg["transitions"].split(",") if t.strip())
     sweep = flux_sweep(eff, grid, basis=_basis_from(config),
                        transitions=transitions,
-                       min_confidence=config["tolerances"]["min_confidence"],
-                       workers=config["run"]["threads"])
+                       min_confidence=config["tolerances"]["min_confidence"])
     out = Path(args.out)
     io.write_sweep_csv(out, sweep, meta=meta)
     io.write_sweep_json(out.with_suffix(".json"), sweep, meta=meta)
@@ -183,8 +181,7 @@ def cmd_fit(args, config, meta) -> int:
     fit = fit_spectrum(dataset, forward=fit_cfg["forward"],
                        resonator=resonator, basis_m=fit_cfg["basis_m"],
                        n_starts=fit_cfg["n_starts"], seed=fit_cfg["seed"],
-                       max_nfev=fit_cfg["max_nfev"],
-                       workers=config["run"]["threads"])
+                       max_nfev=fit_cfg["max_nfev"])
     io.write_fit_json(args.out, fit, meta=meta)
     pstr = ", ".join(f"{k}={v:.6g}" for k, v in fit.params.items())
     print(f"fit: {pstr} (rms {fit.rms_residual_ghz * 1e3:.3f} MHz)")
@@ -332,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", dest="sweep.points", type=int)
     p.add_argument("--transitions", dest="sweep.transitions",
                    help="comma list, e.g. f01,f02,fr")
-    p.add_argument("--threads", dest="run.threads", type=int)
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero on any per-point error")
     p.add_argument("--out", required=True, help="output CSV path")

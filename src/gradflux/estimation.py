@@ -14,7 +14,6 @@ shift (bracketed root search), exponential/Ramsey/echo decay-curve fits,
 and the parabolic kinetic-inductance frequency shift.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,8 +208,8 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
                  bounds: dict | None = None, *, forward: str = "single-loop",
                  resonator: dict | None = None, basis_m: int = 30,
                  coupled_basis: FockBasisSpec = FockBasisSpec(20, 8),
-                 n_starts: int = 8, seed: int = 0, max_nfev: int = 2000,
-                 workers: int | None = None) -> FitResult:
+                 n_starts: int = 8, seed: int = 0,
+                 max_nfev: int = 2000) -> FitResult:
     """Weighted least-squares fit of circuit parameters to a spectrum.
 
     Minimizes sum(((f_model - f_meas)/sigma)^2) by trust-region-reflective
@@ -335,11 +334,7 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
             out.end = stop.args[0]  # at its best point so far
         return out
 
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_start, starts))
-    else:
-        outcomes = [run_start(st) for st in starts]
+    outcomes = [run_start(st) for st in starts]
 
     start_objs = tuple(o.chi2 for o in outcomes)
     best_idx = int(np.argmin(start_objs))
@@ -412,14 +407,14 @@ def fit_shared_inductance(chi_measured_mhz: float, *, lq_nh: float,
                           cj_ff: float, ej_ghz: float, cr_ff: float,
                           lr_nh: float, bracket=(0.2, 10.0),
                           basis: FockBasisSpec = DEFAULT_BASIS,
-                          xtol: float = 1e-4) -> SharedInductanceFit:
+                          ) -> SharedInductanceFit:
     """Shared inductance from the measured half-flux dispersive shift.
 
     Solves chi_model(ls) = chi_measured by bracketed root search, where the
     model chi is evaluated at phi_eff = 0.5 for the balanced gradiometer
     with all other parameters held fixed. |chi_model| grows monotonically
-    with ls in the working range, so the root is unique. A model chi with
-    unresolved labels raises :class:`FitError`.
+    with ls in the working range, so the root is unique; it is located to
+    1e-4 nH. A model chi with unresolved labels raises :class:`FitError`.
     """
     if chi_measured_mhz == 0.0:
         raise ValueError("chi_measured must be nonzero")
@@ -437,7 +432,7 @@ def fit_shared_inductance(chi_measured_mhz: float, *, lq_nh: float,
         raise FitError(
             f"no sign change of chi_model - chi_measured over ls bracket "
             f"{bracket} (values {fa:+.3f}, {fb:+.3f} MHz); widen the bracket")
-    ls = brentq(residual, bracket[0], bracket[1], xtol=xtol)
+    ls = brentq(residual, bracket[0], bracket[1], xtol=1e-4)
     return SharedInductanceFit(ls_nh=float(ls),
                                chi_model_mhz=chi_measured_mhz + residual(ls),
                                chi_target_mhz=chi_measured_mhz,

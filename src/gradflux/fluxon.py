@@ -26,6 +26,9 @@ from scipy.stats import chi2
 #: Gaussian consistency factor: sigma = MAD_GAUSS * mad.
 MAD_GAUSS = 1.4826022185056018
 
+#: Significance, in standard errors, a level step must reach to be verified.
+Z_VERIFY = 6.0
+
 #: Std of a sample median relative to sigma/sqrt(n) for Gaussian noise.
 MEDIAN_EFF = 1.2533141373155003
 
@@ -226,7 +229,7 @@ def _localize(x, j0, w):
 
 
 def detect_jumps(trace: TimeTrace, threshold_in_mads: float = 6.0,
-                 window: int = 15, z_verify: float = 6.0) -> list:
+                 window: int = 15) -> list:
     """Detect level jumps in a noisy two-level trace.
 
     Three stages: (1) candidate boundaries where the rolling-median shift
@@ -234,11 +237,11 @@ def detect_jumps(trace: TimeTrace, threshold_in_mads: float = 6.0,
     first differences so slow drifts and the steps themselves drop out);
     (2) boundary localization by a two-plateau least-squares scan;
     (3) verification of each boundary against the median levels of the full
-    adjacent segments, requiring both the MAD gate and a ``z_verify``-sigma
-    significance, iterated until the retained set is stable. The two-stage
-    gate keeps single-window false positives suppressed while retaining
-    near-threshold events that a one-shot window test at the full threshold
-    would drop.
+    adjacent segments, requiring both the MAD gate and a
+    :data:`Z_VERIFY`-sigma significance, iterated until the retained set is
+    stable. The two-stage gate keeps single-window false positives
+    suppressed while retaining near-threshold events that a one-shot window
+    test at the full threshold would drop.
     """
     if threshold_in_mads <= 0:
         raise ValueError("threshold_in_mads must be > 0")
@@ -278,7 +281,7 @@ def detect_jumps(trace: TimeTrace, threshold_in_mads: float = 6.0,
             dlev = float(np.median(right) - np.median(left))
             se = MEDIAN_EFF * sigma * math.sqrt(1.0 / left.size
                                                 + 1.0 / right.size)
-            if abs(dlev) >= gate and (se == 0.0 or abs(dlev) >= z_verify * se):
+            if abs(dlev) >= gate and (se == 0.0 or abs(dlev) >= Z_VERIFY * se):
                 keep.append(b)
                 sizes[b] = dlev
             else:

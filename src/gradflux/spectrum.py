@@ -34,7 +34,6 @@ dispersive shift) are flagged invalid below a configurable confidence.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +76,11 @@ class FockBasisSpec:
 #: Default truncation: 25 qubit and 15 resonator Fock states.
 DEFAULT_BASIS = FockBasisSpec(25, 15)
 
+#: Levels solved for chi, sweeps and convergence rungs: enough, because the
+#: (0,0), (1,0), (0,1) and (1,1) levels sit at the bottom of the spectrum
+#: for the device regime.
+N_LOWEST = 80
+
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
@@ -116,18 +120,6 @@ def qubit_hamiltonians(lq: float, cj: float, ej: float, phis,
                           np.cos(theta[None, :] + 2.0 * np.pi * phis[:, None]),
                           v, optimize=True)
     return np.diag(mode_frequency(lq, cj) * np.arange(m)) - ej * cos_stack
-
-
-def single_loop_reference(lq: float, cj: float, ej: float, phi_ext: float,
-                          m_qubit: int) -> np.ndarray:
-    """Eigenvalues of a standalone single-loop fluxonium, ascending [GHz].
-
-    Serves as the oracle for the gradiometric-equivalence checks: a balanced
-    gradiometer with ls = 0, l2 = 0 and l1 = l3 = 2 lq reproduces this
-    spectrum as a function of the inner-loop flux imbalance.
-    """
-    return np.linalg.eigvalsh(qubit_hamiltonians(lq, cj, ej, phi_ext,
-                                                 m_qubit))[0]
 
 
 def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
@@ -307,16 +299,14 @@ def _chi_from_levels(spec: SpectrumResult, phi_eff: float,
 
 def dispersive_shift(eff: EffectiveFluxonium, phi_eff: float,
                      basis: FockBasisSpec = DEFAULT_BASIS,
-                     min_confidence: float = 0.7,
-                     n_lowest: int = 80) -> DispersiveShiftResult:
+                     min_confidence: float = 0.7) -> DispersiveShiftResult:
     """Dispersive shift chi at one flux bias, in MHz.
 
-    Uses a lowest-``n_lowest`` subset solve, sufficient because the four
-    levels (0,0), (1,0), (0,1), (1,1) lie at the bottom of the spectrum for
-    the device regime. Results are flagged invalid near avoided crossings.
+    Uses a lowest-:data:`N_LOWEST` subset solve. Results are flagged invalid
+    near avoided crossings.
     """
     spec = diagonalize_labeled(build_hamiltonian(eff, phi_eff, basis),
-                               n_lowest)
+                               N_LOWEST)
     return _chi_from_levels(spec, phi_eff, min_confidence)
 
 
@@ -354,28 +344,27 @@ def _transition_name(tr):
 
 def flux_sweep(eff: EffectiveFluxonium, flux_grid,
                basis: FockBasisSpec = DEFAULT_BASIS,
-               transitions=("f01",), min_confidence: float = 0.7,
-               n_lowest: int = 80, workers: int | None = None) -> SweepResult:
+               transitions=("f01",),
+               min_confidence: float = 0.7) -> SweepResult:
     """Transition frequencies and chi over a flux grid.
 
-    Each grid point is independent; with ``workers`` > 1 points are solved
-    on a thread pool (LAPACK releases the GIL) and results are re-assembled
-    in grid order, so the output never depends on scheduling. Per-point
-    label failures are recorded in ``errors`` and the sweep continues.
+    Grid points are solved one after another, in grid order. Per-point
+    solver and label failures are recorded in ``errors`` and the sweep
+    continues.
     """
     flux_grid = np.atleast_1d(np.asarray(flux_grid, dtype=float))
     if not np.all(np.isfinite(flux_grid)):
         raise ValueError("flux grid must be finite")
     pairs = [(str(_transition_name(tr)), parse_transition(tr))
              for tr in transitions]
-
-    def solve_point(phi):
-        points, errors = [], []
+    points, errors = [], []
+    for phi in flux_grid:
         try:
             spec = diagonalize_labeled(build_hamiltonian(eff, phi, basis),
-                                       n_lowest)
+                                       N_LOWEST)
         except SolverError as exc:
-            return [], [SweepError(phi, "*", str(exc))]
+            errors.append(SweepError(phi, "*", str(exc)))
+            continue
         shift = _chi_from_levels(spec, phi, min_confidence)
         for name, pair in pairs:
             try:
@@ -386,18 +375,6 @@ def flux_sweep(eff: EffectiveFluxonium, flux_grid,
             points.append(SweepPoint(flux_phi0=float(phi), transition=name,
                                      freq_ghz=freq, chi_mhz=shift.chi_mhz,
                                      chi_valid=shift.valid))
-        return points, errors
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve_point, flux_grid))
-    else:
-        results = [solve_point(phi) for phi in flux_grid]
-
-    points, errors = [], []
-    for pts, errs in results:
-        points.extend(pts)
-        errors.extend(errs)
     return SweepResult(points=points, errors=errors,
                        transitions=tuple(name for name, _ in pairs),
                        basis=basis, min_confidence=min_confidence)
@@ -415,8 +392,7 @@ class ConvergenceRow:
 
 
 def convergence_report(eff: EffectiveFluxonium, phi_eff: float,
-                       basis_ladder, min_confidence: float = 0.7,
-                       n_lowest: int = 80) -> list:
+                       basis_ladder, min_confidence: float = 0.7) -> list:
     """f01 and chi versus basis size, with successive differences.
 
     ``basis_ladder`` is an ascending sequence of (m_qubit, n_res) pairs.
@@ -430,7 +406,7 @@ def convergence_report(eff: EffectiveFluxonium, phi_eff: float,
     for m, n in basis_ladder:
         basis = FockBasisSpec(int(m), int(n))
         spec = diagonalize_labeled(build_hamiltonian(eff, phi_eff, basis),
-                                   n_lowest)
+                                   N_LOWEST)
         f01 = transition_frequency(spec, (0, 0), (0, 1), 0.0)
         shift = _chi_from_levels(spec, phi_eff, min_confidence)
         chi = shift.chi_mhz

@@ -18,8 +18,7 @@ from gradflux import (DEVICE_ARRAY, DEVICE_GEOMETRY, PHI0, BranchCircuit,
                       convergence_report, detect_jumps, diagonalize_labeled,
                       estimate_lifetime, fit_spectrum, flux_sweep,
                       hermiticity_defect, phase_slip_rate, reduce_circuit,
-                      simulate_telegraph, single_loop_reference,
-                      single_loop_transitions)
+                      simulate_telegraph, single_loop_transitions)
 from gradflux.fluxon import TimeTrace
 
 DEVICE_PARAMS = dict(lq_eff=172.0, cj=3.4, ej=5.1, cr=20.2, lr=21.6, ls=2.8)
@@ -62,7 +61,8 @@ def test_criterion_2_single_loop_equivalence():
     worst = 0.0
     for phi in np.linspace(0.0, 1.0, 21):
         spec = diagonalize_labeled(build_hamiltonian(eff, phi, basis))
-        reference = single_loop_reference(lq, cj, ej, phi, 25)
+        reference = single_loop_transitions(lq, cj, ej, phi, 25,
+                                            n_levels=25)[0]
         qubit_sector = np.array([spec.energy((0, m)) for m in range(10)])
         worst = max(worst, float(np.max(np.abs(qubit_sector -
                                                reference[:10]))))

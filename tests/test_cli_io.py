@@ -164,9 +164,9 @@ INPUTS_INI = ("[basis]\nm_qubit = 20\nn_res = 8\n"
 # command, its arguments, the config keys its flags set, output file name
 COMMAND_RUNS = [
     ("sweep", ["--start", "0.4", "--stop", "0.6", "--points", "3",
-               "--transitions", "f01,fr", "--threads", "1"],
+               "--transitions", "f01,fr"],
      {"sweep.start": 0.4, "sweep.stop": 0.6, "sweep.points": 3,
-      "sweep.transitions": "f01,fr", "run.threads": 1}, "out.csv"),
+      "sweep.transitions": "f01,fr"}, "out.csv"),
     ("chi", ["--flux", "0.5"], {}, "out.json"),
     ("fit", ["--data", "{spec}", "--starts", "1", "--seed", "3",
              "--basis-m", "24", "--forward", "single-loop"],
@@ -265,10 +265,12 @@ class TestCli:
          "spec.csv, line 3"),
         ("sweep", "cfg.ini", "[sweep]\npoints = 0\n", "sweep.points"),
         ("sweep", "cfg.ini", "[sweep]\npoints = -3\n", "sweep.points"),
+        ("sweep", "cfg.ini", "[run]\nthreads = 2\n",
+         "unknown config section [run]"),
     ], ids=["ini-no-section", "ini-duplicate-key", "ini-stray-percent",
             "trace-short-row", "dataset-short-row", "trace-non-numeric",
             "dataset-non-numeric", "sweep-zero-points",
-            "sweep-negative-points"])
+            "sweep-negative-points", "ini-run-section"])
     def test_malformed_input_exit_2(self, tmp_path, capsys, command, name,
                                     text, where):
         path = tmp_path / name
@@ -291,8 +293,7 @@ class TestCli:
         eff = effective_from_config(config["circuit"])
         sweep = flux_sweep(eff, np.linspace(0.5, 0.5, 1),
                            FockBasisSpec(25, 15),
-                           transitions=("f01",), min_confidence=0.7,
-                           workers=1)
+                           transitions=("f01",), min_confidence=0.7)
         direct = tmp_path / "direct.csv"
         gfio.write_sweep_csv(direct, sweep, meta=build_meta("sweep", config))
         assert out.read_bytes() == direct.read_bytes()
@@ -316,13 +317,12 @@ class TestCli:
         fluxes = np.array([p["flux_phi0"] for p in rows])
         assert fluxes[np.argmin(freqs)] == pytest.approx(0.5, abs=1e-9)
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        a, b = tmp_path / "s1.csv", tmp_path / "s4.csv"
-        base = ["sweep", "--points", "7", "--transitions", "f01,f02"]
-        assert main(base + ["--threads", "1", "--out", str(a)]) == 0
-        assert main(base + ["--threads", "4", "--out", str(b)]) == 0
-        # CSVs differ only via embedded config (threads); compare rows
-        assert a.read_text().splitlines()[1:] == b.read_text().splitlines()[1:]
+    def test_threads_flag_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--threads", "2",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_invalid_config_key_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

@@ -50,14 +50,6 @@ class TestFitSpectrum:
         assert fit.rms_residual_ghz < 1.5e-3
         assert np.max(np.abs(fit.residuals_ghz)) < 4e-3
 
-    def test_multistart_workers_deterministic(self):
-        data = synthetic_dataset(noise_ghz=1e-3, seed=5)
-        serial = fit_spectrum(data, n_starts=3, seed=0)
-        threaded = fit_spectrum(data, n_starts=3, seed=0, workers=3)
-        assert serial.params == threaded.params
-        assert serial.best_start == threaded.best_start
-        assert serial.start_objectives == threaded.start_objectives
-
     def test_monotone_accepted_objective(self):
         data = synthetic_dataset(noise_ghz=1e-3, seed=1)
         fit = fit_spectrum(data, n_starts=2, seed=0)

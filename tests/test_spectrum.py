@@ -9,8 +9,8 @@ from gradflux import (EffectiveFluxonium, FockBasisSpec, LabelError,
                       balanced_branch_circuit, build_hamiltonian,
                       convergence_report, diagonalize_labeled,
                       dispersive_shift, flux_sweep, hermiticity_defect,
-                      parse_transition, reduce_circuit, single_loop_reference,
-                      transition_frequency)
+                      parse_transition, reduce_circuit,
+                      single_loop_transitions, transition_frequency)
 from gradflux.spectrum import qubit_hamiltonians, solve_hermitian
 from gradflux.units import (charging_energy, inductive_energy, mode_frequency,
                             phase_zpf)
@@ -193,26 +193,29 @@ class TestSingleLoopEquivalence:
         for phi_delta in np.linspace(0.0, 1.0, 5):
             spec = diagonalize_labeled(build_hamiltonian(eff, phi_delta,
                                                          basis))
-            reference = single_loop_reference(lq, cj, ej, phi_delta, 25)
+            reference = single_loop_transitions(lq, cj, ej, phi_delta, 25,
+                                                n_levels=25)[0]
             qubit_sector = np.array(
                 [spec.energy((0, m)) for m in range(10)])
             assert np.max(np.abs(qubit_sector - reference[:10])) < 1e-6
 
     def test_harmonic_ladder_without_junction(self):
-        w = single_loop_reference(100.0, 3.0, 0.0, 0.3, 20)
+        w = single_loop_transitions(100.0, 3.0, 0.0, 0.3, 20, n_levels=20)[0]
         f_q = mode_frequency(100.0, 3.0)
         assert np.max(np.abs(np.diff(w) - f_q)) < 1e-9
 
     def test_half_flux_gap_shrinks_with_ej(self):
         gaps = []
         for ej in (5.1, 8.0, 12.0, 20.0):
-            w = single_loop_reference(172.0, 3.4, ej, 0.5, 40)
+            w = single_loop_transitions(172.0, 3.4, ej, 0.5, 40,
+                                        n_levels=40)[0]
             gaps.append(w[1] - w[0])
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_reference_converged_at_double_basis(self):
-        f40 = np.diff(single_loop_reference(172.0, 3.4, 5.1, 0.5, 40)[:2])[0]
-        f80 = np.diff(single_loop_reference(172.0, 3.4, 5.1, 0.5, 80)[:2])[0]
+        w40 = single_loop_transitions(172.0, 3.4, 5.1, 0.5, 40)[0]
+        w80 = single_loop_transitions(172.0, 3.4, 5.1, 0.5, 80)[0]
+        f40, f80 = w40[1] - w40[0], w80[1] - w80[0]
         assert abs(f40 - f80) < 1e-6   # < 1 kHz on basis doubling
         assert f80 == pytest.approx(3.904685, abs=2e-5)
 
@@ -352,14 +355,6 @@ class TestFluxSweep:
         fu = np.array([p.freq_ghz for p in up.points])
         fd = np.array([p.freq_ghz for p in dn.points])
         assert np.max(np.abs(fu - fd)) < 1e-9
-
-    def test_parallel_equals_serial(self):
-        grid = np.linspace(0.0, 1.0, 7)
-        serial = flux_sweep(EFF, grid, BASIS, transitions=("f01", "f02"))
-        threaded = flux_sweep(EFF, grid, BASIS, transitions=("f01", "f02"),
-                              workers=3)
-        assert [p.freq_ghz for p in serial.points] \
-            == [p.freq_ghz for p in threaded.points]
 
     def test_errors_recorded_and_sweep_continues(self):
         sweep = flux_sweep(EFF, [0.1, 0.5], BASIS,
