@@ -7,7 +7,7 @@ junction-array phase-slip rates, and fluxon-escape trace statistics.
 __version__ = "0.1.0"
 
 from .circuit import (BranchCircuit, CircuitError, DEVICE_GEOMETRY,
-                      EffectiveFluxonium, FluxBias, LoopFluxes, LoopGeometry,
+                      EffectiveFluxonium, LoopFluxes, LoopGeometry,
                       TrappedFluxState, balanced_branch_circuit,
                       effective_flux, field_suppression_factor,
                       flux_from_field, initialization_parity, reduce_circuit)

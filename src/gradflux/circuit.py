@@ -109,42 +109,17 @@ class EffectiveFluxonium:
 
 
 @dataclass(frozen=True)
-class FluxBias:
-    """External fluxes threading the two inner loops, in units of Phi_0."""
-
-    phi1: float
-    phi2: float
-
-    @property
-    def phi_sigma(self) -> float:
-        return 0.5 * (self.phi1 + self.phi2)
-
-    @property
-    def phi_delta(self) -> float:
-        return 0.5 * (self.phi1 - self.phi2)
-
-    def effective(self, alpha: float) -> float:
-        return effective_flux(self.phi1, self.phi2, alpha)
-
-
-@dataclass(frozen=True)
 class LoopGeometry:
     """Loop geometry of the gradiometric device.
 
     The two inner loops each enclose exactly half of the outer-loop area.
-    ``wire_length`` and ``grain_size`` parameterize the granular-aluminum
-    superinductor wire for the junction-array phase-slip model.
     """
 
     outer_area_m2: float
-    wire_length_m: float = 300e-6
-    grain_size_m: float = 4e-9
 
     def __post_init__(self):
         if self.outer_area_m2 <= 0:
             raise ValueError("outer_area_m2 must be > 0")
-        if self.wire_length_m <= 0 or self.grain_size_m <= 0:
-            raise ValueError("wire_length_m and grain_size_m must be > 0")
 
     @property
     def inner_area_m2(self) -> float:
@@ -156,7 +131,7 @@ class LoopGeometry:
         return PHI0 / self.outer_area_m2
 
 
-#: Geometry of the measured device: 50 x 150 um^2 outer loop, 4 nm grains.
+#: Geometry of the measured device: 50 x 150 um^2 outer loop.
 DEVICE_GEOMETRY = LoopGeometry(outer_area_m2=50e-6 * 150e-6)
 
 

@@ -40,8 +40,7 @@ DEFAULT_CONFIG = {
     "basis": {"m_qubit": 25, "n_res": 15},
     "sweep": {"start": 0.0, "stop": 1.0, "points": 101,
               "transitions": "f01"},
-    "geometry": {"outer_area_m2": 7.5e-9, "wire_length_m": 300e-6,
-                 "grain_size_m": 4e-9},
+    "geometry": {"wire_length_m": 300e-6, "grain_size_m": 4e-9},
     "trace": {"rate_eo_hz": 1.0 / 1800.0, "rate_oe_hz": 1.0 / 1800.0,
               "duration_s": 100_000.0, "dt_s": 1.0, "noise_sigma": 0.1,
               "seed": 0, "threshold_mads": 6.0, "window": 15},
@@ -127,6 +126,9 @@ def cmd_sweep(args, config, meta) -> int:
                        sweep_cfg["points"])
     transitions = tuple(t.strip() for t in
                         sweep_cfg["transitions"].split(",") if t.strip())
+    if not transitions:
+        raise ConfigError("sweep.transitions must name at least one "
+                          f"transition, got {sweep_cfg['transitions']!r}")
     sweep = flux_sweep(eff, grid, basis=_basis_from(config),
                        transitions=transitions,
                        min_confidence=config["tolerances"]["min_confidence"])
@@ -174,12 +176,15 @@ def cmd_chi(args, config, meta) -> int:
 def cmd_fit(args, config, meta) -> int:
     dataset = io.read_spectroscopy_csv(args.data)
     fit_cfg = config["fit"]
+    if fit_cfg["forward"] not in ("single-loop", "coupled"):
+        raise ConfigError("fit.forward must be 'single-loop' or 'coupled', "
+                          f"got {fit_cfg['forward']!r}")
     resonator = None
     if fit_cfg["forward"] == "coupled":
         circ = config["circuit"]
         resonator = {"ls": circ["ls"], "lr": circ["lr"], "cr": circ["cr"]}
-    fit = fit_spectrum(dataset, forward=fit_cfg["forward"],
-                       resonator=resonator, basis_m=fit_cfg["basis_m"],
+    fit = fit_spectrum(dataset, resonator=resonator,
+                       basis_m=fit_cfg["basis_m"],
                        n_starts=fit_cfg["n_starts"], seed=fit_cfg["seed"],
                        max_nfev=fit_cfg["max_nfev"])
     io.write_fit_json(args.out, fit, meta=meta)
@@ -350,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("single-loop", "coupled"))
     p.add_argument("--starts", dest="fit.n_starts", type=int)
     p.add_argument("--seed", dest="fit.seed", type=int)
-    p.add_argument("--basis-m", dest="fit.basis_m", type=int)
+    p.add_argument("--basis-m", dest="fit.basis_m", type=int,
+                   help="Fock states of the single-loop model; the coupled "
+                        "model uses a fixed 20x8 basis")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("phaseslip", help="junction-array phase-slip rate")

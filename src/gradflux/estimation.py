@@ -47,7 +47,8 @@ class SpectroscopyDataset:
 
     ``x`` is either the effective flux in Phi_0 (unit="phi0") or the applied
     field in tesla (unit="tesla"); in the latter case field-to-flux scale
-    and offset enter the fit as nuisance parameters unless pinned.
+    and offset enter the fit as nuisance parameters unless pinned. The
+    numeric columns must be finite.
     """
 
     x: np.ndarray
@@ -72,6 +73,9 @@ class SpectroscopyDataset:
             raise ValueError("dataset columns must have equal length")
         if n == 0:
             raise ValueError("dataset is empty")
+        for name in ("x", "freq_ghz", "sigma_ghz"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"dataset column {name} must be finite")
         bad = set(self.transition) - set(TRANSITION_KINDS)
         if bad:
             raise ValueError(f"unsupported transitions {sorted(bad)}")
@@ -126,7 +130,8 @@ class FitResult:
     (GHz per parameter unit); ``stderr`` the covariance-proxy standard
     errors from the weighted Jacobian. ``status`` is "converged", or, on
     the result a :class:`FitError` carries, "max-evaluations" or
-    "model-failure".
+    "model-failure". ``forward`` names the model fitted, "single-loop" or
+    "coupled".
     """
 
     params: dict
@@ -205,7 +210,7 @@ class _Start:
 
 
 def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
-                 bounds: dict | None = None, *, forward: str = "single-loop",
+                 bounds: dict | None = None, *,
                  resonator: dict | None = None, basis_m: int = 30,
                  coupled_basis: FockBasisSpec = FockBasisSpec(20, 8),
                  n_starts: int = 8, seed: int = 0,
@@ -218,10 +223,12 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
     heuristic initial guess plus ``n_starts - 1`` Latin-hypercube points
     over the bounds (deterministic per ``seed``). Parameters with
     zero-width bounds are pinned at that value and left out of the solve.
-    ``forward`` selects the single-loop fluxonium model (default) or the
-    coupled two-mode model; the choice is recorded in the result. Datasets
-    in tesla add field-to-flux scale and offset nuisance parameters unless
-    they are pinned via ``init``/``bounds`` with zero-width bounds.
+    Giving ``resonator`` ({ls, lr, cr}) selects the coupled two-mode
+    forward model in the ``coupled_basis``; without it the single-loop
+    fluxonium model in ``basis_m`` Fock states is fitted. ``forward`` in the
+    result records which. Datasets in tesla add field-to-flux scale and
+    offset nuisance parameters unless they are pinned via ``init``/``bounds``
+    with zero-width bounds.
 
     Each start may spend ``max_nfev`` forward evaluations, Jacobian probes
     included; ``nfev`` is their total over all starts. A start whose budget
@@ -236,12 +243,10 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
     Raises :class:`FitError` if no start converges, with the best-so-far
     result attached: its ``status`` is "max-evaluations" if some start ran
     out of budget, else "model-failure". Raises ``ValueError`` for
-    under-determined datasets and a ``max_nfev`` below 1.
+    under-determined datasets and an ``n_starts`` or ``max_nfev`` below 1.
     """
-    if forward not in ("single-loop", "coupled"):
-        raise ValueError("forward must be 'single-loop' or 'coupled'")
-    if forward == "coupled" and resonator is None:
-        raise ValueError("coupled forward model needs resonator={ls, lr, cr}")
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     if max_nfev < 1:
         raise ValueError(f"max_nfev must be at least 1, got {max_nfev}")
 
@@ -279,7 +284,7 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
             phis = p[3] * x_meas + p[4]
         else:
             phis = x_meas
-        if forward == "single-loop":
+        if resonator is None:
             return _model_freqs_single_loop(p[0], p[1], p[2], phis, trs,
                                             basis_m)
         return _model_freqs_coupled(p[0], p[1], p[2], phis, trs, resonator,
@@ -380,7 +385,8 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
         rms_residual_ghz=float(np.sqrt(np.mean(resid ** 2))),
         chi2=best.chi2, residuals_ghz=resid,
         status=status,
-        forward=forward, n_starts=len(starts), best_start=best_idx,
+        forward="single-loop" if resonator is None else "coupled",
+        n_starts=len(starts), best_start=best_idx,
         seed=seed, nfev=sum(o.nfev for o in outcomes),
         history=np.asarray(best.history), start_objectives=start_objs,
         sigma_defaulted=dataset.sigma_defaulted,
@@ -397,10 +403,10 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
 
 @dataclass(frozen=True)
 class SharedInductanceFit:
+    """Fitted shared inductance and the model chi it reproduces."""
+
     ls_nh: float
     chi_model_mhz: float
-    chi_target_mhz: float
-    bracket: tuple
 
 
 def fit_shared_inductance(chi_measured_mhz: float, *, lq_nh: float,
@@ -434,9 +440,7 @@ def fit_shared_inductance(chi_measured_mhz: float, *, lq_nh: float,
             f"{bracket} (values {fa:+.3f}, {fb:+.3f} MHz); widen the bracket")
     ls = brentq(residual, bracket[0], bracket[1], xtol=1e-4)
     return SharedInductanceFit(ls_nh=float(ls),
-                               chi_model_mhz=chi_measured_mhz + residual(ls),
-                               chi_target_mhz=chi_measured_mhz,
-                               bracket=tuple(bracket))
+                               chi_model_mhz=chi_measured_mhz + residual(ls))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,9 @@ MEDIAN_EFF = 1.2533141373155003
 #: Largest expected switch count of simulate_telegraph's Python loop.
 MAX_SWITCHES = 10**6
 
+#: Confidence level of the Poisson rate bounds of estimate_lifetime.
+CONFIDENCE = 0.95
+
 
 @dataclass(frozen=True)
 class JunctionArrayModel:
@@ -303,8 +306,9 @@ class DwellStats:
     The dwell in progress at the trace end is right-censored (it bounds the
     next dwell from below but does not equal it); the estimator divides the
     number of completed dwells by the total observed time including the
-    censored tail. Confidence bounds are exact Poisson (chi-square) limits;
-    zero-event traces yield the standard rule-of-three upper bound.
+    censored tail. Confidence bounds are exact Poisson (chi-square) limits
+    at level ``confidence``; zero-event traces yield the standard
+    rule-of-three upper bound.
     """
 
     rate_hz: float
@@ -315,7 +319,7 @@ class DwellStats:
     censored_time_s: float
     dwell_times_s: np.ndarray = field(repr=False)
     censored: np.ndarray = field(repr=False)
-    confidence: float = 0.95
+    confidence: float = CONFIDENCE
 
     @property
     def lifetime_s(self) -> float:
@@ -326,16 +330,15 @@ class DwellStats:
         return 1.0 / self.ci_high_hz if self.ci_high_hz > 0 else math.inf
 
 
-def estimate_lifetime(events, span, confidence: float = 0.95) -> DwellStats:
+def estimate_lifetime(events, span) -> DwellStats:
     """Escape-rate estimate from detected jump events over a trace span.
 
     ``events`` is a list of :class:`JumpEvent` or an array of event times;
     ``span`` is the (start, end) observation window in seconds. The rate
-    estimate is n_events / span; a zero-event trace gives rate 0 with a
-    -ln(1-confidence)/span upper bound (about 3/T at 95%).
+    estimate is n_events / span, bounded at the :data:`CONFIDENCE` level; a
+    zero-event trace gives rate 0 with a -ln(1-CONFIDENCE)/span upper bound
+    (about 3/T at 95%).
     """
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must be in (0, 1)")
     t0, t1 = (float(span[0]), float(span[1]))
     if t1 <= t0:
         raise ValueError("span end must exceed span start")
@@ -350,7 +353,7 @@ def estimate_lifetime(events, span, confidence: float = 0.95) -> DwellStats:
     n = times.size
     total = t1 - t0
 
-    alpha = 1.0 - confidence
+    alpha = 1.0 - CONFIDENCE
     rate = n / total
     if n > 0:
         ci_low = chi2.ppf(alpha / 2.0, 2 * n) / (2.0 * total)
@@ -358,13 +361,12 @@ def estimate_lifetime(events, span, confidence: float = 0.95) -> DwellStats:
     else:
         # one-sided upper bound: -ln(alpha)/T, the rule of three at 95%
         ci_low = 0.0
-        ci_high = chi2.ppf(confidence, 2) / (2.0 * total)
+        ci_high = chi2.ppf(CONFIDENCE, 2) / (2.0 * total)
     return DwellStats(rate_hz=float(rate), ci_low_hz=float(ci_low),
                       ci_high_hz=float(ci_high), n_events=int(n),
                       total_time_s=float(total),
                       censored_time_s=float(dwells[-1]),
-                      dwell_times_s=dwells, censored=censored,
-                      confidence=confidence)
+                      dwell_times_s=dwells, censored=censored)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ dispersive shift) are flagged invalid below a configurable confidence.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -61,8 +61,8 @@ class FockBasisSpec:
     """Truncation: m_qubit fluxonium Fock states, whose eigenstates are all
     kept, and n_res resonator Fock states."""
 
-    m_qubit: int = 25
-    n_res: int = 15
+    m_qubit: int
+    n_res: int
 
     def __post_init__(self):
         if self.m_qubit < 2 or self.n_res < 2:
@@ -88,12 +88,11 @@ class HamiltonianMatrix:
 
     The basis is uncoupled fluxonium eigenstates x resonator Fock states,
     qubit-major: composite index k = i_q * n_res + i_r, where i_q counts
-    the fluxonium eigenstates at ``phi_eff`` upwards. Entries are in GHz.
+    the fluxonium eigenstates at the bias flux upwards. Entries are in GHz.
     """
 
     matrix: np.ndarray
     basis: FockBasisSpec
-    phi_eff: float
 
 
 def _phase_quadrature(n):
@@ -141,7 +140,7 @@ def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
     h = np.kron(-g * (0.5 * (phi_q + phi_q.T)), _phase_quadrature(n))
     f_r = float(mode_frequency(eff.lr, eff.cr))
     h.flat[::m * n + 1] += np.add.outer(e_q, f_r * np.arange(n)).ravel()
-    return HamiltonianMatrix(matrix=h, basis=basis, phi_eff=phi_eff)
+    return HamiltonianMatrix(matrix=h, basis=basis)
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
@@ -175,18 +174,15 @@ def solve_hermitian(matrix: np.ndarray, lowest: int | None = None):
 class SpectrumResult:
     """Labeled spectrum of the coupled system.
 
-    ``labels[j]`` is the (n_r, m_q) product label retained for level j, or
-    None where another level claims the same label with larger overlap.
-    ``confidence[j]`` is the squared overlap with the best-matching
+    ``index_of`` maps each retained (n_r, m_q) product label to its level
+    index; a label two levels claim is kept by the one with larger overlap.
+    ``confidence[j]`` is level j's squared overlap with its best-matching
     uncoupled product state.
     """
 
     energies: np.ndarray
-    labels: list
     confidence: np.ndarray
-    basis: FockBasisSpec
-    phi_eff: float
-    index_of: dict = field(repr=False, default_factory=dict)
+    index_of: dict
 
     def level_index(self, label, min_confidence: float = 0.0) -> int:
         label = tuple(label)
@@ -221,20 +217,13 @@ def diagonalize_labeled(h: HamiltonianMatrix,
     ov = v ** 2
     best = np.argmax(ov, axis=0)               # per level: best basis index
     conf = ov[best, np.arange(w.size)]
-    labels = [None] * w.size
     index_of = {}
     for j in range(w.size):
         mq, nr = divmod(int(best[j]), h.basis.n_res)
-        label = (nr, mq)
-        prev = index_of.get(label)
+        prev = index_of.get((nr, mq))
         if prev is None or conf[j] > conf[prev]:
-            if prev is not None:
-                labels[prev] = None
-            index_of[label] = j
-            labels[j] = label
-    return SpectrumResult(energies=w, labels=labels, confidence=conf,
-                          basis=h.basis, phi_eff=h.phi_eff,
-                          index_of=index_of)
+            index_of[(nr, mq)] = j
+    return SpectrumResult(energies=w, confidence=conf, index_of=index_of)
 
 
 def parse_transition(name):
@@ -271,30 +260,29 @@ class DispersiveShiftResult:
     chi_mhz = [E(1,1) - E(0,1)] - [E(1,0) - E(0,0)] in MHz, i.e. the full
     change of the resonator frequency when the qubit is excited. Invalid
     (chi_mhz None) inside avoided-crossing exclusion zones where the label
-    overlap drops below the confidence threshold.
+    overlap drops below the confidence threshold; ``reason`` then says why.
     """
 
-    flux_phi0: float
     chi_mhz: float | None
     valid: bool
     min_overlap: float
     reason: str | None = None
 
 
-def _chi_from_levels(spec: SpectrumResult, phi_eff: float,
+def _chi_from_levels(spec: SpectrumResult,
                      min_confidence: float) -> DispersiveShiftResult:
     levels = [spec.index_of.get(label)
               for label in [(0, 0), (1, 0), (0, 1), (1, 1)]]
     worst = min(0.0 if j is None else float(spec.confidence[j])
                 for j in levels)
     if None in levels or worst < min_confidence:
-        return DispersiveShiftResult(flux_phi0=phi_eff, chi_mhz=None,
-                                     valid=False, min_overlap=worst,
+        return DispersiveShiftResult(chi_mhz=None, valid=False,
+                                     min_overlap=worst,
                                      reason="avoided-crossing exclusion zone")
     e00, e10, e01, e11 = (float(spec.energies[j]) for j in levels)
     chi_ghz = (e11 - e01) - (e10 - e00)
-    return DispersiveShiftResult(flux_phi0=phi_eff, chi_mhz=1e3 * chi_ghz,
-                                 valid=True, min_overlap=worst)
+    return DispersiveShiftResult(chi_mhz=1e3 * chi_ghz, valid=True,
+                                 min_overlap=worst)
 
 
 def dispersive_shift(eff: EffectiveFluxonium, phi_eff: float,
@@ -307,7 +295,7 @@ def dispersive_shift(eff: EffectiveFluxonium, phi_eff: float,
     """
     spec = diagonalize_labeled(build_hamiltonian(eff, phi_eff, basis),
                                N_LOWEST)
-    return _chi_from_levels(spec, phi_eff, min_confidence)
+    return _chi_from_levels(spec, min_confidence)
 
 
 @dataclass(frozen=True)
@@ -365,7 +353,7 @@ def flux_sweep(eff: EffectiveFluxonium, flux_grid,
         except SolverError as exc:
             errors.append(SweepError(phi, "*", str(exc)))
             continue
-        shift = _chi_from_levels(spec, phi, min_confidence)
+        shift = _chi_from_levels(spec, min_confidence)
         for name, pair in pairs:
             try:
                 freq = transition_frequency(spec, *pair, min_confidence)
@@ -408,7 +396,7 @@ def convergence_report(eff: EffectiveFluxonium, phi_eff: float,
         spec = diagonalize_labeled(build_hamiltonian(eff, phi_eff, basis),
                                    N_LOWEST)
         f01 = transition_frequency(spec, (0, 0), (0, 1), 0.0)
-        shift = _chi_from_levels(spec, phi_eff, min_confidence)
+        shift = _chi_from_levels(spec, min_confidence)
         chi = shift.chi_mhz
         rows.append(ConvergenceRow(
             m_qubit=basis.m_qubit, n_res=basis.n_res, dim=basis.dim,

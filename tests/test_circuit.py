@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gradflux import (BranchCircuit, CircuitError, DEVICE_GEOMETRY, FluxBias,
+from gradflux import (BranchCircuit, CircuitError, DEVICE_GEOMETRY,
                       LoopGeometry, PHI0, TrappedFluxState,
                       balanced_branch_circuit, effective_flux,
                       field_suppression_factor, flux_from_field,
@@ -216,13 +216,3 @@ class TestInitializationParity:
             n = round(flux_from_field(b, DEVICE_GEOMETRY).outer)
             state = initialization_parity(b, DEVICE_GEOMETRY)
             assert state.parity == ("even" if n % 2 == 0 else "odd")
-
-
-class TestFluxBias:
-    def test_components_consistent(self):
-        bias = FluxBias(phi1=1.25, phi2=-0.75)
-        assert bias.phi_sigma == pytest.approx(0.25)
-        assert bias.phi_delta == pytest.approx(1.0)
-        alpha = 0.01
-        assert bias.effective(alpha) == pytest.approx(
-            bias.phi_delta + alpha * bias.phi_sigma, rel=1e-15)

@@ -267,10 +267,27 @@ class TestCli:
         ("sweep", "cfg.ini", "[sweep]\npoints = -3\n", "sweep.points"),
         ("sweep", "cfg.ini", "[run]\nthreads = 2\n",
          "unknown config section [run]"),
+        ("sweep", "cfg.ini", "[sweep]\ntransitions = ,\n",
+         "sweep.transitions"),
+        ("sweep", "cfg.ini", "[geometry]\nouter_area_m2 = 1e-9\n",
+         "unknown config key 'outer_area_m2'"),
+        ("fit", "spec.csv",
+         "field_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
+         "0.5,phi0,f01,3.9,0.001\nnan,phi0,f01,5.0,0.001\n", "column x"),
+        ("fit", "spec.csv",
+         "field_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
+         "0.5,phi0,f01,3.9,0.001\n0.3,phi0,f01,inf,0.001\n",
+         "column freq_ghz"),
+        ("fit", "spec.csv",
+         "field_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
+         "0.5,phi0,f01,3.9,0.001\n0.3,phi0,f01,5.0,inf\n",
+         "column sigma_ghz"),
     ], ids=["ini-no-section", "ini-duplicate-key", "ini-stray-percent",
             "trace-short-row", "dataset-short-row", "trace-non-numeric",
             "dataset-non-numeric", "sweep-zero-points",
-            "sweep-negative-points", "ini-run-section"])
+            "sweep-negative-points", "ini-run-section",
+            "sweep-no-transitions", "ini-outer-area", "dataset-nan-flux",
+            "dataset-inf-freq", "dataset-inf-sigma"])
     def test_malformed_input_exit_2(self, tmp_path, capsys, command, name,
                                     text, where):
         path = tmp_path / name
@@ -346,6 +363,18 @@ class TestCli:
         code = main(["fit", "--data", str(data),
                      "--out", str(tmp_path / "fit.json")])
         assert code == 2
+
+    def test_fit_unknown_forward_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "spec.csv"
+        data.write_text("field_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
+                        + "".join(f"0.{k},phi0,f01,{9 - k},0.001\n"
+                                  for k in range(1, 5)))
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[fit]\nforward = bogus\n")
+        code = main(["fit", "--data", str(data), "--config", str(ini),
+                     "--out", str(tmp_path / "fit.json")])
+        assert code == 2
+        assert "fit.forward" in capsys.readouterr().err
 
     def test_fit_runs_on_synthetic_data(self, tmp_path):
         from gradflux import single_loop_transitions

@@ -109,6 +109,12 @@ class TestFitSpectrum:
         with pytest.raises(ValueError, match="max_nfev must be at least 1"):
             fit_spectrum(data, n_starts=1, max_nfev=0)
 
+    @pytest.mark.parametrize("n_starts", [0, -3])
+    def test_starts_below_one_rejected(self, n_starts):
+        data = synthetic_dataset(n=12)
+        with pytest.raises(ValueError, match="n_starts must be at least 1"):
+            fit_spectrum(data, n_starts=n_starts)
+
     def test_exhausted_budget_carries_best_so_far(self):
         data = synthetic_dataset(noise_ghz=1e-3, seed=4)
         with pytest.raises(FitError) as err:
@@ -225,7 +231,7 @@ class TestFitSpectrum:
                                     basis)
         data = SpectroscopyDataset(x=phis, transition=trans, freq_ghz=freq,
                                    sigma_ghz=np.full(8, 1e-3))
-        fit = fit_spectrum(data, init=dict(TRUE), forward="coupled",
+        fit = fit_spectrum(data, init=dict(TRUE),
                            resonator=resonator, coupled_basis=basis,
                            n_starts=1, seed=0, max_nfev=600)
         assert fit.forward == "coupled"
