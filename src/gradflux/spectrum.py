@@ -15,7 +15,13 @@ evaluated by diagonalizing the truncated phase operator, applying the
 cosine to its eigenvalues and rotating back, which avoids
 series-truncation artifacts. The two-mode matrix is then written in the
 basis of uncoupled fluxonium eigenstates x resonator Fock states, where
-everything but the coupling is diagonal.
+everything but the coupling is diagonal: H = diag(e_q (+) k f_r) - g phi_q
+(x) X_n, kept as those factors.
+
+The lowest levels are found densely below a measured dimension crossover
+and by matrix-free Lanczos above it (ARPACK's implicitly restarted Lanczos
+through :func:`scipy.sparse.linalg.eigsh`, applying H as the structured
+product above, so no dim^2 array is formed); full solves are always dense.
 
 Eigenvalues are reported relative to the harmonic zero-point energy, so two
 uncoupled linear modes give exactly n*f_r + m*f_q.
@@ -38,13 +44,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from .circuit import EffectiveFluxonium
 from .units import EL_GHZ_NH, mode_frequency, phase_zpf
 
 
 class SolverError(RuntimeError):
-    """Dense eigensolver failure, carrying matrix diagnostics."""
+    """Eigensolver failure (dense or Lanczos), carrying the dimension and
+    diagnostics of the matrix or of its factors."""
 
 
 class LabelError(RuntimeError):
@@ -81,18 +89,52 @@ DEFAULT_BASIS = FockBasisSpec(25, 15)
 #: for the device regime.
 N_LOWEST = 80
 
+#: Largest dimension whose lowest-N_LOWEST solve stays dense; above it the
+#: matrix-free Lanczos solve runs. Measured crossover (device circuit,
+#: phi = 0.5, 1-2 BLAS threads):
+#:
+#:     dim    dense subset eigh   Lanczos
+#:     375    20 ms               40-46 ms
+#:     1000   120-130 ms          90-140 ms    (break-even)
+#:     2000   0.55-0.83 s         0.28-0.34 s
+#:     3500   2.2-3.7 s           0.57-0.82 s
+DENSE_MAX_DIM = 1000
+
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Dense real-symmetric two-mode Hamiltonian with basis metadata.
+    """Real-symmetric two-mode Hamiltonian, held as its factors.
 
+    H = diag(diagonal) - coupling (x) X_n, with X_n the resonator phase
+    quadrature and ``coupling`` = g phi_q the symmetric m x m qubit factor.
     The basis is uncoupled fluxonium eigenstates x resonator Fock states,
     qubit-major: composite index k = i_q * n_res + i_r, where i_q counts
     the fluxonium eigenstates at the bias flux upwards. Entries are in GHz.
+    ``shape`` and ``matvec`` make it a matrix-free linear operator for the
+    Lanczos solve; ``matrix`` assembles the dense array on demand.
     """
 
-    matrix: np.ndarray
+    diagonal: np.ndarray
+    coupling: np.ndarray
     basis: FockBasisSpec
+
+    @property
+    def shape(self) -> tuple:
+        return (self.basis.dim, self.basis.dim)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense dim x dim array, exactly symmetric."""
+        h = np.kron(-self.coupling, _phase_quadrature(self.basis.n_res))
+        h.flat[::self.basis.dim + 1] += self.diagonal
+        return h
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """H @ x at O(m^2 n + m n^2), without forming H."""
+        x = np.ravel(x)
+        y = self.coupling @ x.reshape(self.basis.m_qubit, self.basis.n_res)
+        return (self.diagonal * x
+                - (y @ _phase_quadrature(self.basis.n_res)).ravel())
 
 
 def _phase_quadrature(n):
@@ -123,11 +165,11 @@ def qubit_hamiltonians(lq: float, cj: float, ej: float, phis,
 
 def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
                       basis: FockBasisSpec = DEFAULT_BASIS) -> HamiltonianMatrix:
-    """Assemble the dense two-mode Hamiltonian at a given effective flux.
+    """Factor the two-mode Hamiltonian at a given effective flux.
 
     The fluxonium is diagonalized once; its eigenenergies and the resonator
-    ladder fill the diagonal and the coupling is one Kronecker product of
-    symmetric factors, so the matrix is exactly symmetric.
+    ladder make the diagonal, and the coupling is a product of symmetric
+    factors, so the matrix is exactly symmetric.
     """
     if not math.isfinite(phi_eff):
         raise ValueError("phi_eff must be finite")
@@ -137,10 +179,10 @@ def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
     phi_q = u_q.T @ _phase_quadrature(m) @ u_q
     g = (0.5 * (EL_GHZ_NH / eff.lrq) * phase_zpf(eff.lq, eff.cj)
          * phase_zpf(eff.lr, eff.cr))
-    h = np.kron(-g * (0.5 * (phi_q + phi_q.T)), _phase_quadrature(n))
     f_r = float(mode_frequency(eff.lr, eff.cr))
-    h.flat[::m * n + 1] += np.add.outer(e_q, f_r * np.arange(n)).ravel()
-    return HamiltonianMatrix(matrix=h, basis=basis)
+    return HamiltonianMatrix(
+        diagonal=np.add.outer(e_q, f_r * np.arange(n)).ravel(),
+        coupling=g * (0.5 * (phi_q + phi_q.T)), basis=basis)
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
@@ -151,23 +193,43 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.abs(matrix - matrix.conj().T).max() / scale)
 
 
-def solve_hermitian(matrix: np.ndarray, lowest: int | None = None):
+def _nonfinite(*arrays) -> int:
+    return sum(int(np.count_nonzero(~np.isfinite(x))) for x in arrays)
+
+
+def _diagnostics(a) -> str:
+    if isinstance(a, HamiltonianMatrix):
+        return (f"dim={a.shape[0]}, non-finite entries in factors="
+                f"{_nonfinite(a.diagonal, a.coupling)}")
+    return (f"dim={a.shape[0]}, non-finite entries={_nonfinite(a)}, "
+            f"hermiticity defect={hermiticity_defect(np.nan_to_num(a)):.3e}")
+
+
+def solve_hermitian(a, lowest: int | None = None):
     """Ascending eigenvalues and eigenvectors of a Hermitian matrix.
 
-    ``lowest`` restricts the solve to the lowest-k pairs (subset driver);
-    failures raise :class:`SolverError` with matrix diagnostics.
+    ``a`` is a dense array or a :class:`HamiltonianMatrix` operator.
+    ``lowest`` restricts the solve to the lowest-k pairs: the subset dense
+    driver, or for the operator, which needs it, ARPACK Lanczos from a
+    fixed start vector to machine precision, so reruns repeat. Failures
+    raise :class:`SolverError` with diagnostics.
     """
+    if lowest is None and isinstance(a, HamiltonianMatrix):
+        raise ValueError("a matrix-free solve needs lowest")
     try:
-        if lowest is not None and lowest < matrix.shape[0]:
-            return sla.eigh(matrix, subset_by_index=(0, lowest - 1))
-        return np.linalg.eigh(matrix)
-    except (np.linalg.LinAlgError, sla.LinAlgError, ValueError) as exc:
-        raise SolverError(
-            f"eigensolver failed: {exc} "
-            f"[dim={matrix.shape[0]}, non-finite entries="
-            f"{int(np.count_nonzero(~np.isfinite(matrix)))}, "
-            f"hermiticity defect={hermiticity_defect(np.nan_to_num(matrix)):.3e}]"
-        ) from exc
+        if isinstance(a, HamiltonianMatrix):
+            if _nonfinite(a.diagonal, a.coupling):
+                raise ValueError("factors must not contain infs or NaNs")
+            op = spla.LinearOperator(a.shape, matvec=a.matvec, dtype=float)
+            return spla.eigsh(op, k=lowest, which="SA",
+                              v0=np.ones(a.shape[0]), tol=0)
+        if lowest is not None and lowest < a.shape[0]:
+            return sla.eigh(a, subset_by_index=(0, lowest - 1))
+        return np.linalg.eigh(a)
+    except (np.linalg.LinAlgError, sla.LinAlgError, ValueError,
+            spla.ArpackError) as exc:
+        raise SolverError(f"eigensolver failed: {exc} "
+                          f"[{_diagnostics(a)}]") from exc
 
 
 @dataclass(frozen=True)
@@ -206,14 +268,17 @@ def diagonalize_labeled(h: HamiltonianMatrix,
                         n_lowest: int | None = None) -> SpectrumResult:
     """Ascending spectrum with |n_r m_q> labels by maximal overlap.
 
-    ``n_lowest`` restricts the solve to the lowest levels (all by default).
+    ``n_lowest`` restricts the solve to the lowest levels (all by default),
+    found by Lanczos on the factors above :data:`DENSE_MAX_DIM` and
+    densely otherwise.
     The basis states (uncoupled fluxonium eigenstates x resonator Fock
     states) are the unit vectors, so a level's squared overlaps are its
     squared eigenvector components, and it claims the label of the largest;
     when two levels claim the same label (possible near avoided crossings)
     only the higher-overlap claimant retains it.
     """
-    w, v = solve_hermitian(h.matrix, lowest=n_lowest)
+    lanczos = n_lowest is not None and h.basis.dim > DENSE_MAX_DIM
+    w, v = solve_hermitian(h if lanczos else h.matrix, lowest=n_lowest)
     ov = v ** 2
     best = np.argmax(ov, axis=0)               # per level: best basis index
     conf = ov[best, np.arange(w.size)]

@@ -7,7 +7,7 @@ import pytest
 
 from gradflux import (DecayCurve, SpectroscopyDataset, balanced_branch_circuit,
                       flux_sweep, reduce_circuit, simulate_telegraph)
-from gradflux import cli
+from gradflux import cli, spectrum
 from gradflux import io as gfio
 from gradflux.cli import (ConfigError, build_meta, effective_from_config,
                           load_config, main)
@@ -481,13 +481,31 @@ class TestCli:
         assert "chi(0.5" in capsys.readouterr().out
 
     def test_chi_ladder_command(self, tmp_path):
-        out = tmp_path / "chi.json"
-        assert main(["chi", "--flux", "0.5", "--ladder", "20x8,25x15",
-                     "--out", str(out)]) == 0
-        payload = gfio.read_json(out)
+        # 45x25 (dim 1125) is above the dense crossover: a Lanczos rung
+        outs = [tmp_path / "chi.json", tmp_path / "chi2.json"]
+        for out in outs:
+            assert main(["chi", "--flux", "0.5", "--ladder", "25x15,45x25",
+                         "--out", str(out)]) == 0
+        payload = gfio.read_json(outs[0])
         assert len(payload["rows"]) == 2
+        assert payload["rows"][1]["dim"] > spectrum.DENSE_MAX_DIM
         assert payload["rows"][1]["delta_chi_mhz"] is not None
         assert payload["chi_MHz"] == pytest.approx(-7.670, abs=0.05)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_lanczos_failure_exit_1(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise spectrum.spla.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.empty(0),
+                np.empty((0, 0)))
+
+        monkeypatch.setattr(spectrum.spla, "eigsh", fail)
+        code = main(["chi", "--flux", "0.5", "--ladder", "45x25",
+                     "--out", str(tmp_path / "chi.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "numerical error" in err and "dim=1125" in err
+        assert "Traceback" not in err
 
     def test_missing_data_file_exit_2(self, tmp_path):
         code = main(["fit", "--data", str(tmp_path / "nope.csv"),

@@ -11,7 +11,10 @@ from gradflux import (EffectiveFluxonium, FockBasisSpec, LabelError,
                       dispersive_shift, flux_sweep, hermiticity_defect,
                       parse_transition, reduce_circuit,
                       single_loop_transitions, transition_frequency)
-from gradflux.spectrum import qubit_hamiltonians, solve_hermitian
+from gradflux import spectrum
+from gradflux.spectrum import (DENSE_MAX_DIM, N_LOWEST, HamiltonianMatrix,
+                               SolverError, qubit_hamiltonians,
+                               solve_hermitian)
 from gradflux.units import (charging_energy, inductive_energy, mode_frequency,
                             phase_zpf)
 
@@ -59,12 +62,17 @@ class TestHarmonicLimits:
         assert w[1] - w[0] == pytest.approx(2 * g, rel=1e-12)
 
     def test_solver_failure_carries_diagnostics(self):
-        from gradflux import SolverError
         bad = np.full((4, 4), np.nan)
         with pytest.raises(SolverError, match="dim=4"):
             solve_hermitian(bad)
         with pytest.raises(SolverError, match="non-finite"):
             solve_hermitian(bad, lowest=2)
+        op = HamiltonianMatrix(diagonal=np.r_[np.nan, np.ones(11)],
+                               coupling=np.zeros((4, 4)),
+                               basis=FockBasisSpec(4, 3))
+        with pytest.raises(SolverError,
+                           match=r"dim=12, non-finite entries in factors=1"):
+            solve_hermitian(op, lowest=2)
 
 
 class TestNormalModeOracle:
@@ -100,6 +108,9 @@ class TestHamiltonianProperties:
                                      ej=ej, alpha=0.0)
             h = build_hamiltonian(eff, rng.uniform(0, 1), FockBasisSpec(8, 6))
             assert hermiticity_defect(h.matrix) == 0.0
+            x = rng.normal(size=h.basis.dim)
+            assert np.allclose(h.matvec(x), h.matrix @ x,
+                               rtol=0.0, atol=1e-12 * np.abs(h.matrix).max())
 
     def test_periodicity_one_flux_quantum(self):
         for phi in (0.13, 0.37):
@@ -376,3 +387,44 @@ class TestConvergenceReport:
         rel_f01 = abs(rows[1].delta_f01_ghz) / rows[1].f01_ghz
         rel_chi = abs(rows[1].delta_chi_mhz) / abs(rows[1].chi_mhz)
         assert rel_f01 < rel_chi
+
+
+ABOVE_CROSSOVER = [(50, 40), (70, 50)]      # criterion-1 rungs on Lanczos
+
+
+class TestLanczosSolve:
+    """Matrix-free Lanczos above DENSE_MAX_DIM against the dense solve."""
+
+    @pytest.mark.parametrize("phi", [0.0, 0.26, 0.5])
+    @pytest.mark.parametrize("m, n", ABOVE_CROSSOVER)
+    def test_parity_with_dense(self, m, n, phi, monkeypatch):
+        h = build_hamiltonian(EFF, phi, FockBasisSpec(m, n))
+        assert h.basis.dim > DENSE_MAX_DIM
+        lanczos = diagonalize_labeled(h, N_LOWEST)
+        monkeypatch.setattr(spectrum, "DENSE_MAX_DIM", h.basis.dim)
+        dense = diagonalize_labeled(h, N_LOWEST)
+        assert np.max(np.abs(lanczos.energies - dense.energies)) < 1e-9
+        assert lanczos.index_of == dense.index_of
+        assert np.max(np.abs(lanczos.confidence - dense.confidence)) < 1e-9
+
+    def test_rerun_bit_identical(self):
+        ladder = [ABOVE_CROSSOVER[-1]]
+        assert (convergence_report(EFF, 0.5, ladder)
+                == convergence_report(EFF, 0.5, ladder))
+
+    @pytest.mark.parametrize("exc", [
+        spectrum.spla.ArpackNoConvergence("no convergence", np.empty(0),
+                                          np.empty((0, 0))),
+        spectrum.spla.ArpackError(-9999)])
+    def test_arpack_failure_is_solver_error(self, exc, monkeypatch):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(spectrum.spla, "eigsh", fail)
+        with pytest.raises(SolverError,
+                           match=r"dim=1125, non-finite entries in factors=0"):
+            convergence_report(EFF, 0.5, [(45, 25)])
+
+    def test_full_solve_needs_lowest(self):
+        with pytest.raises(ValueError, match="lowest"):
+            solve_hermitian(build_hamiltonian(EFF, 0.5, FockBasisSpec(4, 3)))
