@@ -9,7 +9,8 @@ rejected), then the flags given, whose argparse ``dest`` names their
 version, and re-running with the same inputs reproduces outputs
 bit-identically.
 
-Exit codes: 0 success, 1 numerical non-convergence, 2 input/config error.
+Exit codes: 0 success, 1 numerical non-convergence, 2 input/config error
+or an unreadable or unwritable file.
 """
 
 import argparse
@@ -26,8 +27,9 @@ from .fluxon import (CURRENT_ACTIVATED_BIAS_PHI0, DEVICE_ARRAY,
                      JunctionArrayModel, coincidence_analysis, detect_jumps,
                      effective_junction_count, estimate_lifetime,
                      phase_slip_rate, simulate_telegraph)
-from .spectrum import (FockBasisSpec, LabelError, SolverError,
-                       convergence_report, dispersive_shift, flux_sweep)
+from .spectrum import (DEFAULT_BASIS, MIN_CONFIDENCE, FockBasisSpec,
+                       LabelError, SolverError, convergence_report,
+                       dispersive_shift, flux_sweep)
 
 
 class ConfigError(ValueError):
@@ -37,7 +39,8 @@ class ConfigError(ValueError):
 DEFAULT_CONFIG = {
     "circuit": {"lq_eff": 172.0, "cj": 3.4, "ej": 5.1, "cr": 20.2,
                 "lr": 21.6, "ls": 2.8},
-    "basis": {"m_qubit": 25, "n_res": 15},
+    "basis": {"m_qubit": DEFAULT_BASIS.m_qubit,
+              "n_res": DEFAULT_BASIS.n_res},
     "sweep": {"start": 0.0, "stop": 1.0, "points": 101,
               "transitions": "f01"},
     "geometry": {"wire_length_m": 300e-6, "grain_size_m": 4e-9},
@@ -46,7 +49,7 @@ DEFAULT_CONFIG = {
               "seed": 0, "threshold_mads": 6.0, "window": 15},
     "fit": {"n_starts": 8, "seed": 0, "basis_m": 30,
             "forward": "single-loop", "max_nfev": 2000},
-    "tolerances": {"min_confidence": 0.7},
+    "tolerances": {"min_confidence": MIN_CONFIDENCE},
 }
 
 #: Type of every config key: that of its default, plus the optional branch
@@ -149,23 +152,25 @@ def cmd_chi(args, config, meta) -> int:
     if args.ladder:
         ladder = []
         for token in args.ladder.split(","):
-            m, _, n = token.strip().partition("x")
-            ladder.append((int(m), int(n)))
+            try:
+                m, n = (int(v) for v in token.split("x"))
+            except ValueError:
+                raise ConfigError(f"bad --ladder rung {token!r}: expected "
+                                  "MxN, e.g. 25x15") from None
+            ladder.append((m, n))
         rows = convergence_report(eff, args.flux, ladder,
                                   min_confidence=min_conf)
-        payload = {"meta": meta, "flux_phi0": args.flux,
-                   "rows": rows,
-                   "chi_MHz": rows[-1].chi_mhz}
         chi = rows[-1].chi_mhz
+        result = {"rows": rows, "chi_MHz": chi}
     else:
         shift = dispersive_shift(eff, args.flux, _basis_from(config),
                                  min_confidence=min_conf)
-        payload = {"meta": meta, "flux_phi0": args.flux,
-                   "chi_MHz": shift.chi_mhz, "valid": shift.valid,
-                   "min_overlap": shift.min_overlap}
         chi = shift.chi_mhz
+        result = {"chi_MHz": chi, "valid": shift.valid,
+                  "min_overlap": shift.min_overlap}
     if args.out:
-        io.write_json(args.out, payload)
+        io.write_json(args.out, {"meta": meta, "flux_phi0": args.flux,
+                                 **result})
     if chi is None:
         print("chi: invalid (avoided-crossing exclusion zone)")
         return 1
@@ -433,7 +438,7 @@ def main(argv=None) -> int:
             if dot and value is not None:
                 config[section][key] = value
         return args.func(args, config, build_meta(args.command, config))
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FitError, LabelError, SolverError) as exc:

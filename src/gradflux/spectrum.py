@@ -18,10 +18,11 @@ basis of uncoupled fluxonium eigenstates x resonator Fock states, where
 everything but the coupling is diagonal: H = diag(e_q (+) k f_r) - g phi_q
 (x) X_n, kept as those factors.
 
-The lowest levels are found densely below a measured dimension crossover
-and by matrix-free Lanczos above it (ARPACK's implicitly restarted Lanczos
-through :func:`scipy.sparse.linalg.eigsh`, applying H as the structured
-product above, so no dim^2 array is formed); full solves are always dense.
+:func:`solve_hermitian`, the one eigensolver entry, takes those factors
+and picks the method: dense for full solves and up to a measured dimension
+crossover, above it matrix-free Lanczos for the lowest levels (ARPACK's
+implicitly restarted Lanczos through :func:`scipy.sparse.linalg.eigsh`,
+applying H as the structured product above, so no dim^2 array is formed).
 
 Eigenvalues are reported relative to the harmonic zero-point energy, so two
 uncoupled linear modes give exactly n*f_r + m*f_q.
@@ -51,8 +52,8 @@ from .units import EL_GHZ_NH, mode_frequency, phase_zpf
 
 
 class SolverError(RuntimeError):
-    """Eigensolver failure (dense or Lanczos), carrying the dimension and
-    diagnostics of the matrix or of its factors."""
+    """Eigensolver failure (dense or Lanczos), naming the dimension and the
+    non-finite entries counted in the Hamiltonian's factors."""
 
 
 class LabelError(RuntimeError):
@@ -99,6 +100,9 @@ N_LOWEST = 80
 #:     2000   0.55-0.83 s         0.28-0.34 s
 #:     3500   2.2-3.7 s           0.57-0.82 s
 DENSE_MAX_DIM = 1000
+
+#: Default label overlap below which chi and transitions are flagged.
+MIN_CONFIDENCE = 0.7
 
 
 @dataclass(frozen=True)
@@ -193,43 +197,33 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.abs(matrix - matrix.conj().T).max() / scale)
 
 
-def _nonfinite(*arrays) -> int:
-    return sum(int(np.count_nonzero(~np.isfinite(x))) for x in arrays)
+def solve_hermitian(h: HamiltonianMatrix, lowest: int | None = None):
+    """Ascending eigenvalues and eigenvectors of the two-mode Hamiltonian.
 
-
-def _diagnostics(a) -> str:
-    if isinstance(a, HamiltonianMatrix):
-        return (f"dim={a.shape[0]}, non-finite entries in factors="
-                f"{_nonfinite(a.diagonal, a.coupling)}")
-    return (f"dim={a.shape[0]}, non-finite entries={_nonfinite(a)}, "
-            f"hermiticity defect={hermiticity_defect(np.nan_to_num(a)):.3e}")
-
-
-def solve_hermitian(a, lowest: int | None = None):
-    """Ascending eigenvalues and eigenvectors of a Hermitian matrix.
-
-    ``a`` is a dense array or a :class:`HamiltonianMatrix` operator.
-    ``lowest`` restricts the solve to the lowest-k pairs: the subset dense
-    driver, or for the operator, which needs it, ARPACK Lanczos from a
-    fixed start vector to machine precision, so reruns repeat. Failures
-    raise :class:`SolverError` with diagnostics.
+    The one place that picks the eigensolver: a full dense ``eigh`` of
+    ``h.matrix`` when ``lowest`` is None or not below the dimension, the
+    dense subset driver for the lowest ``lowest`` pairs up to
+    :data:`DENSE_MAX_DIM`, and above it ARPACK Lanczos on ``h.matvec`` from
+    a fixed start vector to machine precision, so reruns repeat. Non-finite
+    factors and solver failures raise :class:`SolverError`.
     """
-    if lowest is None and isinstance(a, HamiltonianMatrix):
-        raise ValueError("a matrix-free solve needs lowest")
+    dim = h.basis.dim
+    nonfinite = sum(int(np.count_nonzero(~np.isfinite(x)))
+                    for x in (h.diagonal, h.coupling))
     try:
-        if isinstance(a, HamiltonianMatrix):
-            if _nonfinite(a.diagonal, a.coupling):
-                raise ValueError("factors must not contain infs or NaNs")
-            op = spla.LinearOperator(a.shape, matvec=a.matvec, dtype=float)
-            return spla.eigsh(op, k=lowest, which="SA",
-                              v0=np.ones(a.shape[0]), tol=0)
-        if lowest is not None and lowest < a.shape[0]:
-            return sla.eigh(a, subset_by_index=(0, lowest - 1))
-        return np.linalg.eigh(a)
+        if nonfinite:
+            raise ValueError("factors must not contain infs or NaNs")
+        if lowest is None or lowest >= dim:
+            return np.linalg.eigh(h.matrix)
+        if dim <= DENSE_MAX_DIM:
+            return sla.eigh(h.matrix, subset_by_index=(0, lowest - 1))
+        op = spla.LinearOperator(h.shape, matvec=h.matvec, dtype=float)
+        return spla.eigsh(op, k=lowest, which="SA", v0=np.ones(dim), tol=0)
     except (np.linalg.LinAlgError, sla.LinAlgError, ValueError,
             spla.ArpackError) as exc:
-        raise SolverError(f"eigensolver failed: {exc} "
-                          f"[{_diagnostics(a)}]") from exc
+        raise SolverError(f"eigensolver failed: {exc} [dim={dim}, "
+                          f"non-finite entries in factors={nonfinite}]"
+                          ) from exc
 
 
 @dataclass(frozen=True)
@@ -246,7 +240,7 @@ class SpectrumResult:
     confidence: np.ndarray
     index_of: dict
 
-    def level_index(self, label, min_confidence: float = 0.0) -> int:
+    def energy(self, label, min_confidence: float = 0.0) -> float:
         label = tuple(label)
         if label not in self.index_of:
             raise LabelError(f"label {label} not retained in spectrum",
@@ -258,27 +252,22 @@ class SpectrumResult:
                 f"{self.confidence[j]:.3f} < {min_confidence:.3f} "
                 "(near an avoided crossing)",
                 label=label, confidence=float(self.confidence[j]))
-        return j
-
-    def energy(self, label, min_confidence: float = 0.0) -> float:
-        return float(self.energies[self.level_index(label, min_confidence)])
+        return float(self.energies[j])
 
 
 def diagonalize_labeled(h: HamiltonianMatrix,
                         n_lowest: int | None = None) -> SpectrumResult:
     """Ascending spectrum with |n_r m_q> labels by maximal overlap.
 
-    ``n_lowest`` restricts the solve to the lowest levels (all by default),
-    found by Lanczos on the factors above :data:`DENSE_MAX_DIM` and
-    densely otherwise.
+    ``n_lowest`` restricts the solve to the lowest levels (all by default);
+    :func:`solve_hermitian` picks the dense or Lanczos method.
     The basis states (uncoupled fluxonium eigenstates x resonator Fock
     states) are the unit vectors, so a level's squared overlaps are its
     squared eigenvector components, and it claims the label of the largest;
     when two levels claim the same label (possible near avoided crossings)
     only the higher-overlap claimant retains it.
     """
-    lanczos = n_lowest is not None and h.basis.dim > DENSE_MAX_DIM
-    w, v = solve_hermitian(h if lanczos else h.matrix, lowest=n_lowest)
+    w, v = solve_hermitian(h, n_lowest)
     ov = v ** 2
     best = np.argmax(ov, axis=0)               # per level: best basis index
     conf = ov[best, np.arange(w.size)]
@@ -311,7 +300,7 @@ def parse_transition(name):
 
 
 def transition_frequency(spec: SpectrumResult, from_label, to_label,
-                         min_confidence: float = 0.7) -> float:
+                         min_confidence: float = MIN_CONFIDENCE) -> float:
     """Energy difference E(to) - E(from) in GHz between labeled levels."""
     e0 = spec.energy(from_label, min_confidence)
     e1 = spec.energy(to_label, min_confidence)
@@ -352,7 +341,8 @@ def _chi_from_levels(spec: SpectrumResult,
 
 def dispersive_shift(eff: EffectiveFluxonium, phi_eff: float,
                      basis: FockBasisSpec = DEFAULT_BASIS,
-                     min_confidence: float = 0.7) -> DispersiveShiftResult:
+                     min_confidence: float = MIN_CONFIDENCE
+                     ) -> DispersiveShiftResult:
     """Dispersive shift chi at one flux bias, in MHz.
 
     Uses a lowest-:data:`N_LOWEST` subset solve. Results are flagged invalid
@@ -398,7 +388,7 @@ def _transition_name(tr):
 def flux_sweep(eff: EffectiveFluxonium, flux_grid,
                basis: FockBasisSpec = DEFAULT_BASIS,
                transitions=("f01",),
-               min_confidence: float = 0.7) -> SweepResult:
+               min_confidence: float = MIN_CONFIDENCE) -> SweepResult:
     """Transition frequencies and chi over a flux grid.
 
     Grid points are solved one after another, in grid order. Per-point
@@ -445,19 +435,23 @@ class ConvergenceRow:
 
 
 def convergence_report(eff: EffectiveFluxonium, phi_eff: float,
-                       basis_ladder, min_confidence: float = 0.7) -> list:
+                       basis_ladder,
+                       min_confidence: float = MIN_CONFIDENCE) -> list:
     """f01 and chi versus basis size, with successive differences.
 
-    ``basis_ladder`` is an ascending sequence of (m_qubit, n_res) pairs.
+    ``basis_ladder`` holds (m_qubit, n_res) pairs of strictly rising dim.
     Quote chi at the +-0.01 MHz level only after the chi deltas at the top
     of the ladder drop below that scale. f01 is read at any overlap, but a
     rung where no solved level keeps the (0, 0) or (0, 1) label raises
     :class:`LabelError`.
     """
+    bases = [FockBasisSpec(int(m), int(n)) for m, n in basis_ladder]
+    if any(b.dim <= a.dim for a, b in zip(bases, bases[1:])):
+        raise ValueError("basis ladder dims must strictly ascend, got "
+                         f"{[b.dim for b in bases]}")
     rows = []
     prev_f01 = prev_chi = None
-    for m, n in basis_ladder:
-        basis = FockBasisSpec(int(m), int(n))
+    for basis in bases:
         spec = diagonalize_labeled(build_hamiltonian(eff, phi_eff, basis),
                                    N_LOWEST)
         f01 = transition_frequency(spec, (0, 0), (0, 1), 0.0)

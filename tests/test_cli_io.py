@@ -512,6 +512,22 @@ class TestCli:
                      "--out", str(tmp_path / "o.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["chi", "--out", "{dir}"],
+        ["fit", "--data", "{dir}", "--out", "{dir}/fit.json"],
+        ["analyze-trace", "--trace", "{dir}", "--out", "{dir}/dwell.json"],
+    ], ids=["chi-out", "fit-data", "analyze-trace-trace"])
+    def test_directory_path_exit_2(self, tmp_path, capsys, argv):
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("ladder, where", [
+        ("25x", "'25x'"), ("25x15,40", "'40'"), ("40x25,25x15", "ascend")],
+        ids=["no-n", "no-x", "descending"])
+    def test_bad_ladder_exit_2(self, capsys, ladder, where):
+        assert main(["chi", "--ladder", ladder]) == 2
+        assert where in capsys.readouterr().err
+
     def test_label_error_exit_1(self, tmp_path, monkeypatch, capsys):
         def unresolved(args, config, meta):
             raise LabelError("label (1, 1) not retained in spectrum",

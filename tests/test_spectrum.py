@@ -56,23 +56,14 @@ class TestHarmonicLimits:
                 assert spec.energy((nr, mq)) == pytest.approx(
                     mq * f_q + nr * f_r, abs=1e-9)
 
-    def test_two_level_splitting(self):
-        g = 0.137
-        w, _ = solve_hermitian(np.array([[0.0, g], [g, 0.0]]))
-        assert w[1] - w[0] == pytest.approx(2 * g, rel=1e-12)
-
-    def test_solver_failure_carries_diagnostics(self):
-        bad = np.full((4, 4), np.nan)
-        with pytest.raises(SolverError, match="dim=4"):
-            solve_hermitian(bad)
-        with pytest.raises(SolverError, match="non-finite"):
-            solve_hermitian(bad, lowest=2)
-        op = HamiltonianMatrix(diagonal=np.r_[np.nan, np.ones(11)],
-                               coupling=np.zeros((4, 4)),
-                               basis=FockBasisSpec(4, 3))
+    @pytest.mark.parametrize("lowest", [None, 2])
+    def test_solver_failure_carries_diagnostics(self, lowest):
+        bad = HamiltonianMatrix(diagonal=np.r_[np.nan, np.ones(11)],
+                                coupling=np.zeros((4, 4)),
+                                basis=FockBasisSpec(4, 3))
         with pytest.raises(SolverError,
                            match=r"dim=12, non-finite entries in factors=1"):
-            solve_hermitian(op, lowest=2)
+            solve_hermitian(bad, lowest)
 
 
 class TestNormalModeOracle:
@@ -114,18 +105,17 @@ class TestHamiltonianProperties:
 
     def test_periodicity_one_flux_quantum(self):
         for phi in (0.13, 0.37):
-            w1, _ = solve_hermitian(
-                build_hamiltonian(EFF, phi, BASIS).matrix, lowest=40)
+            w1, _ = solve_hermitian(build_hamiltonian(EFF, phi, BASIS), 40)
             w2, _ = solve_hermitian(
-                build_hamiltonian(EFF, phi + 1.0, BASIS).matrix, lowest=40)
+                build_hamiltonian(EFF, phi + 1.0, BASIS), 40)
             assert np.max(np.abs(w1 - w2)) < 1e-9
 
     @pytest.mark.parametrize("delta", [0.05, 0.1, 0.2])
     def test_half_flux_symmetry(self, delta):
-        w1, _ = solve_hermitian(
-            build_hamiltonian(EFF, 0.5 + delta, BASIS).matrix, lowest=40)
-        w2, _ = solve_hermitian(
-            build_hamiltonian(EFF, 0.5 - delta, BASIS).matrix, lowest=40)
+        w1, _ = solve_hermitian(build_hamiltonian(EFF, 0.5 + delta, BASIS),
+                                40)
+        w2, _ = solve_hermitian(build_hamiltonian(EFF, 0.5 - delta, BASIS),
+                                40)
         assert np.max(np.abs(w1 - w2)) < 1e-9
 
     def test_invalid_inputs(self):
@@ -379,6 +369,13 @@ class TestConvergenceReport:
         assert rows[0].delta_f01_ghz is None
         assert rows[0].delta_chi_mhz is None
 
+    @pytest.mark.parametrize("ladder", [[(40, 25), (25, 15)],
+                                        [(25, 15), (15, 25)]],
+                             ids=["descending", "repeated-dim"])
+    def test_ladder_must_ascend(self, ladder):
+        with pytest.raises(ValueError, match="ascend"):
+            convergence_report(EFF, 0.5, ladder)
+
     def test_ladder_shows_convergence(self):
         rows = convergence_report(EFF, 0.5, [(25, 15), (40, 25), (50, 40)])
         assert abs(rows[2].delta_chi_mhz) < 0.01
@@ -425,6 +422,17 @@ class TestLanczosSolve:
                            match=r"dim=1125, non-finite entries in factors=0"):
             convergence_report(EFF, 0.5, [(45, 25)])
 
-    def test_full_solve_needs_lowest(self):
-        with pytest.raises(ValueError, match="lowest"):
-            solve_hermitian(build_hamiltonian(EFF, 0.5, FockBasisSpec(4, 3)))
+    @pytest.mark.parametrize("m, n, calls", [(40, 25, 0), (42, 24, 1)])
+    def test_routing_at_crossover(self, m, n, calls, monkeypatch):
+        # dim 1000 is the last dense one, dim 1008 the first on Lanczos
+        seen = []
+        eigsh = spectrum.spla.eigsh
+
+        def spy(*args, **kwargs):
+            seen.append(args[0].shape)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum.spla, "eigsh", spy)
+        diagonalize_labeled(build_hamiltonian(EFF, 0.5, FockBasisSpec(m, n)),
+                            N_LOWEST)
+        assert len(seen) == calls
