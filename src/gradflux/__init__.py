@@ -25,8 +25,8 @@ from .spectrum import (DEFAULT_BASIS, DispersiveShiftResult, FockBasisSpec,
                        HamiltonianMatrix, LabelError, SolverError,
                        SpectrumResult, SweepResult, build_hamiltonian,
                        convergence_report, diagonalize_labeled,
-                       dispersive_shift, flux_sweep, hermiticity_defect,
-                       parse_transition, transition_frequency)
+                       dispersive_shift, flux_sweep, parse_transition,
+                       transition_frequency)
 from .units import EC_GHZ_FF, EL_GHZ_NH, PHI0
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -119,7 +119,19 @@ def _basis_from(config):
                          config["basis"]["n_res"])
 
 
+def _check_out(*paths):
+    """Reject output paths that cannot take a file, before any work."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise ConfigError(f"output path {path} is a directory")
+        if not path.parent.is_dir():
+            raise ConfigError(f"output path {path}: no directory "
+                              f"{path.parent}")
+
+
 def cmd_sweep(args, config, meta) -> int:
+    out = Path(args.out)
+    _check_out(out, out.with_suffix(".json"))
     eff = effective_from_config(config["circuit"])
     sweep_cfg = config["sweep"]
     if sweep_cfg["points"] < 1:
@@ -135,7 +147,6 @@ def cmd_sweep(args, config, meta) -> int:
     sweep = flux_sweep(eff, grid, basis=_basis_from(config),
                        transitions=transitions,
                        min_confidence=config["tolerances"]["min_confidence"])
-    out = Path(args.out)
     io.write_sweep_csv(out, sweep, meta=meta)
     io.write_sweep_json(out.with_suffix(".json"), sweep, meta=meta)
     print(f"sweep: {len(sweep.points)} rows, {len(sweep.errors)} errors "
@@ -147,6 +158,8 @@ def cmd_sweep(args, config, meta) -> int:
 
 
 def cmd_chi(args, config, meta) -> int:
+    if args.out:
+        _check_out(args.out)
     eff = effective_from_config(config["circuit"])
     min_conf = config["tolerances"]["min_confidence"]
     if args.ladder:
@@ -179,6 +192,7 @@ def cmd_chi(args, config, meta) -> int:
 
 
 def cmd_fit(args, config, meta) -> int:
+    _check_out(args.out)
     dataset = io.read_spectroscopy_csv(args.data)
     fit_cfg = config["fit"]
     if fit_cfg["forward"] not in ("single-loop", "coupled"):

@@ -6,8 +6,10 @@ frequencies by weighted least squares against the numerically diagonalized
 fluxonium model. Each start of a Latin-hypercube multi-start runs scipy's
 trust-region-reflective least squares (Branch, Coleman & Li, SIAM J. Sci.
 Comput. 21, 1 (1999)) on the weighted residual vector, with the bounds
-handled by reflection and a forward-difference Jacobian; everything is
-deterministic given the seed.
+handled by reflection; everything is deterministic given the seed. The
+single-loop model's Jacobian is analytic: one batched ``eigh`` gives the
+levels and their Hellmann-Feynman derivatives together. The coupled
+two-mode model falls back to forward differences.
 
 Also here: extraction of the shared inductance from a measured dispersive
 shift (bracketed root search), exponential/Ramsey/echo decay-curve fits,
@@ -21,10 +23,11 @@ from scipy.optimize import brentq, curve_fit, least_squares
 
 from .circuit import DEVICE_GEOMETRY, balanced_branch_circuit, reduce_circuit
 from .spectrum import (DEFAULT_BASIS, FockBasisSpec, LabelError,
-                       SolverError, build_hamiltonian, diagonalize_labeled,
-                       dispersive_shift, parse_transition,
-                       qubit_hamiltonians, transition_frequency)
-from .units import EC_GHZ_FF, EL_GHZ_NH
+                       SolverError, _phase_quadrature, build_hamiltonian,
+                       diagonalize_labeled, dispersive_shift,
+                       parse_transition, qubit_hamiltonians,
+                       transition_frequency)
+from .units import EC_GHZ_FF, EL_GHZ_NH, mode_frequency, phase_zpf
 
 TRANSITION_KINDS = ("f01", "f02")
 
@@ -88,23 +91,56 @@ class SpectroscopyDataset:
         return self.x.size
 
 
-def single_loop_transitions(lq, cj, ej, phis, m=30, n_levels=3):
+def single_loop_transitions(lq, cj, ej, phis, m=30, n_levels=3, *,
+                            gradient=False):
     """Batched single-loop fluxonium levels over flux points.
 
     Returns an (n_flux, n_levels) array of the lowest eigenvalues [GHz]:
     the Hamiltonian stack of :func:`~gradflux.spectrum.qubit_hamiltonians`,
     diagonalized in one batched call.
+
+    With ``gradient=True`` that call is one batched ``eigh`` and the result
+    is ``(levels, d_levels)``: ``d_levels`` (n_flux, n_levels, 4) holds the
+    derivatives of each level with respect to lq [nH], cj [fF], ej [GHz]
+    and the flux [Phi_0], in that order. The stack is
+    H = diag(f_q k) - E_J V diag(cos(zeta theta_0 + 2 pi phi)) V^T, with
+    (theta_0, V) the eigenpairs of the Fock phase quadrature, f_q the
+    (LC)^-1/2 mode frequency and zeta the (L/C)^1/4 phase spread. The
+    derivatives are Hellmann-Feynman, dE_k/dp = u_k^T (dH/dp) u_k, exact
+    for the truncated matrix wherever the levels are non-degenerate
+    (Groszkowski & Koch, Quantum 5, 583 (2021)).
     """
-    return np.linalg.eigvalsh(qubit_hamiltonians(lq, cj, ej, phis, m))[
-        :, :n_levels]
+    h = qubit_hamiltonians(lq, cj, ej, phis, m)
+    if not gradient:
+        return np.linalg.eigvalsh(h)[:, :n_levels]
+    levels, u = np.linalg.eigh(h)
+    u = u[:, :, :n_levels]
+    theta0, v = np.linalg.eigh(_phase_quadrature(m))
+    zeta = phase_zpf(lq, cj)
+    arg = zeta * theta0 + 2.0 * np.pi * np.atleast_1d(phis)[:, None]
+    sin = np.sin(arg)
+    # dH/dE_J, dH/dzeta / E_J and dH/dphi / E_J are each V diag(term) V^T,
+    # so u^T (dH/dp) u sums the term weighted by (V^T u)^2
+    terms = np.stack([-np.cos(arg), theta0 * sin, 2.0 * np.pi * sin],
+                     axis=-1)
+    d_ej, d_zeta, d_phi = np.moveaxis(
+        np.swapaxes((v.T @ u) ** 2, 1, 2) @ terms, -1, 0)
+    d_fq = np.arange(m) @ u ** 2
+    fq = mode_frequency(lq, cj)
+    d_lq = -0.5 * fq / lq * d_fq + 0.25 * zeta * ej / lq * d_zeta
+    d_cj = -0.5 * fq / cj * d_fq - 0.25 * zeta * ej / cj * d_zeta
+    return levels[:, :n_levels], np.stack(
+        [d_lq, d_cj, d_ej, ej * d_phi], axis=-1)
 
 
 def _model_freqs_single_loop(lq, cj, ej, phis, transitions, m):
-    levels = single_loop_transitions(lq, cj, ej, phis, m=m, n_levels=3)
-    f01 = levels[:, 1] - levels[:, 0]
-    f02 = levels[:, 2] - levels[:, 0]
-    kind = np.asarray([1 if t == "f02" else 0 for t in transitions])
-    return np.where(kind == 1, f02, f01)
+    """f01 or f02 per row, and its derivatives in (lq, cj, ej, phi)."""
+    levels, d_levels = single_loop_transitions(lq, cj, ej, phis, m=m,
+                                               n_levels=3, gradient=True)
+    rows = np.arange(levels.shape[0])
+    upper = np.where(np.asarray(transitions) == "f02", 2, 1)
+    return (levels[rows, upper] - levels[:, 0],
+            d_levels[rows, upper] - d_levels[:, 0])
 
 
 def _model_freqs_coupled(lq, cj, ej, phis, transitions, resonator, basis):
@@ -126,9 +162,10 @@ class FitResult:
 
     ``params`` holds lq_nh, cj_ff, ej_ghz and, for field-unit datasets, the
     nuisance scale_phi0_per_t and offset_phi0. ``sensitivity`` is the rms
-    finite-difference derivative of the model frequencies per parameter
-    (GHz per parameter unit); ``stderr`` the covariance-proxy standard
-    errors from the weighted Jacobian. ``status`` is "converged", or, on
+    derivative of the model frequencies per parameter at the optimum (GHz
+    per parameter unit); ``stderr`` the covariance-proxy standard errors
+    from the weighted Jacobian. ``nfev`` counts forward-model evaluations
+    over all starts. ``status`` is "converged", or, on
     the result a :class:`FitError` carries, "max-evaluations" or
     "model-failure". ``forward`` names the model fitted, "single-loop" or
     "coupled".
@@ -203,6 +240,7 @@ class _Start:
     p: np.ndarray
     chi2: float = np.inf
     freqs: np.ndarray | None = None
+    jac: np.ndarray | None = None   # at p, when the model gives it
     nfev: int = 0
     end: str = "converged"      # or "max-evaluations", "model-failure"
     failure: str = ""           # the model's error, for "model-failure"
@@ -219,10 +257,10 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
 
     Minimizes sum(((f_model - f_meas)/sigma)^2) by trust-region-reflective
     least squares (``scipy.optimize.least_squares``, method "trf") on the
-    weighted residual vector, with a forward-difference Jacobian, from the
-    heuristic initial guess plus ``n_starts - 1`` Latin-hypercube points
-    over the bounds (deterministic per ``seed``). Parameters with
-    zero-width bounds are pinned at that value and left out of the solve.
+    weighted residual vector, from the heuristic initial guess plus
+    ``n_starts - 1`` Latin-hypercube points over the bounds (deterministic
+    per ``seed``). Parameters with zero-width bounds are pinned at that
+    value and left out of the solve.
     Giving ``resonator`` ({ls, lr, cr}) selects the coupled two-mode
     forward model in the ``coupled_basis``; without it the single-loop
     fluxonium model in ``basis_m`` Fock states is fitted. ``forward`` in the
@@ -230,15 +268,24 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
     offset nuisance parameters unless they are pinned via ``init``/``bounds``
     with zero-width bounds.
 
-    Each start may spend ``max_nfev`` forward evaluations, Jacobian probes
-    included; ``nfev`` is their total over all starts. A start whose budget
-    runs out, or whose model raises :class:`LabelError` or
-    :class:`SolverError` at any evaluation (trial step or Jacobian probe),
-    ends at the best point it evaluated; the other starts go on. The result
-    is the lowest chi^2 any start evaluated; ``history`` lists that start's
-    successive best values. If the model fails while the central-difference
-    Jacobian is taken at the optimum, that parameter's ``sensitivity`` and
-    every ``stderr`` (the covariance needs all columns) are nan.
+    The single-loop model returns its analytic Jacobian with every
+    evaluation (:func:`single_loop_transitions` with ``gradient=True``), and
+    TRF's Jacobian at a point reuses the evaluation just made there; the
+    same Jacobian at the optimum gives ``stderr`` and ``sensitivity``. The
+    coupled model has no analytic Jacobian: TRF takes forward differences,
+    and the diagnostics come from central differences at the optimum.
+
+    Each start may spend ``max_nfev`` forward evaluations, difference
+    probes included; ``nfev`` is their total over all starts (the coupled
+    model's central differences at the optimum are not counted). A start
+    whose budget runs out, or whose model raises :class:`LabelError` or
+    :class:`SolverError` at any evaluation (trial step or difference
+    probe), ends at the best point it evaluated; the other starts go on.
+    The result is the lowest chi^2 any start evaluated; ``history`` lists
+    that start's successive best values. If the coupled model fails while
+    the central-difference Jacobian is taken at the optimum, that
+    parameter's ``sensitivity`` and every ``stderr`` (the covariance needs
+    all columns) are nan.
 
     Raises :class:`FitError` if no start converges, with the best-so-far
     result attached: its ``status`` is "max-evaluations" if some start ran
@@ -280,15 +327,18 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
     trs = dataset.transition
 
     def model(p):
-        if dataset.unit == "tesla":
-            phis = p[3] * x_meas + p[4]
-        else:
-            phis = x_meas
-        if resonator is None:
-            return _model_freqs_single_loop(p[0], p[1], p[2], phis, trs,
+        """Model frequencies at p; for the single loop also their Jacobian
+        in ``names`` order, else None."""
+        phis = p[3] * x_meas + p[4] if dataset.unit == "tesla" else x_meas
+        if resonator is not None:
+            return _model_freqs_coupled(p[0], p[1], p[2], phis, trs,
+                                        resonator, coupled_basis), None
+        freqs, d = _model_freqs_single_loop(p[0], p[1], p[2], phis, trs,
                                             basis_m)
-        return _model_freqs_coupled(p[0], p[1], p[2], phis, trs, resonator,
-                                    coupled_basis)
+        if dataset.unit == "tesla":    # phi = scale * x + offset
+            return freqs, np.column_stack([d[:, :3], d[:, 3] * x_meas,
+                                           d[:, 3]])
+        return freqs, d[:, :3]
 
     rng = np.random.default_rng(seed)
     starts = [x0]
@@ -307,31 +357,42 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
 
     def run_start(st):
         out = _Start(p=st)
+        last = None         # the latest evaluated point and its Jacobian
 
         def residuals(x):
-            # every forward evaluation counts, Jacobian probes included
+            nonlocal last
+            # every forward evaluation counts, finite-difference probes too
             if out.nfev == max_nfev:
                 raise _StopStart("max-evaluations")
             out.nfev += 1
             p = st.copy()
             p[free] = x
             try:
-                freqs = model(p)
+                freqs, jac = model(p)
             except (LabelError, SolverError) as exc:
                 out.failure = str(exc)
                 raise _StopStart("model-failure") from None
             r = (freqs - f_meas) / sig
             chi2 = float(np.dot(r, r))
             if chi2 < out.chi2:
-                out.p, out.chi2, out.freqs = p, chi2, freqs
+                out.p, out.chi2, out.freqs, out.jac = p, chi2, freqs, jac
                 out.history.append(chi2)
+            last = (x.copy(), jac)
             return r
 
-        # TRF's own count leaves out Jacobian probes, so its max_nfev never
-        # binds before ours; passing it only lifts TRF's default of 100 n
+        def jacobian(x):
+            # TRF asks for the Jacobian at the point it has just evaluated
+            if last is None or not np.array_equal(x, last[0]):
+                residuals(x)
+            return last[1][:, free] / sig[:, None]
+
+        # TRF's own count leaves out finite-difference probes, so its
+        # max_nfev never binds before ours; passing it only lifts TRF's
+        # default of 100 n
         try:
             if not least_squares(
                     residuals, st[free], bounds=(lo[free], hi[free]),
+                    jac="2-point" if resonator is not None else jacobian,
                     method="trf", x_scale="jac", xtol=1e-10, ftol=1e-12,
                     gtol=1e-12, max_nfev=max_nfev).success:
                 out.end = "max-evaluations"
@@ -356,18 +417,22 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
     resid = best.freqs - f_meas
     params = dict(zip(names, (float(v) for v in p)))
 
-    # covariance proxy and sensitivities from central differences at optimum;
-    # a parameter whose probes fail the model keeps a nan column
-    jac = np.full((len(dataset), len(names)), np.nan)
-    for k in range(len(names)):
-        step = 1e-4 * max(abs(p[k]), 1e-6)
-        pp, pm = p.copy(), p.copy()
-        pp[k] += step
-        pm[k] -= step
-        try:
-            jac[:, k] = (model(pp) - model(pm)) / (2.0 * step)
-        except (LabelError, SolverError):
-            continue
+    # covariance proxy and sensitivities from the Jacobian at the optimum:
+    # the single loop's came with its levels; the coupled model's is taken
+    # by central differences, and a parameter whose probes fail the model
+    # keeps a nan column
+    jac = best.jac
+    if jac is None:
+        jac = np.full((len(dataset), len(names)), np.nan)
+        for k in range(len(names)):
+            step = 1e-4 * max(abs(p[k]), 1e-6)
+            pp, pm = p.copy(), p.copy()
+            pp[k] += step
+            pm[k] -= step
+            try:
+                jac[:, k] = (model(pp)[0] - model(pm)[0]) / (2.0 * step)
+            except (LabelError, SolverError):
+                continue
     sensitivity = {names[k]: float(np.sqrt(np.mean(jac[:, k] ** 2)))
                    for k in range(len(names))}
     jw = jac / sig[:, None]

@@ -189,14 +189,6 @@ def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
         coupling=g * (0.5 * (phi_q + phi_q.T)), basis=basis)
 
 
-def hermiticity_defect(matrix: np.ndarray) -> float:
-    """max|H - H^dag| normalized by max|H|; zero for exactly symmetric H."""
-    scale = np.abs(matrix).max()
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(matrix - matrix.conj().T).max() / scale)
-
-
 def solve_hermitian(h: HamiltonianMatrix, lowest: int | None = None):
     """Ascending eigenvalues and eigenvectors of the two-mode Hamiltonian.
 

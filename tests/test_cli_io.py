@@ -521,6 +521,27 @@ class TestCli:
         assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--points", "3"],
+        ["chi", "--ladder", "25x15,40x25"],
+        ["fit", "--data", "{dir}/spec.csv"],
+    ], ids=["sweep", "chi", "fit"])
+    @pytest.mark.parametrize("out", ["{dir}/out", "{dir}/out/no/out.json"],
+                             ids=["directory", "no-parent"])
+    def test_bad_out_rejected_before_work(self, tmp_path, monkeypatch,
+                                          capsys, dataset, argv, out):
+        def never(*args, **kwargs):
+            raise AssertionError("computed before checking --out")
+
+        for name in ("flux_sweep", "convergence_report", "fit_spectrum"):
+            monkeypatch.setattr(cli, name, never)
+        gfio.write_spectroscopy_csv(tmp_path / "spec.csv", dataset)
+        (tmp_path / "out").mkdir()
+        argv = [a.format(dir=tmp_path) for a in argv + ["--out", out]]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: output path")
+        assert list((tmp_path / "out").iterdir()) == []
+
     @pytest.mark.parametrize("ladder, where", [
         ("25x", "'25x'"), ("25x15,40", "'40'"), ("40x25,25x15", "ascend")],
         ids=["no-n", "no-x", "descending"])

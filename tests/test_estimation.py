@@ -126,21 +126,26 @@ class TestFitSpectrum:
         assert np.isfinite(best.chi2)
 
     def test_nfev_counts_every_forward_evaluation(self, monkeypatch):
-        """nfev is every forward call of the optimization, Jacobian probes
-        included (the 6 central-difference calls at the optimum come after
-        it); an exhausted budget stops each start at exactly max_nfev."""
+        """nfev is every forward call, and the single-loop fit makes each
+        through single_loop_transitions with its gradient (no difference
+        probes, none at the optimum); an exhausted budget stops each start
+        at exactly max_nfev."""
         calls = []
-        model = estimation._model_freqs_single_loop
-        monkeypatch.setattr(estimation, "_model_freqs_single_loop",
-                            lambda *a: calls.append(a) or model(*a))
+        forward = estimation.single_loop_transitions
+
+        def counted(*a, **kw):
+            calls.append(kw.get("gradient"))
+            return forward(*a, **kw)
+
+        monkeypatch.setattr(estimation, "single_loop_transitions", counted)
         data = synthetic_dataset(noise_ghz=1e-3, seed=4)
         fit = fit_spectrum(data, n_starts=3, seed=0)
         assert fit.status == "converged"
-        assert fit.nfev == len(calls) - 6
+        assert fit.nfev == len(calls) and all(calls)
         calls.clear()
         with pytest.raises(FitError) as err:
-            fit_spectrum(data, n_starts=3, seed=0, max_nfev=10)
-        assert err.value.best.nfev == len(calls) - 6 == 3 * 10
+            fit_spectrum(data, n_starts=3, seed=0, max_nfev=5)
+        assert err.value.best.nfev == len(calls) == 3 * 5
 
     def test_model_failure_during_optimization_ends_start(self, monkeypatch):
         """A label failure partway through a start ends that start at its
@@ -160,22 +165,23 @@ class TestFitSpectrum:
                 return model(*a)
             return wrapped
 
-        # from the 8th call on, inside the first start, every call fails
+        # from the 5th call on, inside the first start (7 calls when clean),
+        # every call fails
         monkeypatch.setattr(estimation, "_model_freqs_single_loop",
-                            failing(lambda n: n >= 8))
+                            failing(lambda n: n >= 5))
         with pytest.raises(FitError, match=r"0 of 3 used up their 2000 "
                            r"evaluations, 3 stopped on a model failure "
                            r"\(first: label \(1, 1\)") as err:
             fit_spectrum(data, n_starts=3, seed=0)
         best = err.value.best
         assert best.status == "model-failure"
-        assert best.best_start == 0 and best.nfev == 8 + 1 + 1
+        assert best.best_start == 0 and best.nfev == 5 + 1 + 1
         assert best.start_objectives[1:] == (np.inf, np.inf)
         assert best.chi2 == best.history[-1] > clean.chi2
 
-        # only the 8th call fails: the first start ends, the others converge
+        # only the 5th call fails: the first start ends, the others converge
         monkeypatch.setattr(estimation, "_model_freqs_single_loop",
-                            failing(lambda n: n == 8))
+                            failing(lambda n: n == 5))
         fit = fit_spectrum(data, n_starts=3, seed=0)
         assert fit.status == "converged"
         assert fit.start_objectives[0] == best.start_objectives[0]
@@ -183,11 +189,14 @@ class TestFitSpectrum:
         assert fit.chi2 == pytest.approx(clean.chi2, rel=1e-9)
 
     def test_model_failure_at_optimum_keeps_fit(self, monkeypatch):
-        """A label failure in the central-difference probes of one parameter
-        leaves the converged fit and makes only its diagnostics nan."""
-        data = synthetic_dataset(noise_ghz=1e-3, seed=2)
-        clean = fit_spectrum(data, n_starts=2, seed=0)
-        model = estimation._model_freqs_single_loop
+        """A label failure in the coupled model's central-difference probes
+        of one parameter at the optimum leaves the converged fit and makes
+        only its diagnostics nan."""
+        data, resonator, basis = coupled_dataset()
+        kwargs = dict(init=dict(TRUE), resonator=resonator,
+                      coupled_basis=basis, n_starts=1, seed=0, max_nfev=600)
+        clean = fit_spectrum(data, **kwargs)
+        model = estimation._model_freqs_coupled
         calls = []
 
         def failing(lq, *rest):
@@ -196,8 +205,8 @@ class TestFitSpectrum:
                 raise LabelError("label (0, 1) not retained in spectrum")
             return model(lq, *rest)
 
-        monkeypatch.setattr(estimation, "_model_freqs_single_loop", failing)
-        fit = fit_spectrum(data, n_starts=2, seed=0)
+        monkeypatch.setattr(estimation, "_model_freqs_coupled", failing)
+        fit = fit_spectrum(data, **kwargs)
         assert fit.params == clean.params
         assert fit.chi2 == clean.chi2
         assert np.isnan(fit.sensitivity["lq_nh"])
@@ -218,25 +227,86 @@ class TestFitSpectrum:
             assert val / 3 < guess[key] < val * 3
 
     def test_coupled_forward_roundtrip(self):
-        basis = FockBasisSpec(16, 6)
-        resonator = {"ls": 2.8, "lr": 21.6, "cr": 20.2}
-        eff = reduce_circuit(balanced_branch_circuit(
-            TRUE["lq_nh"], resonator["ls"], resonator["lr"],
-            resonator["cr"], TRUE["cj_ff"], TRUE["ej_ghz"]))
-        from gradflux.estimation import _model_freqs_coupled
-        phis = np.linspace(0.1, 0.9, 8)
-        trans = tuple("f01" for _ in phis)
-        freq = _model_freqs_coupled(TRUE["lq_nh"], TRUE["cj_ff"],
-                                    TRUE["ej_ghz"], phis, trans, resonator,
-                                    basis)
-        data = SpectroscopyDataset(x=phis, transition=trans, freq_ghz=freq,
-                                   sigma_ghz=np.full(8, 1e-3))
+        data, resonator, basis = coupled_dataset()
         fit = fit_spectrum(data, init=dict(TRUE),
                            resonator=resonator, coupled_basis=basis,
                            n_starts=1, seed=0, max_nfev=600)
         assert fit.forward == "coupled"
         for key, val in TRUE.items():
             assert fit.params[key] == pytest.approx(val, rel=5e-3)
+
+
+def coupled_dataset():
+    """Eight f01 rows of the coupled model at the truth, in a 16x6 basis."""
+    basis = FockBasisSpec(16, 6)
+    resonator = {"ls": 2.8, "lr": 21.6, "cr": 20.2}
+    phis = np.linspace(0.1, 0.9, 8)
+    trans = tuple("f01" for _ in phis)
+    freq = estimation._model_freqs_coupled(
+        TRUE["lq_nh"], TRUE["cj_ff"], TRUE["ej_ghz"], phis, trans,
+        resonator, basis)
+    data = SpectroscopyDataset(x=phis, transition=trans, freq_ghz=freq,
+                               sigma_ghz=np.full(8, 1e-3))
+    return data, resonator, basis
+
+
+class TestJacobian:
+    """The single-loop fit's Hellmann-Feynman Jacobian against central
+    differences."""
+
+    @staticmethod
+    def central(f, p, k, step):
+        pp, pm = list(p), list(p)
+        pp[k] += step
+        pm[k] -= step
+        return (f(pp) - f(pm)) / (2.0 * step)
+
+    @pytest.mark.parametrize("t", [None, 0.25, 0.75],
+                             ids=["truth", "low", "high"])
+    def test_levels_match_central_differences(self, t):
+        if t is None:
+            p = list(TRUE.values())
+        else:           # log-space points inside the default fit bounds
+            bounds = estimation._default_bounds(
+                initial_guess(synthetic_dataset()))
+            p = [lo ** (1 - t) * hi ** t for lo, hi in bounds.values()]
+        phis = np.array([0.0, 0.25, 0.5])
+        levels, d_levels = single_loop_transitions(*p, phis, gradient=True)
+        np.testing.assert_allclose(levels, single_loop_transitions(*p, phis),
+                                   rtol=0, atol=1e-12)
+        for k in range(3):
+            fd = self.central(lambda q: single_loop_transitions(*q, phis),
+                              p, k, 1e-4 * p[k])
+            np.testing.assert_allclose(d_levels[..., k], fd, rtol=1e-6)
+        fd = (single_loop_transitions(*p, phis + 1e-5)
+              - single_loop_transitions(*p, phis - 1e-5)) / 2e-5
+        # dE/dphi vanishes at 0 and 0.5 by symmetry: those entries get atol
+        np.testing.assert_allclose(d_levels[..., 3], fd, rtol=1e-6,
+                                   atol=1e-8)
+
+    def test_field_axis_columns_match_weighted_residual(self, monkeypatch):
+        """The scale and offset columns TRF receives for a tesla dataset
+        match central differences of the residual it receives."""
+        data = synthetic_dataset(n=12, unit="tesla", scale=3.6e6,
+                                 offset=0.02)
+        init = dict(TRUE, scale_phi0_per_t=3.5e6, offset_phi0=0.01)
+        checked_at = []
+
+        def checked(fun, x0, **kwargs):
+            jac = kwargs["jac"](x0)
+            for k, step in ((3, 1e-4 * x0[3]), (4, 1e-5)):
+                fd = self.central(lambda x: fun(np.array(x)), x0, k, step)
+                np.testing.assert_allclose(jac[:, k], fd, rtol=1e-6,
+                                           atol=1e-6 * np.abs(fd).max())
+            checked_at.append(x0)
+            return least_squares(fun, x0, **kwargs)
+
+        least_squares = estimation.least_squares
+        monkeypatch.setattr(estimation, "least_squares", checked)
+        fit_spectrum(data, init=init, bounds={
+            "scale_phi0_per_t": (3.0e6, 4.2e6), "offset_phi0": (-0.1, 0.1)},
+            n_starts=1, seed=0)
+        assert len(checked_at) == 1
 
 
 class TestSharedInductance:
