@@ -6,10 +6,10 @@ frequencies by weighted least squares against the numerically diagonalized
 fluxonium model. Each start of a Latin-hypercube multi-start runs scipy's
 trust-region-reflective least squares (Branch, Coleman & Li, SIAM J. Sci.
 Comput. 21, 1 (1999)) on the weighted residual vector, with the bounds
-handled by reflection; everything is deterministic given the seed. The
-single-loop model's Jacobian is analytic: one batched ``eigh`` gives the
-levels and their Hellmann-Feynman derivatives together. The coupled
-two-mode model falls back to forward differences.
+handled by reflection; everything is deterministic given the seed. Both
+forward models, single-loop and coupled two-mode, return the levels and
+their Hellmann-Feynman derivatives from the same eigensolve, so the
+Jacobian is analytic and the fit takes no finite differences.
 
 Also here: extraction of the shared inductance from a measured dispersive
 shift (bracketed root search), exponential/Ramsey/echo decay-curve fits,
@@ -23,11 +23,10 @@ from scipy.optimize import brentq, curve_fit, least_squares
 
 from .circuit import DEVICE_GEOMETRY, balanced_branch_circuit, reduce_circuit
 from .spectrum import (DEFAULT_BASIS, FockBasisSpec, LabelError,
-                       SolverError, _phase_quadrature, build_hamiltonian,
-                       diagonalize_labeled, dispersive_shift,
-                       parse_transition, qubit_hamiltonians,
-                       transition_frequency)
-from .units import EC_GHZ_FF, EL_GHZ_NH, mode_frequency, phase_zpf
+                       SolverError, build_hamiltonian, diagonalize_labeled,
+                       dispersive_shift, parse_transition, qubit_gradient,
+                       qubit_hamiltonians, transition_frequency)
+from .units import EC_GHZ_FF, EL_GHZ_NH, mode_frequency
 
 TRANSITION_KINDS = ("f01", "f02")
 
@@ -101,36 +100,16 @@ def single_loop_transitions(lq, cj, ej, phis, m=30, n_levels=3, *,
 
     With ``gradient=True`` that call is one batched ``eigh`` and the result
     is ``(levels, d_levels)``: ``d_levels`` (n_flux, n_levels, 4) holds the
-    derivatives of each level with respect to lq [nH], cj [fF], ej [GHz]
-    and the flux [Phi_0], in that order. The stack is
-    H = diag(f_q k) - E_J V diag(cos(zeta theta_0 + 2 pi phi)) V^T, with
-    (theta_0, V) the eigenpairs of the Fock phase quadrature, f_q the
-    (LC)^-1/2 mode frequency and zeta the (L/C)^1/4 phase spread. The
-    derivatives are Hellmann-Feynman, dE_k/dp = u_k^T (dH/dp) u_k, exact
-    for the truncated matrix wherever the levels are non-degenerate
-    (Groszkowski & Koch, Quantum 5, 583 (2021)).
+    Hellmann-Feynman derivatives (:func:`~gradflux.spectrum.qubit_gradient`)
+    of each level with respect to lq [nH], cj [fF], ej [GHz] and the flux
+    [Phi_0], in that order, exact wherever the levels are non-degenerate.
     """
     h = qubit_hamiltonians(lq, cj, ej, phis, m)
     if not gradient:
         return np.linalg.eigvalsh(h)[:, :n_levels]
     levels, u = np.linalg.eigh(h)
-    u = u[:, :, :n_levels]
-    theta0, v = np.linalg.eigh(_phase_quadrature(m))
-    zeta = phase_zpf(lq, cj)
-    arg = zeta * theta0 + 2.0 * np.pi * np.atleast_1d(phis)[:, None]
-    sin = np.sin(arg)
-    # dH/dE_J, dH/dzeta / E_J and dH/dphi / E_J are each V diag(term) V^T,
-    # so u^T (dH/dp) u sums the term weighted by (V^T u)^2
-    terms = np.stack([-np.cos(arg), theta0 * sin, 2.0 * np.pi * sin],
-                     axis=-1)
-    d_ej, d_zeta, d_phi = np.moveaxis(
-        np.swapaxes((v.T @ u) ** 2, 1, 2) @ terms, -1, 0)
-    d_fq = np.arange(m) @ u ** 2
-    fq = mode_frequency(lq, cj)
-    d_lq = -0.5 * fq / lq * d_fq + 0.25 * zeta * ej / lq * d_zeta
-    d_cj = -0.5 * fq / cj * d_fq - 0.25 * zeta * ej / cj * d_zeta
-    return levels[:, :n_levels], np.stack(
-        [d_lq, d_cj, d_ej, ej * d_phi], axis=-1)
+    return levels[:, :n_levels], qubit_gradient(
+        lq, cj, ej, np.atleast_1d(phis), u[:, :, :n_levels])
 
 
 def _model_freqs_single_loop(lq, cj, ej, phis, transitions, m):
@@ -144,16 +123,40 @@ def _model_freqs_single_loop(lq, cj, ej, phis, transitions, m):
 
 
 def _model_freqs_coupled(lq, cj, ej, phis, transitions, resonator, basis):
-    eff = reduce_circuit(balanced_branch_circuit(
-        lq_eff=lq, ls=resonator["ls"], lr=resonator["lr"],
-        cr=resonator["cr"], cj=cj, ej=ej))
-    out = np.empty(len(phis))
+    """Labeled transition per row of the two-mode model, and its
+    derivatives in (lq, cj, ej, phi).
+
+    With H = diag(D) - g phi_q (x) X_n, D = e_q (+) k f_r, a level E with
+    eigenvector v has dE/df_r = sum k v^2, dE/dln g = E - sum D v^2, and
+    the qubit part :func:`~gradflux.spectrum.qubit_gradient` of (u_q (x) I) v.
+    """
+    arms = balanced_branch_circuit(lq_eff=lq, cj=cj, ej=ej, **resonator)
+    eff, ls, lr = reduce_circuit(arms), arms.ls, arms.lr
+    m, n = basis.m_qubit, basis.n_res
+    freqs = np.empty(len(phis))
+    d_lng = np.empty((len(phis), 2))
+    y = np.empty((len(phis), 2, m, n))
     for i, phi in enumerate(phis):
-        spec = diagonalize_labeled(build_hamiltonian(eff, phi, basis),
-                                   n_lowest=60)
-        out[i] = transition_frequency(spec, *parse_transition(transitions[i]),
-                                      min_confidence=0.0)
-    return out
+        h = build_hamiltonian(eff, phi, basis)
+        spec = diagonalize_labeled(h, n_lowest=60)
+        pair = parse_transition(transitions[i])
+        freqs[i] = transition_frequency(spec, *pair, min_confidence=0.0)
+        j = [spec.index_of[label] for label in pair]
+        d_lng[i] = spec.energies[j] - h.diagonal @ spec.vectors[:, j] ** 2
+        y[i] = h.qubit_vectors @ spec.vectors[:, j].T.reshape(2, m, n)
+    d_fr = (y ** 2).sum(axis=-2) @ np.arange(n)
+    # balanced arms (l2 = 0, l3 = l1 + ls): with q = l1 (lr + ls) + ls lr,
+    # lr_eff = q / l3, 1/lrq = 2 ls / q and 1/lq = (lr + ls)/q + 1/l3
+    q = arms.l1 * (lr + ls) + ls * lr
+    dl1 = 1.0 / (lq ** 2 * ((lr + ls) ** 2 / q ** 2 + 1.0 / arms.l3 ** 2))
+    dln_lr = ((lr + ls) / q - 1.0 / arms.l3) * dl1
+    # f_r ~ (lr_eff cr)^-1/2 and g ~ (1/lrq) zeta_q zeta_r, zeta ~ (L/C)^1/4
+    dln_g = -(lr + ls) / q * dl1 + 0.25 / lq + 0.25 * dln_lr
+    d = qubit_gradient(lq, cj, ej, np.asarray(phis)[:, None], y).sum(-2)
+    d[..., 0] += (dln_g * d_lng
+                  - 0.5 * mode_frequency(eff.lr, eff.cr) * dln_lr * d_fr)
+    d[..., 1] -= 0.25 / cj * d_lng
+    return freqs, d[:, 1] - d[:, 0]
 
 
 @dataclass(frozen=True)
@@ -164,9 +167,9 @@ class FitResult:
     nuisance scale_phi0_per_t and offset_phi0. ``sensitivity`` is the rms
     derivative of the model frequencies per parameter at the optimum (GHz
     per parameter unit); ``stderr`` the covariance-proxy standard errors
-    from the weighted Jacobian. ``nfev`` counts forward-model evaluations
-    over all starts. ``status`` is "converged", or, on
-    the result a :class:`FitError` carries, "max-evaluations" or
+    from the weighted Jacobian, nan only if it is singular. ``nfev`` counts
+    forward-model evaluations over all starts. ``status`` is "converged",
+    or, on the result a :class:`FitError` carries, "max-evaluations" or
     "model-failure". ``forward`` names the model fitted, "single-loop" or
     "coupled".
     """
@@ -230,7 +233,7 @@ def _latin_hypercube(lo, hi, n_starts, rng):
 
 
 class _StopStart(Exception):
-    """Ends one fit start; its argument is how the start ended."""
+    """Ends one fit start on a model failure."""
 
 
 @dataclass
@@ -240,7 +243,7 @@ class _Start:
     p: np.ndarray
     chi2: float = np.inf
     freqs: np.ndarray | None = None
-    jac: np.ndarray | None = None   # at p, when the model gives it
+    jac: np.ndarray | None = None   # at p
     nfev: int = 0
     end: str = "converged"      # or "max-evaluations", "model-failure"
     failure: str = ""           # the model's error, for "model-failure"
@@ -268,29 +271,22 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
     offset nuisance parameters unless they are pinned via ``init``/``bounds``
     with zero-width bounds.
 
-    The single-loop model returns its analytic Jacobian with every
-    evaluation (:func:`single_loop_transitions` with ``gradient=True``), and
+    Either model returns its analytic Jacobian with every evaluation, and
     TRF's Jacobian at a point reuses the evaluation just made there; the
-    same Jacobian at the optimum gives ``stderr`` and ``sensitivity``. The
-    coupled model has no analytic Jacobian: TRF takes forward differences,
-    and the diagnostics come from central differences at the optimum.
+    same Jacobian at the optimum gives ``stderr`` and ``sensitivity``.
 
-    Each start may spend ``max_nfev`` forward evaluations, difference
-    probes included; ``nfev`` is their total over all starts (the coupled
-    model's central differences at the optimum are not counted). A start
-    whose budget runs out, or whose model raises :class:`LabelError` or
-    :class:`SolverError` at any evaluation (trial step or difference
-    probe), ends at the best point it evaluated; the other starts go on.
-    The result is the lowest chi^2 any start evaluated; ``history`` lists
-    that start's successive best values. If the coupled model fails while
-    the central-difference Jacobian is taken at the optimum, that
-    parameter's ``sensitivity`` and every ``stderr`` (the covariance needs
-    all columns) are nan.
+    Each start may spend ``max_nfev`` forward evaluations, TRF's own
+    budget; ``nfev`` is their total over all starts. A start whose budget
+    runs out, or whose model raises :class:`LabelError` or
+    :class:`SolverError`, ends at the best point it evaluated; the other
+    starts go on. The result is the lowest chi^2 any start evaluated;
+    ``history`` lists that start's successive best values.
 
     Raises :class:`FitError` if no start converges, with the best-so-far
     result attached: its ``status`` is "max-evaluations" if some start ran
     out of budget, else "model-failure". Raises ``ValueError`` for
-    under-determined datasets and an ``n_starts`` or ``max_nfev`` below 1.
+    under-determined datasets, bounds with lower > upper and an
+    ``n_starts`` or ``max_nfev`` below 1.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
@@ -309,7 +305,7 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
             "parameters")
 
     all_bounds = _default_bounds({k: init[k] for k in names if init[k] != 0})
-    all_bounds.setdefault("offset_phi0", (-0.6, 0.6))
+    all_bounds["offset_phi0"] = (-0.6, 0.6)     # either sign
     if bounds:
         all_bounds.update(bounds)
     missing = [k for k in names if k not in all_bounds]
@@ -319,6 +315,9 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
             "bounds")
     lo = np.array([all_bounds[k][0] for k in names])
     hi = np.array([all_bounds[k][1] for k in names])
+    crossed = [k for k, a, b in zip(names, lo, hi) if not a <= b]
+    if crossed:
+        raise ValueError(f"bounds for {crossed} have lower > upper")
     x0 = np.clip(np.array([init[k] for k in names]), lo, hi)
 
     x_meas = dataset.x
@@ -327,14 +326,14 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
     trs = dataset.transition
 
     def model(p):
-        """Model frequencies at p; for the single loop also their Jacobian
-        in ``names`` order, else None."""
+        """Model frequencies at p and their Jacobian in ``names`` order."""
         phis = p[3] * x_meas + p[4] if dataset.unit == "tesla" else x_meas
-        if resonator is not None:
-            return _model_freqs_coupled(p[0], p[1], p[2], phis, trs,
-                                        resonator, coupled_basis), None
-        freqs, d = _model_freqs_single_loop(p[0], p[1], p[2], phis, trs,
-                                            basis_m)
+        if resonator is None:
+            freqs, d = _model_freqs_single_loop(p[0], p[1], p[2], phis, trs,
+                                                basis_m)
+        else:
+            freqs, d = _model_freqs_coupled(p[0], p[1], p[2], phis, trs,
+                                            resonator, coupled_basis)
         if dataset.unit == "tesla":    # phi = scale * x + offset
             return freqs, np.column_stack([d[:, :3], d[:, 3] * x_meas,
                                            d[:, 3]])
@@ -361,9 +360,6 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
 
         def residuals(x):
             nonlocal last
-            # every forward evaluation counts, finite-difference probes too
-            if out.nfev == max_nfev:
-                raise _StopStart("max-evaluations")
             out.nfev += 1
             p = st.copy()
             p[free] = x
@@ -371,7 +367,7 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
                 freqs, jac = model(p)
             except (LabelError, SolverError) as exc:
                 out.failure = str(exc)
-                raise _StopStart("model-failure") from None
+                raise _StopStart from None
             r = (freqs - f_meas) / sig
             chi2 = float(np.dot(r, r))
             if chi2 < out.chi2:
@@ -386,18 +382,14 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
                 residuals(x)
             return last[1][:, free] / sig[:, None]
 
-        # TRF's own count leaves out finite-difference probes, so its
-        # max_nfev never binds before ours; passing it only lifts TRF's
-        # default of 100 n
         try:
             if not least_squares(
                     residuals, st[free], bounds=(lo[free], hi[free]),
-                    jac="2-point" if resonator is not None else jacobian,
-                    method="trf", x_scale="jac", xtol=1e-10, ftol=1e-12,
-                    gtol=1e-12, max_nfev=max_nfev).success:
+                    jac=jacobian, method="trf", x_scale="jac", xtol=1e-10,
+                    ftol=1e-12, gtol=1e-12, max_nfev=max_nfev).success:
                 out.end = "max-evaluations"
-        except _StopStart as stop:
-            out.end = stop.args[0]  # at its best point so far
+        except _StopStart:
+            out.end = "model-failure"   # at its best point so far
         return out
 
     outcomes = [run_start(st) for st in starts]
@@ -417,33 +409,19 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
     resid = best.freqs - f_meas
     params = dict(zip(names, (float(v) for v in p)))
 
-    # covariance proxy and sensitivities from the Jacobian at the optimum:
-    # the single loop's came with its levels; the coupled model's is taken
-    # by central differences, and a parameter whose probes fail the model
-    # keeps a nan column
+    # covariance proxy and sensitivities from the Jacobian at the optimum,
+    # which came with its evaluation
     jac = best.jac
-    if jac is None:
-        jac = np.full((len(dataset), len(names)), np.nan)
-        for k in range(len(names)):
-            step = 1e-4 * max(abs(p[k]), 1e-6)
-            pp, pm = p.copy(), p.copy()
-            pp[k] += step
-            pm[k] -= step
-            try:
-                jac[:, k] = (model(pp)[0] - model(pm)[0]) / (2.0 * step)
-            except (LabelError, SolverError):
-                continue
     sensitivity = {names[k]: float(np.sqrt(np.mean(jac[:, k] ** 2)))
                    for k in range(len(names))}
     jw = jac / sig[:, None]
     stderr = {k: float("nan") for k in names}
-    if np.all(np.isfinite(jw)):
-        try:
-            cov = np.linalg.inv(jw.T @ jw)
-            stderr = {names[k]: float(np.sqrt(max(cov[k, k], 0.0)))
-                      for k in range(len(names))}
-        except np.linalg.LinAlgError:
-            pass
+    try:
+        cov = np.linalg.inv(jw.T @ jw)
+        stderr = {names[k]: float(np.sqrt(max(cov[k, k], 0.0)))
+                  for k in range(len(names))}
+    except np.linalg.LinAlgError:
+        pass
 
     result = FitResult(
         params=params, stderr=stderr, sensitivity=sensitivity,

@@ -28,7 +28,7 @@ Eigenvalues are reported relative to the harmonic zero-point energy, so two
 uncoupled linear modes give exactly n*f_r + m*f_q.
 
 One builder, :func:`qubit_hamiltonians`, supplies the fluxonium here and
-in the spectroscopy forward model of :mod:`gradflux.estimation`.
+in the spectroscopy forward models of :mod:`gradflux.estimation`.
 
 Dressed levels get one exclusive labeling, by :func:`diagonalize_labeled`
 for full and subset (``n_lowest``) solves alike: each level takes the
@@ -116,11 +116,13 @@ class HamiltonianMatrix:
     the fluxonium eigenstates at the bias flux upwards. Entries are in GHz.
     ``shape`` and ``matvec`` make it a matrix-free linear operator for the
     Lanczos solve; ``matrix`` assembles the dense array on demand.
+    ``qubit_vectors`` holds those fluxonium eigenstates in its Fock basis.
     """
 
     diagonal: np.ndarray
     coupling: np.ndarray
     basis: FockBasisSpec
+    qubit_vectors: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple:
@@ -167,6 +169,30 @@ def qubit_hamiltonians(lq: float, cj: float, ej: float, phis,
     return np.diag(mode_frequency(lq, cj) * np.arange(m)) - ej * cos_stack
 
 
+def qubit_gradient(lq: float, cj: float, ej: float, phis,
+                   y: np.ndarray) -> np.ndarray:
+    """y^T (dH/dp) y for each column of y (..., m, k), states in the Fock
+    basis, with H the :func:`qubit_hamiltonians` matrix at ``phis``
+    (broadcast over y's leading axes) and p = (lq, cj, ej, phi): (..., k, 4).
+    For eigenvectors these are the Hellmann-Feynman derivatives of their
+    energies (Groszkowski & Koch, Quantum 5, 583 (2021))."""
+    m = y.shape[-2]
+    theta, v = np.linalg.eigh(_phase_quadrature(m))
+    zeta = phase_zpf(lq, cj)
+    arg = zeta * theta + 2.0 * np.pi * np.asarray(phis)[..., None]
+    sin = np.sin(arg)
+    # dH/dE_J, dH/dzeta / E_J and dH/dphi / E_J are each V diag(term) V^T,
+    # so y^T (dH/dp) y sums the term weighted by (V^T y)^2
+    terms = np.stack([-np.cos(arg), theta * sin, 2.0 * np.pi * sin], axis=-1)
+    d_ej, d_zeta, d_phi = np.moveaxis(
+        np.swapaxes(v.T @ y, -1, -2) ** 2 @ terms, -1, 0)
+    d_fq = np.arange(m) @ y ** 2
+    fq = mode_frequency(lq, cj)
+    d_lq = -0.5 * fq / lq * d_fq + 0.25 * zeta * ej / lq * d_zeta
+    d_cj = -0.5 * fq / cj * d_fq - 0.25 * zeta * ej / cj * d_zeta
+    return np.stack([d_lq, d_cj, d_ej, ej * d_phi], axis=-1)
+
+
 def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
                       basis: FockBasisSpec = DEFAULT_BASIS) -> HamiltonianMatrix:
     """Factor the two-mode Hamiltonian at a given effective flux.
@@ -186,7 +212,8 @@ def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
     f_r = float(mode_frequency(eff.lr, eff.cr))
     return HamiltonianMatrix(
         diagonal=np.add.outer(e_q, f_r * np.arange(n)).ravel(),
-        coupling=g * (0.5 * (phi_q + phi_q.T)), basis=basis)
+        coupling=g * (0.5 * (phi_q + phi_q.T)), basis=basis,
+        qubit_vectors=u_q)
 
 
 def solve_hermitian(h: HamiltonianMatrix, lowest: int | None = None):
@@ -225,12 +252,13 @@ class SpectrumResult:
     ``index_of`` maps each retained (n_r, m_q) product label to its level
     index; a label two levels claim is kept by the one with larger overlap.
     ``confidence[j]`` is level j's squared overlap with its best-matching
-    uncoupled product state.
+    uncoupled product state, and ``vectors[:, j]`` its eigenvector.
     """
 
     energies: np.ndarray
     confidence: np.ndarray
     index_of: dict
+    vectors: np.ndarray
 
     def energy(self, label, min_confidence: float = 0.0) -> float:
         label = tuple(label)
@@ -269,7 +297,8 @@ def diagonalize_labeled(h: HamiltonianMatrix,
         prev = index_of.get((nr, mq))
         if prev is None or conf[j] > conf[prev]:
             index_of[(nr, mq)] = j
-    return SpectrumResult(energies=w, confidence=conf, index_of=index_of)
+    return SpectrumResult(energies=w, confidence=conf, index_of=index_of,
+                          vectors=v)
 
 
 def parse_transition(name):

@@ -399,6 +399,28 @@ class TestCli:
                      "--starts", "2"]) == 0
         assert out.read_bytes() == out2.read_bytes()
 
+    def test_coupled_fit_runs_and_reruns_identically(self, tmp_path):
+        from gradflux.estimation import _model_freqs_coupled
+        circ = load_config()["circuit"]
+        phis = np.linspace(0.1, 0.9, 8)
+        trans = tuple("f01" if i % 2 == 0 else "f02" for i in range(8))
+        freqs, _ = _model_freqs_coupled(
+            circ["lq_eff"], circ["cj"], circ["ej"], phis, trans,
+            {k: circ[k] for k in ("ls", "lr", "cr")}, FockBasisSpec(20, 8))
+        data = tmp_path / "coupled.csv"
+        data.write_text("field_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
+                        + "".join(f"{float(x)!r},phi0,{t},{float(f)!r},0.001\n"
+                                  for x, t, f in zip(phis, trans, freqs)))
+        outs = [tmp_path / "fit.json", tmp_path / "fit2.json"]
+        for out in outs:
+            assert main(["fit", "--data", str(data), "--out", str(out),
+                         "--forward", "coupled", "--starts", "1"]) == 0
+        payload = gfio.read_json(outs[0])
+        assert payload["forward"] == "coupled"
+        for key in ("stderr", "sensitivity"):
+            assert all(np.isfinite(v) for v in payload[key].values())
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_phaseslip_device_values(self, tmp_path):
         out = tmp_path / "rate.json"
         code = main(["phaseslip", "--wire-length-m", "300e-6",

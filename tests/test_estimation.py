@@ -126,26 +126,33 @@ class TestFitSpectrum:
         assert np.isfinite(best.chi2)
 
     def test_nfev_counts_every_forward_evaluation(self, monkeypatch):
-        """nfev is every forward call, and the single-loop fit makes each
-        through single_loop_transitions with its gradient (no difference
-        probes, none at the optimum); an exhausted budget stops each start
-        at exactly max_nfev."""
-        calls = []
-        forward = estimation.single_loop_transitions
+        """nfev is every forward call, and either model makes each through
+        its analytic-Jacobian path (no difference probes, none at the
+        optimum); an exhausted budget stops each start at exactly
+        max_nfev."""
+        coupled, resonator, basis = coupled_dataset()
+        cases = [("single_loop_transitions",
+                  synthetic_dataset(noise_ghz=1e-3, seed=4), {}),
+                 ("_model_freqs_coupled", coupled,
+                  dict(init=dict(lq_nh=180.0, cj_ff=3.2, ej_ghz=4.8),
+                       resonator=resonator, coupled_basis=basis))]
+        for name, data, kwargs in cases:
+            calls = []
+            forward = getattr(estimation, name)
 
-        def counted(*a, **kw):
-            calls.append(kw.get("gradient"))
-            return forward(*a, **kw)
+            def counted(*a, forward=forward, **kw):
+                calls.append(kw.get("gradient", True))
+                return forward(*a, **kw)
 
-        monkeypatch.setattr(estimation, "single_loop_transitions", counted)
-        data = synthetic_dataset(noise_ghz=1e-3, seed=4)
-        fit = fit_spectrum(data, n_starts=3, seed=0)
-        assert fit.status == "converged"
-        assert fit.nfev == len(calls) and all(calls)
-        calls.clear()
-        with pytest.raises(FitError) as err:
-            fit_spectrum(data, n_starts=3, seed=0, max_nfev=5)
-        assert err.value.best.nfev == len(calls) == 3 * 5
+            monkeypatch.setattr(estimation, name, counted)
+            fit = fit_spectrum(data, n_starts=3, seed=0, **kwargs)
+            assert fit.status == "converged"
+            assert fit.nfev == len(calls) and all(calls)
+            calls.clear()
+            with pytest.raises(FitError) as err:
+                fit_spectrum(data, n_starts=3, seed=0, max_nfev=5, **kwargs)
+            assert err.value.best.nfev == len(calls) == 3 * 5
+            assert err.value.best.status == "max-evaluations"
 
     def test_model_failure_during_optimization_ends_start(self, monkeypatch):
         """A label failure partway through a start ends that start at its
@@ -188,31 +195,25 @@ class TestFitSpectrum:
         assert fit.start_objectives[1:] == clean.start_objectives[1:]
         assert fit.chi2 == pytest.approx(clean.chi2, rel=1e-9)
 
-    def test_model_failure_at_optimum_keeps_fit(self, monkeypatch):
-        """A label failure in the coupled model's central-difference probes
-        of one parameter at the optimum leaves the converged fit and makes
-        only its diagnostics nan."""
-        data, resonator, basis = coupled_dataset()
-        kwargs = dict(init=dict(TRUE), resonator=resonator,
-                      coupled_basis=basis, n_starts=1, seed=0, max_nfev=600)
-        clean = fit_spectrum(data, **kwargs)
-        model = estimation._model_freqs_coupled
-        calls = []
+    def test_negative_offset_start_is_not_pinned(self):
+        """A negative start offset keeps the offset's default (-0.6, 0.6)
+        bounds, so the fit recovers it."""
+        scale, offset = 3.6e6, -0.02
+        data = synthetic_dataset(n=24, unit="tesla", scale=scale,
+                                 offset=offset)
+        fit = fit_spectrum(data, init=dict(lq_nh=180.0, cj_ff=3.2,
+                                           ej_ghz=4.8, scale_phi0_per_t=scale,
+                                           offset_phi0=-0.01),
+                           n_starts=1, seed=0)
+        assert fit.bounds["offset_phi0"] == (-0.6, 0.6)
+        assert fit.params["offset_phi0"] == pytest.approx(offset, abs=1e-6)
+        assert fit.params["lq_nh"] == pytest.approx(TRUE["lq_nh"], rel=1e-6)
 
-        def failing(lq, *rest):
-            calls.append(lq)
-            if len(calls) > clean.nfev and lq != clean.params["lq_nh"]:
-                raise LabelError("label (0, 1) not retained in spectrum")
-            return model(lq, *rest)
-
-        monkeypatch.setattr(estimation, "_model_freqs_coupled", failing)
-        fit = fit_spectrum(data, **kwargs)
-        assert fit.params == clean.params
-        assert fit.chi2 == clean.chi2
-        assert np.isnan(fit.sensitivity["lq_nh"])
-        for key in ("cj_ff", "ej_ghz"):
-            assert fit.sensitivity[key] == clean.sensitivity[key]
-        assert all(np.isnan(v) for v in fit.stderr.values())
+    def test_crossed_bounds_rejected(self):
+        data = synthetic_dataset(n=12)
+        with pytest.raises(ValueError, match=r"\['cj_ff'\].*lower > upper"):
+            fit_spectrum(data, init=dict(TRUE), bounds={"cj_ff": (4.0, 3.0)},
+                         n_starts=1)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -242,7 +243,7 @@ def coupled_dataset():
     resonator = {"ls": 2.8, "lr": 21.6, "cr": 20.2}
     phis = np.linspace(0.1, 0.9, 8)
     trans = tuple("f01" for _ in phis)
-    freq = estimation._model_freqs_coupled(
+    freq, _ = estimation._model_freqs_coupled(
         TRUE["lq_nh"], TRUE["cj_ff"], TRUE["ej_ghz"], phis, trans,
         resonator, basis)
     data = SpectroscopyDataset(x=phis, transition=trans, freq_ghz=freq,
@@ -251,8 +252,8 @@ def coupled_dataset():
 
 
 class TestJacobian:
-    """The single-loop fit's Hellmann-Feynman Jacobian against central
-    differences."""
+    """The fit's Hellmann-Feynman Jacobians, single-loop and coupled,
+    against central differences."""
 
     @staticmethod
     def central(f, p, k, step):
@@ -284,12 +285,53 @@ class TestJacobian:
         np.testing.assert_allclose(d_levels[..., 3], fd, rtol=1e-6,
                                    atol=1e-8)
 
+    @pytest.mark.parametrize("p", [list(TRUE.values()), [150.0, 4.0, 6.0]],
+                             ids=["truth", "off-truth"])
+    def test_coupled_matches_central_differences(self, p):
+        _, resonator, basis = coupled_dataset()
+        phis = np.tile([0.1, 0.3, 0.5], 2)
+        trans = ("f01",) * 3 + ("f02",) * 3
+
+        def freqs(q, x=phis):
+            return estimation._model_freqs_coupled(*q, x, trans, resonator,
+                                                   basis)[0]
+
+        _, jac = estimation._model_freqs_coupled(*p, phis, trans, resonator,
+                                                 basis)
+        for k in range(3):
+            np.testing.assert_allclose(
+                jac[:, k], self.central(freqs, p, k, 1e-5 * p[k]), rtol=1e-6)
+        fd = (freqs(p, phis + 1e-5) - freqs(p, phis - 1e-5)) / 2e-5
+        # df/dphi vanishes at 0.5 by symmetry: those entries get atol
+        np.testing.assert_allclose(jac[:, 3], fd, rtol=1e-6, atol=1e-8)
+
+    def test_coupled_without_shared_inductance_is_single_loop(self):
+        """At ls = 0 the coupling g vanishes (lrq = inf) and the coupled
+        Jacobian is the single loop's, with no RuntimeWarning (which the
+        test configuration turns into an error) on the way."""
+        _, resonator, basis = coupled_dataset()
+        phis = np.tile([0.1, 0.3, 0.5], 2)
+        upper = np.repeat([1, 2], 3)
+        freqs, jac = estimation._model_freqs_coupled(
+            *TRUE.values(), phis, ("f01",) * 3 + ("f02",) * 3,
+            dict(resonator, ls=0.0), basis)
+        levels, d_levels = single_loop_transitions(
+            *TRUE.values(), phis, m=basis.m_qubit, gradient=True)
+        rows = np.arange(phis.size)
+        np.testing.assert_allclose(
+            freqs, levels[rows, upper] - levels[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(
+            jac, d_levels[rows, upper] - d_levels[:, 0], rtol=1e-9,
+            atol=1e-12)
+
     def test_field_axis_columns_match_weighted_residual(self, monkeypatch):
         """The scale and offset columns TRF receives for a tesla dataset
-        match central differences of the residual it receives."""
+        match central differences of the residual it receives, for either
+        forward model."""
         data = synthetic_dataset(n=12, unit="tesla", scale=3.6e6,
                                  offset=0.02)
         init = dict(TRUE, scale_phi0_per_t=3.5e6, offset_phi0=0.01)
+        _, resonator, basis = coupled_dataset()
         checked_at = []
 
         def checked(fun, x0, **kwargs):
@@ -303,10 +345,11 @@ class TestJacobian:
 
         least_squares = estimation.least_squares
         monkeypatch.setattr(estimation, "least_squares", checked)
-        fit_spectrum(data, init=init, bounds={
-            "scale_phi0_per_t": (3.0e6, 4.2e6), "offset_phi0": (-0.1, 0.1)},
-            n_starts=1, seed=0)
-        assert len(checked_at) == 1
+        for model in ({}, dict(resonator=resonator, coupled_basis=basis)):
+            fit_spectrum(data, init=init, bounds={
+                "scale_phi0_per_t": (3.0e6, 4.2e6),
+                "offset_phi0": (-0.1, 0.1)}, n_starts=1, seed=0, **model)
+        assert len(checked_at) == 2
 
 
 class TestSharedInductance:
