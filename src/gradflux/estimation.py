@@ -138,8 +138,8 @@ def _model_freqs_coupled(lq, cj, ej, phis, transitions, resonator, basis):
     y = np.empty((len(phis), 2, m, n))
     for i, phi in enumerate(phis):
         h = build_hamiltonian(eff, phi, basis)
-        spec = diagonalize_labeled(h, n_lowest=60)
         pair = parse_transition(transitions[i])
+        spec = diagonalize_labeled(h, pair)
         freqs[i] = transition_frequency(spec, *pair, min_confidence=0.0)
         j = [spec.index_of[label] for label in pair]
         d_lng[i] = spec.energies[j] - h.diagonal @ spec.vectors[:, j] ** 2

@@ -30,16 +30,24 @@ uncoupled linear modes give exactly n*f_r + m*f_q.
 One builder, :func:`qubit_hamiltonians`, supplies the fluxonium here and
 in the spectroscopy forward models of :mod:`gradflux.estimation`.
 
-Dressed levels get one exclusive labeling, by :func:`diagonalize_labeled`
-for full and subset (``n_lowest``) solves alike: each level takes the
-|n_r m_q> label of the basis state (uncoupled fluxonium eigenstate x
-resonator Fock state) with its largest squared eigenvector component, and
-of two levels claiming one label only the higher-overlap one keeps it. A
-label no solved level keeps counts as overlap 0. Near avoided crossings
-the overlap drops and label-dependent quantities (transition frequencies,
-dispersive shift) are flagged invalid below a configurable confidence.
+Dressed levels get one exclusive labeling, by :func:`diagonalize_labeled`:
+each level takes the |n_r m_q> label of the basis state (uncoupled
+fluxonium eigenstate x resonator Fock state) with its largest squared
+eigenvector component, and of two levels claiming one label only the
+higher-overlap one keeps it. A label no solved level keeps counts as
+overlap 0. Near avoided crossings the overlap drops and label-dependent
+quantities (transition frequencies, dispersive shift) are flagged invalid
+below a configurable confidence.
+
+Callers name the labels they read (chi's four, a sweep's transitions), and
+only the lowest :data:`N_START` levels are solved if a certificate shows
+no higher level could take those labels: the level keeping label b must
+overlap it by more than the weight 1 - sum_j v_bj^2 the solved levels
+leave to the unsolved ones. Otherwise the solve doubles, up to
+:data:`N_LOWEST` levels, where the labels are taken as they come.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,21 +93,33 @@ class FockBasisSpec:
 #: Default truncation: 25 qubit and 15 resonator Fock states.
 DEFAULT_BASIS = FockBasisSpec(25, 15)
 
-#: Levels solved for chi, sweeps and convergence rungs: enough, because the
-#: (0,0), (1,0), (0,1) and (1,1) levels sit at the bottom of the spectrum
-#: for the device regime.
+#: Labels chi reads: |00>, |10>, |01> and |11> as (n_r, m_q).
+CHI_LABELS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+#: Levels a labeled subset solve starts from; enough to certify the chi and
+#: transition labels at every point of the device sweep.
+N_START = 16
+
+#: Most levels a labeled subset solve reaches by doubling :data:`N_START`
+#: while a wanted label fails its certificate; at this size the labels are
+#: taken as they come, certified or not.
 N_LOWEST = 80
 
-#: Largest dimension whose lowest-N_LOWEST solve stays dense; above it the
-#: matrix-free Lanczos solve runs. Measured crossover (device circuit,
-#: phi = 0.5, 1-2 BLAS threads):
+#: Largest dimension whose subset solve stays dense; above it the
+#: matrix-free Lanczos solve runs. Measured crossover for the N_START = 16
+#: pairs of a labeled solve (device circuit, phi = 0.5, 2 BLAS threads,
+#: median of 15 solves; 1 thread gives the same crossover):
 #:
 #:     dim    dense subset eigh   Lanczos
-#:     375    20 ms               40-46 ms
-#:     1000   120-130 ms          90-140 ms    (break-even)
-#:     2000   0.55-0.83 s         0.28-0.34 s
-#:     3500   2.2-3.7 s           0.57-0.82 s
-DENSE_MAX_DIM = 1000
+#:     375    12.5-12.9 ms        14.2-17.0 ms
+#:     450    17.8 ms             17.6-19.3 ms  (break-even)
+#:     500    21.6-22.5 ms        18.7-19.5 ms
+#:     600    26.8-27.6 ms        19.5-19.7 ms
+#:     1000   83 ms               31 ms
+#:     2000   0.57 s              0.06 s
+#:
+#: A labeled solve that doubles past N_START is routed by the same bound.
+DENSE_MAX_DIM = 450
 
 #: Default label overlap below which chi and transitions are flagged.
 MIN_CONFIDENCE = 0.7
@@ -143,9 +163,22 @@ class HamiltonianMatrix:
                 - (y @ _phase_quadrature(self.basis.n_res)).ravel())
 
 
+# The phase quadrature a + a^T and its eigenbasis depend on the Fock count
+# alone, so each is built once per count (the Lanczos matvec needs the
+# quadrature on every call) and handed out read-only.
+@functools.cache
 def _phase_quadrature(n):
     a = np.diag(np.sqrt(np.arange(1, n)), 1)
-    return a + a.T
+    x = a + a.T
+    x.flags.writeable = False
+    return x
+
+
+@functools.cache
+def _phase_eigenbasis(m):
+    theta, v = np.linalg.eigh(_phase_quadrature(m))
+    theta.flags.writeable = v.flags.writeable = False
+    return theta, v
 
 
 def qubit_hamiltonians(lq: float, cj: float, ej: float, phis,
@@ -177,7 +210,7 @@ def qubit_gradient(lq: float, cj: float, ej: float, phis,
     For eigenvectors these are the Hellmann-Feynman derivatives of their
     energies (Groszkowski & Koch, Quantum 5, 583 (2021))."""
     m = y.shape[-2]
-    theta, v = np.linalg.eigh(_phase_quadrature(m))
+    theta, v = _phase_eigenbasis(m)
     zeta = phase_zpf(lq, cj)
     arg = zeta * theta + 2.0 * np.pi * np.asarray(phis)[..., None]
     sin = np.sin(arg)
@@ -275,19 +308,8 @@ class SpectrumResult:
         return float(self.energies[j])
 
 
-def diagonalize_labeled(h: HamiltonianMatrix,
-                        n_lowest: int | None = None) -> SpectrumResult:
-    """Ascending spectrum with |n_r m_q> labels by maximal overlap.
-
-    ``n_lowest`` restricts the solve to the lowest levels (all by default);
-    :func:`solve_hermitian` picks the dense or Lanczos method.
-    The basis states (uncoupled fluxonium eigenstates x resonator Fock
-    states) are the unit vectors, so a level's squared overlaps are its
-    squared eigenvector components, and it claims the label of the largest;
-    when two levels claim the same label (possible near avoided crossings)
-    only the higher-overlap claimant retains it.
-    """
-    w, v = solve_hermitian(h, n_lowest)
+def _labeled(h: HamiltonianMatrix, lowest: int | None) -> SpectrumResult:
+    w, v = solve_hermitian(h, lowest)
     ov = v ** 2
     best = np.argmax(ov, axis=0)               # per level: best basis index
     conf = ov[best, np.arange(w.size)]
@@ -299,6 +321,52 @@ def diagonalize_labeled(h: HamiltonianMatrix,
             index_of[(nr, mq)] = j
     return SpectrumResult(energies=w, confidence=conf, index_of=index_of,
                           vectors=v)
+
+
+def _certified(spec: SpectrumResult, labels, basis: FockBasisSpec) -> bool:
+    """The certificate of :func:`diagonalize_labeled`: True if no unsolved
+    level can take any of ``labels``."""
+    n = basis.n_res
+    residual = 1.0 - np.sum(spec.vectors ** 2, axis=1)
+    for nr, mq in labels:
+        if not (0 <= nr < n and 0 <= mq < basis.m_qubit):
+            continue                       # no basis state: no level keeps it
+        j = spec.index_of.get((nr, mq))
+        if j is None or spec.confidence[j] <= residual[mq * n + nr]:
+            return False
+    return True
+
+
+def diagonalize_labeled(h: HamiltonianMatrix,
+                        labels=None) -> SpectrumResult:
+    """Ascending spectrum with |n_r m_q> labels by maximal overlap.
+
+    The basis states (uncoupled fluxonium eigenstates x resonator Fock
+    states) are the unit vectors, so a level's squared overlaps are its
+    squared eigenvector components, and it claims the label of the largest;
+    when two levels claim the same label (possible near avoided crossings)
+    only the higher-overlap claimant retains it.
+
+    Without ``labels`` every level is solved. With ``labels``, the
+    (n_r, m_q) labels the caller reads, only the lowest levels are: first
+    :data:`N_START`, doubled while the certificate fails for a wanted label,
+    up to :data:`N_LOWEST`. The certificate holds when the level keeping the
+    label overlaps its basis state b by more than r_b = 1 - sum_j v_bj^2
+    over the solved levels j; no unsolved level can overlap b by more than
+    r_b, so none can take the label, and the wanted labels keep the levels
+    and confidences of any larger solve. :func:`solve_hermitian` picks the
+    dense or Lanczos method for each solve.
+    """
+    if labels is None:
+        return _labeled(h, None)
+    labels = list(labels)
+    k = N_START
+    while True:
+        spec = _labeled(h, min(k, N_LOWEST))
+        if (k >= min(N_LOWEST, h.basis.dim)
+                or _certified(spec, labels, h.basis)):
+            return spec
+        k *= 2
 
 
 def parse_transition(name):
@@ -346,8 +414,7 @@ class DispersiveShiftResult:
 
 def _chi_from_levels(spec: SpectrumResult,
                      min_confidence: float) -> DispersiveShiftResult:
-    levels = [spec.index_of.get(label)
-              for label in [(0, 0), (1, 0), (0, 1), (1, 1)]]
+    levels = [spec.index_of.get(label) for label in CHI_LABELS]
     worst = min(0.0 if j is None else float(spec.confidence[j])
                 for j in levels)
     if None in levels or worst < min_confidence:
@@ -366,11 +433,11 @@ def dispersive_shift(eff: EffectiveFluxonium, phi_eff: float,
                      ) -> DispersiveShiftResult:
     """Dispersive shift chi at one flux bias, in MHz.
 
-    Uses a lowest-:data:`N_LOWEST` subset solve. Results are flagged invalid
-    near avoided crossings.
+    Solves only the levels the four chi labels need. Results are flagged
+    invalid near avoided crossings.
     """
     spec = diagonalize_labeled(build_hamiltonian(eff, phi_eff, basis),
-                               N_LOWEST)
+                               CHI_LABELS)
     return _chi_from_levels(spec, min_confidence)
 
 
@@ -421,11 +488,12 @@ def flux_sweep(eff: EffectiveFluxonium, flux_grid,
         raise ValueError("flux grid must be finite")
     pairs = [(str(_transition_name(tr)), parse_transition(tr))
              for tr in transitions]
+    labels = set(CHI_LABELS).union(*(pair for _, pair in pairs))
     points, errors = [], []
     for phi in flux_grid:
         try:
             spec = diagonalize_labeled(build_hamiltonian(eff, phi, basis),
-                                       N_LOWEST)
+                                       labels)
         except SolverError as exc:
             errors.append(SweepError(phi, "*", str(exc)))
             continue
@@ -474,7 +542,7 @@ def convergence_report(eff: EffectiveFluxonium, phi_eff: float,
     prev_f01 = prev_chi = None
     for basis in bases:
         spec = diagonalize_labeled(build_hamiltonian(eff, phi_eff, basis),
-                                   N_LOWEST)
+                                   CHI_LABELS)
         f01 = transition_frequency(spec, (0, 0), (0, 1), 0.0)
         shift = _chi_from_levels(spec, min_confidence)
         chi = shift.chi_mhz

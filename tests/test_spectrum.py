@@ -11,8 +11,9 @@ from gradflux import (EffectiveFluxonium, FockBasisSpec, LabelError,
                       dispersive_shift, flux_sweep, parse_transition,
                       reduce_circuit, single_loop_transitions,
                       transition_frequency)
-from gradflux import spectrum
-from gradflux.spectrum import (DENSE_MAX_DIM, N_LOWEST, HamiltonianMatrix,
+from gradflux import estimation, spectrum
+from gradflux.spectrum import (CHI_LABELS, DENSE_MAX_DIM, MIN_CONFIDENCE,
+                               N_LOWEST, N_START, HamiltonianMatrix,
                                SolverError, qubit_hamiltonians,
                                solve_hermitian)
 from gradflux.units import (charging_energy, inductive_energy, mode_frequency,
@@ -269,12 +270,13 @@ class TestLabeledTransitions:
     def test_subset_labels_match_full_solve(self):
         h = build_hamiltonian(EFF, 0.3, BASIS)
         full = diagonalize_labeled(h)
-        low = diagonalize_labeled(h, n_lowest=40)
-        assert low.energies.size == 40
-        assert np.allclose(low.energies, full.energies[:40], atol=1e-9)
-        def lowest_ten(spec):
-            return {label: j for label, j in spec.index_of.items() if j < 10}
-        assert lowest_ten(low) == lowest_ten(full)
+        labels = [(nr, mq) for nr in range(3) for mq in range(3)]
+        low = diagonalize_labeled(h, labels)
+        k = low.energies.size
+        assert N_START <= k < full.energies.size
+        assert np.allclose(low.energies, full.energies[:k], atol=1e-9)
+        for label in labels:
+            assert low.index_of[label] == full.index_of[label]
 
     def test_parse_transition(self):
         assert parse_transition("f01") == ((0, 0), (0, 1))
@@ -386,7 +388,8 @@ class TestConvergenceReport:
         assert rel_f01 < rel_chi
 
 
-ABOVE_CROSSOVER = [(50, 40), (70, 50)]      # criterion-1 rungs on Lanczos
+# the criterion-1 rungs on Lanczos, and a rung just above the crossover
+ABOVE_CROSSOVER = [(50, 40), (70, 50), (24, 20)]
 
 
 class TestLanczosSolve:
@@ -395,14 +398,20 @@ class TestLanczosSolve:
     @pytest.mark.parametrize("phi", [0.0, 0.26, 0.5])
     @pytest.mark.parametrize("m, n", ABOVE_CROSSOVER)
     def test_parity_with_dense(self, m, n, phi, monkeypatch):
+        # from the first labeled solve size and from the largest
         h = build_hamiltonian(EFF, phi, FockBasisSpec(m, n))
         assert h.basis.dim > DENSE_MAX_DIM
-        lanczos = diagonalize_labeled(h, N_LOWEST)
-        monkeypatch.setattr(spectrum, "DENSE_MAX_DIM", h.basis.dim)
-        dense = diagonalize_labeled(h, N_LOWEST)
-        assert np.max(np.abs(lanczos.energies - dense.energies)) < 1e-9
-        assert lanczos.index_of == dense.index_of
-        assert np.max(np.abs(lanczos.confidence - dense.confidence)) < 1e-9
+        for start in (N_START, N_LOWEST):
+            monkeypatch.setattr(spectrum, "N_START", start)
+            monkeypatch.setattr(spectrum, "DENSE_MAX_DIM", DENSE_MAX_DIM)
+            lanczos = diagonalize_labeled(h, CHI_LABELS)
+            monkeypatch.setattr(spectrum, "DENSE_MAX_DIM", h.basis.dim)
+            dense = diagonalize_labeled(h, CHI_LABELS)
+            assert lanczos.energies.size == dense.energies.size >= start
+            assert np.max(np.abs(lanczos.energies - dense.energies)) < 1e-9
+            assert lanczos.index_of == dense.index_of
+            assert np.max(np.abs(lanczos.confidence
+                                 - dense.confidence)) < 1e-9
 
     def test_rerun_bit_identical(self):
         ladder = [ABOVE_CROSSOVER[-1]]
@@ -422,9 +431,9 @@ class TestLanczosSolve:
                            match=r"dim=1125, non-finite entries in factors=0"):
             convergence_report(EFF, 0.5, [(45, 25)])
 
-    @pytest.mark.parametrize("m, n, calls", [(40, 25, 0), (42, 24, 1)])
+    @pytest.mark.parametrize("m, n, calls", [(30, 15, 0), (31, 15, 1)])
     def test_routing_at_crossover(self, m, n, calls, monkeypatch):
-        # dim 1000 is the last dense one, dim 1008 the first on Lanczos
+        # dim 450 is the last dense one, dim 465 the first on Lanczos
         seen = []
         eigsh = spectrum.spla.eigsh
 
@@ -434,5 +443,87 @@ class TestLanczosSolve:
 
         monkeypatch.setattr(spectrum.spla, "eigsh", spy)
         diagonalize_labeled(build_hamiltonian(EFF, 0.5, FockBasisSpec(m, n)),
-                            N_LOWEST)
+                            CHI_LABELS)
         assert len(seen) == calls
+
+
+class TestCertifiedSolve:
+    """Labeled lowest-k solves against the N_LOWEST solve they replace."""
+
+    @staticmethod
+    def both(h, labels, monkeypatch):
+        certified = diagonalize_labeled(h, labels)
+        with monkeypatch.context() as mp:
+            mp.setattr(spectrum, "N_START", N_LOWEST)
+            full = diagonalize_labeled(h, labels)
+        assert full.energies.size == N_LOWEST
+        return certified, full
+
+    @staticmethod
+    def chi_valid(spec):
+        levels = [spec.index_of.get(label) for label in CHI_LABELS]
+        return None not in levels and min(
+            spec.confidence[j] for j in levels) >= MIN_CONFIDENCE
+
+    def test_sweep_grid_matches_full_solve(self, monkeypatch):
+        # 101 points, through the avoided crossing near 0.26
+        labels = set(CHI_LABELS) | {(0, 2), (2, 0)}
+        invalid = 0
+        for phi in np.linspace(0.0, 1.0, 101):
+            certified, full = self.both(build_hamiltonian(EFF, phi, BASIS),
+                                        labels, monkeypatch)
+            assert certified.energies.size == N_START
+            for label in labels:
+                j = certified.index_of[label]
+                assert j == full.index_of[label]
+                assert abs(certified.energies[j] - full.energies[j]) < 1e-12
+            assert self.chi_valid(certified) == self.chi_valid(full)
+            invalid += not self.chi_valid(certified)
+        assert invalid > 0                # the exclusion zones are covered
+
+    def test_doubling_reaches_full_solve_result(self, monkeypatch):
+        sizes = []
+        solve = spectrum.solve_hermitian
+
+        def spy(h, lowest=None):
+            sizes.append(lowest)
+            return solve(h, lowest)
+
+        h = build_hamiltonian(EFF, 0.26, BASIS)
+        _, full = self.both(h, CHI_LABELS, monkeypatch)
+        monkeypatch.setattr(spectrum, "N_START", 2)
+        monkeypatch.setattr(spectrum, "solve_hermitian", spy)
+        certified = diagonalize_labeled(h, CHI_LABELS)
+        assert sizes[:2] == [2, 4]
+        assert sizes[-1] == certified.energies.size
+        for label in CHI_LABELS:
+            j = certified.index_of[label]
+            assert j == full.index_of[label]
+            assert abs(certified.energies[j] - full.energies[j]) < 1e-12
+            assert abs(certified.confidence[j] - full.confidence[j]) < 1e-12
+
+    def test_label_beyond_lowest_levels_raises(self):
+        # the top fluxonium state is in the basis but far above 80 levels
+        spec = diagonalize_labeled(build_hamiltonian(EFF, 0.5, BASIS),
+                                   [(0, 0), (0, 24)])
+        assert spec.energies.size == N_LOWEST
+        with pytest.raises(LabelError, match="not retained"):
+            spec.energy((0, 24))
+
+    @pytest.mark.parametrize("p", [(172.0, 3.4, 5.1), (150.0, 4.0, 6.0)],
+                             ids=["truth", "off-truth"])
+    def test_coupled_forward_matches_60_pairs(self, p, monkeypatch):
+        resonator = {"ls": 2.8, "lr": 21.6, "cr": 20.2}
+        basis = FockBasisSpec(20, 8)
+        phis = np.tile([0.1, 0.26, 0.5], 2)
+        trans = ("f01",) * 3 + ("f02",) * 3
+
+        def forward():
+            return estimation._model_freqs_coupled(*p, phis, trans,
+                                                   resonator, basis)
+
+        freqs, jac = forward()
+        monkeypatch.setattr(spectrum, "N_START", 60)
+        freqs_60, jac_60 = forward()
+        np.testing.assert_allclose(freqs, freqs_60, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(jac, jac_60, rtol=0, atol=1e-10)
