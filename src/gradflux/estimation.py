@@ -23,9 +23,10 @@ from scipy.optimize import brentq, curve_fit, least_squares
 
 from .circuit import DEVICE_GEOMETRY, balanced_branch_circuit, reduce_circuit
 from .spectrum import (DEFAULT_BASIS, FockBasisSpec, LabelError,
-                       SolverError, build_hamiltonian, diagonalize_labeled,
-                       dispersive_shift, parse_transition, qubit_gradient,
-                       qubit_hamiltonians, transition_frequency)
+                       SolverError, _solve_lowest, build_hamiltonian,
+                       diagonalize_labeled, dispersive_shift,
+                       parse_transition, qubit_gradient, qubit_hamiltonians,
+                       transition_frequency)
 from .units import EC_GHZ_FF, EL_GHZ_NH, mode_frequency
 
 TRANSITION_KINDS = ("f01", "f02")
@@ -94,22 +95,28 @@ def single_loop_transitions(lq, cj, ej, phis, m=30, n_levels=3, *,
                             gradient=False):
     """Batched single-loop fluxonium levels over flux points.
 
-    Returns an (n_flux, n_levels) array of the lowest eigenvalues [GHz]:
-    the Hamiltonian stack of :func:`~gradflux.spectrum.qubit_hamiltonians`,
-    diagonalized in one batched call.
+    Returns an (n_flux, n_levels) array of the lowest eigenvalues [GHz] of
+    the Hamiltonian stack of :func:`~gradflux.spectrum.qubit_hamiltonians`.
+    Only those ``n_levels`` eigenpairs of each matrix are solved for
+    (LAPACK's subset driver), so a fit reading three levels at m = 30
+    solves a tenth of the spectrum. Non-finite parameters or fluxes raise
+    :class:`~gradflux.spectrum.SolverError`; ``n_levels`` outside
+    [1, m] raises ``ValueError``.
 
-    With ``gradient=True`` that call is one batched ``eigh`` and the result
-    is ``(levels, d_levels)``: ``d_levels`` (n_flux, n_levels, 4) holds the
-    Hellmann-Feynman derivatives (:func:`~gradflux.spectrum.qubit_gradient`)
-    of each level with respect to lq [nH], cj [fF], ej [GHz] and the flux
-    [Phi_0], in that order, exact wherever the levels are non-degenerate.
+    With ``gradient=True`` the same solve also returns the eigenvectors and
+    the result is ``(levels, d_levels)``: ``d_levels`` (n_flux, n_levels, 4)
+    holds the Hellmann-Feynman derivatives
+    (:func:`~gradflux.spectrum.qubit_gradient`) of each level with respect
+    to lq [nH], cj [fF], ej [GHz] and the flux [Phi_0], in that order, exact
+    wherever the levels are non-degenerate.
     """
+    if not 1 <= n_levels <= m:
+        raise ValueError(f"n_levels must be in [1, m={m}], got {n_levels}")
     h = qubit_hamiltonians(lq, cj, ej, phis, m)
     if not gradient:
-        return np.linalg.eigvalsh(h)[:, :n_levels]
-    levels, u = np.linalg.eigh(h)
-    return levels[:, :n_levels], qubit_gradient(
-        lq, cj, ej, np.atleast_1d(phis), u[:, :, :n_levels])
+        return _solve_lowest(h, n_levels)
+    levels, u = _solve_lowest(h, n_levels, vectors=True)
+    return levels, qubit_gradient(lq, cj, ej, np.atleast_1d(phis), u)
 
 
 def _model_freqs_single_loop(lq, cj, ej, phis, transitions, m):

@@ -28,7 +28,9 @@ Eigenvalues are reported relative to the harmonic zero-point energy, so two
 uncoupled linear modes give exactly n*f_r + m*f_q.
 
 One builder, :func:`qubit_hamiltonians`, supplies the fluxonium here and
-in the spectroscopy forward models of :mod:`gradflux.estimation`.
+in the spectroscopy forward models of :mod:`gradflux.estimation`; the
+single-loop model solves its stack for the lowest few levels only, through
+LAPACK's subset driver.
 
 Dressed levels get one exclusive labeling, by :func:`diagonalize_labeled`:
 each level takes the |n_r m_q> label of the basis state (uncoupled
@@ -188,7 +190,8 @@ def qubit_hamiltonians(lq: float, cj: float, ej: float, phis,
     The cosine is evaluated exactly on the truncated phase operator: the
     tridiagonal phi matrix is diagonalized once, cos(theta + 2 pi phi) is
     applied to its eigenvalues for every flux in ``phis``, and the stack is
-    rotated back in one contraction. Symmetric up to rounding.
+    rotated back in one batched product. Symmetric up to rounding, and
+    C-contiguous.
     """
     if lq <= 0 or cj <= 0:
         raise ValueError("inductance and capacitance must be positive")
@@ -196,10 +199,11 @@ def qubit_hamiltonians(lq: float, cj: float, ej: float, phis,
         raise ValueError("need at least 2 Fock states")
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     theta, v = np.linalg.eigh(phase_zpf(lq, cj) * _phase_quadrature(m))
-    cos_stack = np.einsum("ik,pk,jk->pij", v,
-                          np.cos(theta[None, :] + 2.0 * np.pi * phis[:, None]),
-                          v, optimize=True)
-    return np.diag(mode_frequency(lq, cj) * np.arange(m)) - ej * cos_stack
+    h = (v * np.cos(theta + 2.0 * np.pi * phis[:, None])[:, None, :]) @ v.T
+    h *= -ej
+    k = np.arange(m)
+    h[:, k, k] += mode_frequency(lq, cj) * k
+    return h
 
 
 def qubit_gradient(lq: float, cj: float, ej: float, phis,
@@ -276,6 +280,38 @@ def solve_hermitian(h: HamiltonianMatrix, lowest: int | None = None):
         raise SolverError(f"eigensolver failed: {exc} [dim={dim}, "
                           f"non-finite entries in factors={nonfinite}]"
                           ) from exc
+
+
+def _solve_lowest(h: np.ndarray, k: int, vectors: bool = False):
+    """Lowest ``k`` eigenvalues of each symmetric matrix in a stack.
+
+    ``h`` is (n, m, m), read by its lower triangle as ``np.linalg.eigh``
+    reads it. Returns the ascending eigenvalues (n, k), and with
+    ``vectors`` also ``(values, vectors)`` with vectors (n, m, k). Only the
+    wanted pairs are computed, by LAPACK's MRRR subset driver ``dsyevr``
+    (Dhillon & Parlett, Linear Algebra Appl. 387, 1 (2004)), one matrix at
+    a time. Non-finite entries and solver failures raise
+    :class:`SolverError`, as in :func:`solve_hermitian`.
+    """
+    n, m = h.shape[0], h.shape[-1]
+    nonfinite = int(np.count_nonzero(~np.isfinite(h)))
+    if nonfinite:
+        raise SolverError("eigensolver failed: stack must not contain infs "
+                          f"or NaNs [dim={m}, non-finite entries in "
+                          f"stack={nonfinite}]")
+    values = np.empty((n, k))
+    vecs = np.empty((n, m, k)) if vectors else None
+    for i in range(n):
+        # h[i].T is Fortran-ordered; its upper triangle is h[i]'s lower one
+        w, z, _, _, info = sla.lapack.dsyevr(
+            h[i].T, compute_v=vectors, range="I", lower=0, il=1, iu=k)
+        if info != 0:
+            raise SolverError(f"eigensolver failed: dsyevr info={info} "
+                              f"[dim={m}, non-finite entries in stack=0]")
+        values[i] = w[:k]
+        if vectors:
+            vecs[i] = z
+    return (values, vecs) if vectors else values
 
 
 @dataclass(frozen=True)

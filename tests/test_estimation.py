@@ -8,7 +8,8 @@ from gradflux import (DecayCurve, FitError, LabelError, SpectroscopyDataset,
                       fit_decay, fit_parabola, fit_shared_inductance,
                       fit_spectrum, initial_guess, reduce_circuit,
                       single_loop_transitions)
-from gradflux.spectrum import FockBasisSpec
+from gradflux.spectrum import (FockBasisSpec, SolverError, qubit_gradient,
+                               qubit_hamiltonians)
 
 TRUE = dict(lq_nh=172.0, cj_ff=3.4, ej_ghz=5.1)
 
@@ -195,6 +196,32 @@ class TestFitSpectrum:
         assert fit.start_objectives[1:] == clean.start_objectives[1:]
         assert fit.chi2 == pytest.approx(clean.chi2, rel=1e-9)
 
+    def test_solver_error_ends_start_as_model_failure(self, monkeypatch):
+        """A non-finite entry in the single-loop stack makes the forward's
+        own eigensolve raise SolverError, which ends each start at its best
+        point as a model failure, as the coupled model's failures do."""
+        data = synthetic_dataset(noise_ghz=1e-3, seed=4)
+        build = estimation.qubit_hamiltonians
+        calls = []
+
+        def poisoned(*a):
+            calls.append(a)
+            h = build(*a)
+            if len(calls) >= 3:
+                h[0, 0, 0] = np.nan
+            return h
+
+        monkeypatch.setattr(estimation, "qubit_hamiltonians", poisoned)
+        with pytest.raises(FitError, match=r"0 of 2 used up their 2000 "
+                           r"evaluations, 2 stopped on a model failure "
+                           r"\(first: eigensolver failed: .*non-finite "
+                           r"entries in stack=1\]") as err:
+            fit_spectrum(data, n_starts=2, seed=0)
+        best = err.value.best
+        assert best.status == "model-failure"
+        assert best.best_start == 0 and best.nfev == len(calls) == 2 + 1 + 1
+        assert np.isfinite(best.chi2) and best.start_objectives[1] == np.inf
+
     def test_negative_offset_start_is_not_pinned(self):
         """A negative start offset keeps the offset's default (-0.6, 0.6)
         bounds, so the fit recovers it."""
@@ -350,6 +377,49 @@ class TestJacobian:
                 "scale_phi0_per_t": (3.0e6, 4.2e6),
                 "offset_phi0": (-0.1, 0.1)}, n_starts=1, seed=0, **model)
         assert len(checked_at) == 2
+
+
+class TestSubsetForward:
+    """The single-loop forward solves only the levels it returns; its
+    results match a full ``eigh`` of the same Hamiltonian stack."""
+
+    @pytest.mark.parametrize("m", [20, 30, 80])
+    @pytest.mark.parametrize("n_flux", [1, 40])
+    def test_matches_full_eigh(self, n_flux, m):
+        # one flux at 0.5, where E1 - E0 is smallest; else the fit's grid
+        phis = (np.array([0.5]) if n_flux == 1
+                else np.linspace(0.05, 0.95, n_flux))
+        p = list(TRUE.values())
+        h = qubit_hamiltonians(*p, phis, m)
+        assert h.flags.c_contiguous
+        values, vectors = np.linalg.eigh(h)
+        levels, d_levels = single_loop_transitions(*p, phis, m=m,
+                                                   gradient=True)
+        np.testing.assert_allclose(levels, values[:, :3], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            d_levels, qubit_gradient(*p, phis, vectors[:, :, :3]), rtol=0,
+            atol=1e-12)
+        np.testing.assert_allclose(single_loop_transitions(*p, phis, m=m),
+                                   levels, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_levels", [0, -1, 5])
+    def test_n_levels_outside_basis_rejected(self, n_levels):
+        with pytest.raises(ValueError, match=r"n_levels must be in \[1, "
+                           r"m=4\]"):
+            single_loop_transitions(*TRUE.values(), [0.5], m=4,
+                                    n_levels=n_levels)
+
+    @pytest.mark.parametrize("gradient", [False, True])
+    @pytest.mark.parametrize("params, phis, count", [
+        ((np.nan, 3.4, 5.1), np.linspace(0.05, 0.95, 40), 40 * 30 * 30),
+        ((172.0, 3.4, np.inf), np.linspace(0.05, 0.95, 40), 40 * 30 * 30),
+        ((172.0, 3.4, 5.1), [np.nan], 30 * 30)],
+        ids=["lq-nan", "ej-inf", "phi-nan"])
+    def test_non_finite_input_raises_solver_error(self, params, phis, count,
+                                                  gradient):
+        with pytest.raises(SolverError, match=r"\[dim=30, non-finite "
+                           rf"entries in stack={count}\]"):
+            single_loop_transitions(*params, phis, gradient=gradient)
 
 
 class TestSharedInductance:
