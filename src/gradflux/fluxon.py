@@ -39,6 +39,11 @@ MAX_SWITCHES = 10**6
 CONFIDENCE = 0.95
 
 
+def _require_positive(name, value):
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class JunctionArrayModel:
     """Effective junction array describing the superinductor wire.
@@ -55,8 +60,8 @@ class JunctionArrayModel:
     def __post_init__(self):
         if self.n_junctions < 0:
             raise ValueError("n_junctions must be >= 0")
-        if self.ej_grain_ghz <= 0 or self.ec_grain_ghz <= 0:
-            raise ValueError("grain energies must be > 0 GHz")
+        _require_positive("ej_grain_ghz", self.ej_grain_ghz)
+        _require_positive("ec_grain_ghz", self.ec_grain_ghz)
 
 
 #: Device values: 300 um wire of 4 nm grains, E_J ~ 53 THz, E_C ~ 48 GHz.
@@ -105,9 +110,12 @@ def phase_slip_rate(model: JunctionArrayModel) -> PhaseSlipRate:
 def effective_junction_count(wire_length_m: float,
                              grain_size_m: float) -> int:
     """Number of effective junctions: one per grain along the wire."""
-    if wire_length_m <= 0 or grain_size_m <= 0:
-        raise ValueError("wire length and grain size must be > 0")
-    return int(round(wire_length_m / grain_size_m))
+    _require_positive("wire_length_m", wire_length_m)
+    _require_positive("grain_size_m", grain_size_m)
+    n = wire_length_m / grain_size_m
+    if n == math.inf:
+        raise ValueError("wire_length_m / grain_size_m overflows")
+    return int(round(n))
 
 
 @dataclass(frozen=True)
@@ -155,8 +163,13 @@ def simulate_telegraph(rate_eo_hz: float, rate_oe_hz: float,
     """
     if not (0 <= rate_eo_hz < math.inf and 0 <= rate_oe_hz < math.inf):
         raise ValueError("rates must be finite and >= 0")
-    if dt_s <= 0 or duration_s < dt_s:
-        raise ValueError("need dt_s > 0 and duration_s >= dt_s")
+    _require_positive("dt_s", dt_s)
+    _require_positive("duration_s", duration_s)
+    if duration_s < dt_s:
+        raise ValueError("need duration_s >= dt_s")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError("noise_sigma must be finite and >= 0, "
+                         f"got {noise_sigma!r}")
     if rate_eo_hz > 0 and rate_oe_hz > 0:
         expected = 2.0 * duration_s / (1.0 / rate_eo_hz + 1.0 / rate_oe_hz)
         if expected > MAX_SWITCHES:
@@ -246,8 +259,7 @@ def detect_jumps(trace: TimeTrace, threshold_in_mads: float = 6.0,
     suppressed while retaining near-threshold events that a one-shot window
     test at the full threshold would drop.
     """
-    if threshold_in_mads <= 0:
-        raise ValueError("threshold_in_mads must be > 0")
+    _require_positive("threshold_in_mads", threshold_in_mads)
     if window < 2:
         raise ValueError("window must be >= 2")
     x = trace.value
@@ -408,8 +420,7 @@ def coincidence_analysis(event_lists, window_s: float,
     """
     if len(event_lists) < 2:
         raise ValueError("need at least two event lists")
-    if window_s <= 0:
-        raise ValueError("window_s must be > 0")
+    _require_positive("window_s", window_s)
     t0, t1 = float(span[0]), float(span[1])
     total = t1 - t0
     if total <= 0:

@@ -18,19 +18,19 @@ basis of uncoupled fluxonium eigenstates x resonator Fock states, where
 everything but the coupling is diagonal: H = diag(e_q (+) k f_r) - g phi_q
 (x) X_n, kept as those factors.
 
-:func:`solve_hermitian`, the one eigensolver entry, takes those factors
-and picks the method: dense for full solves and up to a measured dimension
-crossover, above it matrix-free Lanczos for the lowest levels (ARPACK's
-implicitly restarted Lanczos through :func:`scipy.sparse.linalg.eigsh`,
-applying H as the structured product above, so no dim^2 array is formed).
+Every dense symmetric solve, of the fluxonium as of the two-mode matrix,
+goes through :func:`_solve_lowest` (LAPACK's MRRR driver, lowest k pairs).
+:func:`solve_hermitian` uses it on the two-mode factors for full solves and
+up to a measured dimension crossover; above it ARPACK's implicitly restarted
+Lanczos (:func:`scipy.sparse.linalg.eigsh`) finds the lowest levels,
+applying H as the structured product above, so no dim^2 array is formed.
 
 Eigenvalues are reported relative to the harmonic zero-point energy, so two
 uncoupled linear modes give exactly n*f_r + m*f_q.
 
 One builder, :func:`qubit_hamiltonians`, supplies the fluxonium here and
-in the spectroscopy forward models of :mod:`gradflux.estimation`; the
-single-loop model solves its stack for the lowest few levels only, through
-LAPACK's subset driver.
+in the spectroscopy forward models of :mod:`gradflux.estimation`, in the
+one cached phase eigenbasis that :func:`qubit_gradient` also reads.
 
 Dressed levels get one exclusive labeling, by :func:`diagonalize_labeled`:
 each level takes the |n_r m_q> label of the basis state (uncoupled
@@ -112,7 +112,7 @@ N_LOWEST = 80
 #: pairs of a labeled solve (device circuit, phi = 0.5, 2 BLAS threads,
 #: median of 15 solves; 1 thread gives the same crossover):
 #:
-#:     dim    dense subset eigh   Lanczos
+#:     dim    dense dsyevr        Lanczos
 #:     375    12.5-12.9 ms        14.2-17.0 ms
 #:     450    17.8 ms             17.6-19.3 ms  (break-even)
 #:     500    21.6-22.5 ms        18.7-19.5 ms
@@ -178,7 +178,7 @@ def _phase_quadrature(n):
 
 @functools.cache
 def _phase_eigenbasis(m):
-    theta, v = np.linalg.eigh(_phase_quadrature(m))
+    (theta,), (v,) = _solve_lowest(_phase_quadrature(m)[None], m, vectors=True)
     theta.flags.writeable = v.flags.writeable = False
     return theta, v
 
@@ -187,19 +187,20 @@ def qubit_hamiltonians(lq: float, cj: float, ej: float, phis,
                        m: int) -> np.ndarray:
     """Fluxonium Hamiltonians (n_flux x m x m, GHz) in harmonic Fock bases.
 
-    The cosine is evaluated exactly on the truncated phase operator: the
-    tridiagonal phi matrix is diagonalized once, cos(theta + 2 pi phi) is
-    applied to its eigenvalues for every flux in ``phis``, and the stack is
-    rotated back in one batched product. Symmetric up to rounding, and
-    C-contiguous.
+    The cosine is evaluated exactly on the truncated phase operator
+    phi = zeta X: X = V diag(theta) V^T comes from the cached
+    :func:`_phase_eigenbasis`, cos(zeta theta + 2 pi phi) is applied to its
+    eigenvalues for every flux in ``phis``, and the stack is rotated back
+    in one batched product. Symmetric up to rounding, and C-contiguous.
     """
     if lq <= 0 or cj <= 0:
         raise ValueError("inductance and capacitance must be positive")
     if m < 2:
         raise ValueError("need at least 2 Fock states")
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    theta, v = np.linalg.eigh(phase_zpf(lq, cj) * _phase_quadrature(m))
-    h = (v * np.cos(theta + 2.0 * np.pi * phis[:, None])[:, None, :]) @ v.T
+    theta, v = _phase_eigenbasis(m)
+    arg = phase_zpf(lq, cj) * theta + 2.0 * np.pi * phis[:, None]
+    h = (v * np.cos(arg)[:, None, :]) @ v.T
     h *= -ej
     k = np.arange(m)
     h[:, k, k] += mode_frequency(lq, cj) * k
@@ -241,8 +242,8 @@ def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
     if not math.isfinite(phi_eff):
         raise ValueError("phi_eff must be finite")
     m, n = basis.m_qubit, basis.n_res
-    e_q, u_q = np.linalg.eigh(
-        qubit_hamiltonians(eff.lq, eff.cj, eff.ej, phi_eff, m)[0])
+    (e_q,), (u_q,) = _solve_lowest(qubit_hamiltonians(
+        eff.lq, eff.cj, eff.ej, phi_eff, m), m, vectors=True)
     phi_q = u_q.T @ _phase_quadrature(m) @ u_q
     g = (0.5 * (EL_GHZ_NH / eff.lrq) * phase_zpf(eff.lq, eff.cj)
          * phase_zpf(eff.lr, eff.cr))
@@ -256,42 +257,41 @@ def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
 def solve_hermitian(h: HamiltonianMatrix, lowest: int | None = None):
     """Ascending eigenvalues and eigenvectors of the two-mode Hamiltonian.
 
-    The one place that picks the eigensolver: a full dense ``eigh`` of
-    ``h.matrix`` when ``lowest`` is None or not below the dimension, the
-    dense subset driver for the lowest ``lowest`` pairs up to
-    :data:`DENSE_MAX_DIM`, and above it ARPACK Lanczos on ``h.matvec`` from
-    a fixed start vector to machine precision, so reruns repeat. Non-finite
-    factors and solver failures raise :class:`SolverError`.
+    The lowest ``lowest`` pairs (all when None), by :func:`_solve_lowest`
+    on ``h.matrix`` for a full solve or up to :data:`DENSE_MAX_DIM`, else
+    by ARPACK Lanczos on ``h.matvec`` from a fixed start vector to machine
+    precision, so reruns repeat; failures raise :class:`SolverError`.
     """
     dim = h.basis.dim
     nonfinite = sum(int(np.count_nonzero(~np.isfinite(x)))
                     for x in (h.diagonal, h.coupling))
+    if nonfinite:
+        raise SolverError("eigensolver failed: factors must not contain infs "
+                          f"or NaNs [dim={dim}, non-finite entries in "
+                          f"factors={nonfinite}]")
+    k = dim if lowest is None else min(lowest, dim)
+    if k < 1:
+        raise ValueError(f"lowest must be >= 1, got {lowest}")
+    if k == dim or dim <= DENSE_MAX_DIM:
+        (w,), (v,) = _solve_lowest(h.matrix[None], k, vectors=True)
+        return w, v
+    op = spla.LinearOperator(h.shape, matvec=h.matvec, dtype=float)
     try:
-        if nonfinite:
-            raise ValueError("factors must not contain infs or NaNs")
-        if lowest is None or lowest >= dim:
-            return np.linalg.eigh(h.matrix)
-        if dim <= DENSE_MAX_DIM:
-            return sla.eigh(h.matrix, subset_by_index=(0, lowest - 1))
-        op = spla.LinearOperator(h.shape, matvec=h.matvec, dtype=float)
-        return spla.eigsh(op, k=lowest, which="SA", v0=np.ones(dim), tol=0)
-    except (np.linalg.LinAlgError, sla.LinAlgError, ValueError,
-            spla.ArpackError) as exc:
+        return spla.eigsh(op, k=k, which="SA", v0=np.ones(dim), tol=0)
+    except spla.ArpackError as exc:
         raise SolverError(f"eigensolver failed: {exc} [dim={dim}, "
-                          f"non-finite entries in factors={nonfinite}]"
-                          ) from exc
+                          "non-finite entries in factors=0]") from exc
 
 
 def _solve_lowest(h: np.ndarray, k: int, vectors: bool = False):
-    """Lowest ``k`` eigenvalues of each symmetric matrix in a stack.
+    """Lowest ``k`` eigenpairs of each symmetric matrix in a stack, by
+    LAPACK's MRRR subset driver ``dsyevr`` (Dhillon & Parlett, Linear
+    Algebra Appl. 387, 1 (2004)): the one dense eigensolver of gradflux.
 
-    ``h`` is (n, m, m), read by its lower triangle as ``np.linalg.eigh``
-    reads it. Returns the ascending eigenvalues (n, k), and with
-    ``vectors`` also ``(values, vectors)`` with vectors (n, m, k). Only the
-    wanted pairs are computed, by LAPACK's MRRR subset driver ``dsyevr``
-    (Dhillon & Parlett, Linear Algebra Appl. 387, 1 (2004)), one matrix at
-    a time. Non-finite entries and solver failures raise
-    :class:`SolverError`, as in :func:`solve_hermitian`.
+    ``h`` is (n, m, m), read by its lower triangle; k = m solves it all.
+    Returns the ascending eigenvalues (n, k), with ``vectors`` the pair
+    (values, vectors (n, m, k)). Non-finite entries and solver failures
+    raise :class:`SolverError`, as in :func:`solve_hermitian`.
     """
     n, m = h.shape[0], h.shape[-1]
     nonfinite = int(np.count_nonzero(~np.isfinite(h)))

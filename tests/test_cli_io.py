@@ -435,6 +435,20 @@ class TestCli:
                      "--grain-size-m", "4e-9"]) == 0
         assert "250" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, name", [
+        (["junctions", "--wire-length-m", "inf", "--grain-size-m", "4e-9"],
+         "wire_length_m"),
+        (["phaseslip", "--wire-length-m", "inf"], "wire_length_m"),
+        (["junctions", "--wire-length-m", "1e-6", "--grain-size-m", "nan"],
+         "grain_size_m"),
+        (["phaseslip", "--ej-ghz", "inf"], "ej_grain_ghz"),
+    ], ids=["junctions-inf-wire", "phaseslip-inf-wire",
+            "junctions-nan-grain", "phaseslip-inf-ej"])
+    def test_non_finite_input_exit_2(self, capsys, argv, name):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+
     def test_trace_simulate_analyze_roundtrip(self, tmp_path):
         trace_path = tmp_path / "trace.csv"
         out = tmp_path / "dwell.json"

@@ -67,6 +67,15 @@ class TestPhaseSlipRate:
         result = phase_slip_rate(JunctionArrayModel(100, 10.0, 48.0))
         assert result.warning is not None
 
+    def test_validation(self):
+        for ej, ec, name in ((math.inf, 48.0, "ej_grain_ghz"),
+                             (53e3, math.nan, "ec_grain_ghz"),
+                             (0.0, 48.0, "ej_grain_ghz")):
+            with pytest.raises(ValueError, match=name):
+                JunctionArrayModel(10, ej, ec)
+        with pytest.raises(ValueError, match="n_junctions"):
+            JunctionArrayModel(-1, 53e3, 48.0)
+
     def test_current_activation_threshold_reported(self):
         from gradflux.fluxon import CURRENT_ACTIVATED_BIAS_PHI0
         assert CURRENT_ACTIVATED_BIAS_PHI0 == 130.0
@@ -93,6 +102,14 @@ class TestJunctionCount:
     def test_validation(self):
         with pytest.raises(ValueError):
             effective_junction_count(0.0, 4e-9)
+        with pytest.raises(ValueError, match="wire_length_m"):
+            effective_junction_count(math.inf, 4e-9)
+        with pytest.raises(ValueError, match="grain_size_m"):
+            effective_junction_count(300e-6, math.nan)
+        with pytest.raises(ValueError, match="grain_size_m"):
+            effective_junction_count(300e-6, math.inf)
+        with pytest.raises(ValueError, match="overflows"):
+            effective_junction_count(1e308, 1e-300)
 
 
 class TestSimulateTelegraph:
@@ -132,6 +149,14 @@ class TestSimulateTelegraph:
             simulate_telegraph(-0.1, 0.1, 10.0, 1.0)
         with pytest.raises(ValueError):
             simulate_telegraph(0.1, 0.1, 0.5, 1.0)
+        for kwargs, name in (({"noise_sigma": math.nan}, "noise_sigma"),
+                             ({"noise_sigma": math.inf}, "noise_sigma"),
+                             ({"noise_sigma": -0.1}, "noise_sigma"),
+                             ({"dt_s": math.nan}, "dt_s"),
+                             ({"duration_s": math.inf}, "duration_s")):
+            args = {"duration_s": 10.0, "dt_s": 1.0} | kwargs
+            with pytest.raises(ValueError, match=name):
+                simulate_telegraph(0.1, 0.1, **args)
 
     def test_switch_count_cap_rejects_up_front(self):
         # 1e12 expected switches: refused before any switch is drawn
@@ -208,6 +233,9 @@ class TestDetectJumps:
         trace = TimeTrace(t_s=np.arange(100.0), value=np.zeros(100))
         with pytest.raises(ValueError):
             detect_jumps(trace, threshold_in_mads=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="threshold_in_mads"):
+                detect_jumps(trace, threshold_in_mads=bad)
         short = TimeTrace(t_s=np.arange(5.0), value=np.zeros(5))
         with pytest.raises(ValueError):
             detect_jumps(short)
@@ -324,6 +352,10 @@ class TestCoincidence:
         with pytest.raises(ValueError):
             coincidence_analysis([np.array([1.0]), np.array([2.0])], 0.0,
                                  (0.0, 10.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="window_s"):
+                coincidence_analysis([np.array([1.0]), np.array([2.0])],
+                                     bad, (0.0, 10.0))
 
 
 class TestPipeline:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gradflux import (EffectiveFluxonium, FockBasisSpec, LabelError,
                       balanced_branch_circuit, build_hamiltonian,
@@ -125,8 +126,41 @@ class TestHamiltonianProperties:
                                ej=5.1, alpha=0.0)
         with pytest.raises(ValueError):
             build_hamiltonian(EFF, math.nan, BASIS)
+        for lowest in (0, -1):
+            with pytest.raises(ValueError, match="lowest must be >= 1"):
+                solve_hermitian(build_hamiltonian(EFF, 0.5, BASIS), lowest)
         with pytest.raises(ValueError):
             FockBasisSpec(1, 5)
+
+
+class TestOneDenseSolver:
+    """Every dense solve runs through ``spectrum._solve_lowest``."""
+
+    def test_no_other_dense_eigensolver(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("dense solve outside _solve_lowest")
+
+        for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                             (scipy.linalg, "eigh")):
+            monkeypatch.setattr(module, name, boom)
+        spectrum._phase_eigenbasis.cache_clear()
+        assert BASIS.dim <= DENSE_MAX_DIM
+        h = build_hamiltonian(EFF, 0.5, BASIS)
+        assert solve_hermitian(h)[0].shape == (BASIS.dim,)
+        assert solve_hermitian(h, 16)[1].shape == (BASIS.dim, 16)
+        single_loop_transitions(172.0, 3.4, 5.1, [0.3, 0.5], 30)
+        single_loop_transitions(172.0, 3.4, 5.1, [0.3, 0.5], 30,
+                                gradient=True)
+        assert dispersive_shift(EFF, 0.5, BASIS).valid
+        assert flux_sweep(EFF, [0.5], BASIS).points
+
+    @pytest.mark.parametrize("phi", [0.0, 0.26, 0.5])
+    def test_builder_and_gradient_share_one_basis(self, phi):
+        m, n = BASIS.m_qubit, BASIS.n_res
+        levels, _ = single_loop_transitions(EFF.lq, EFF.cj, EFF.ej, phi, m=m,
+                                            n_levels=m, gradient=True)
+        h = build_hamiltonian(EFF, phi, BASIS)
+        assert np.array_equal(h.diagonal[::n], levels[0])
 
 
 def fock_basis_reference(eff, phi, basis):
