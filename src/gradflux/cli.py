@@ -223,15 +223,8 @@ def cmd_phaseslip(args, config, meta) -> int:
     rate = phase_slip_rate(model)
     if args.out:
         io.write_json(args.out, {
-            "meta": meta,
-            "n_junctions": model.n_junctions,
-            "ej_grain_GHz": model.ej_grain_ghz,
-            "ec_grain_GHz": model.ec_grain_ghz,
-            "rate_Hz": rate.rate_hz,
-            "log10_rate_Hz": rate.log10_rate_hz,
-            "warning": rate.warning,
-            "current_activated_above_phi0": CURRENT_ACTIVATED_BIAS_PHI0,
-        })
+            "meta": meta, **io.fields(model), **io.fields(rate),
+            "current_activated_above_phi0": CURRENT_ACTIVATED_BIAS_PHI0})
     print(f"phase-slip rate: {rate.rate_hz:.3e} Hz "
           f"(log10 = {rate.log10_rate_hz:.2f})")
     if rate.warning:
@@ -289,13 +282,8 @@ def cmd_coincidence(args, config, meta) -> int:
         tr, threshold_in_mads=config["trace"]["threshold_mads"],
         window=config["trace"]["window"]) for tr in traces]
     result = coincidence_analysis(event_lists, args.window, span)
-    io.write_json(args.out, {
-        "meta": meta,
-        "window_s": result.window_s,
-        "span_s": list(result.span),
-        "traces": [str(p) for p in args.traces],
-        "pairs": result.pairs,
-    })
+    io.write_json(args.out, {"meta": meta, **io.fields(result),
+                             "traces": [str(p) for p in args.traces]})
     for p in result.pairs:
         ratio = "n/a" if p.excess_ratio is None else f"{p.excess_ratio:.3f}"
         print(f"pair ({p.trace_a},{p.trace_b}): observed {p.observed}, "

@@ -35,6 +35,9 @@ TRANSITION_KINDS = ("f01", "f02")
 #: linewidth scale, 1 MHz.
 DEFAULT_SIGMA_GHZ = 1e-3
 
+#: Truncation of the coupled two-mode forward model of :func:`fit_spectrum`.
+COUPLED_BASIS = FockBasisSpec(20, 8)
+
 
 class FitError(RuntimeError):
     """Fit failure; ``best`` carries the best-so-far result if any."""
@@ -260,7 +263,6 @@ class _Start:
 def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
                  bounds: dict | None = None, *,
                  resonator: dict | None = None, basis_m: int = 30,
-                 coupled_basis: FockBasisSpec = FockBasisSpec(20, 8),
                  n_starts: int = 8, seed: int = 0,
                  max_nfev: int = 2000) -> FitResult:
     """Weighted least-squares fit of circuit parameters to a spectrum.
@@ -272,11 +274,11 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
     per ``seed``). Parameters with zero-width bounds are pinned at that
     value and left out of the solve.
     Giving ``resonator`` ({ls, lr, cr}) selects the coupled two-mode
-    forward model in the ``coupled_basis``; without it the single-loop
-    fluxonium model in ``basis_m`` Fock states is fitted. ``forward`` in the
-    result records which. Datasets in tesla add field-to-flux scale and
-    offset nuisance parameters unless they are pinned via ``init``/``bounds``
-    with zero-width bounds.
+    forward model in the fixed :data:`COUPLED_BASIS`; without it the
+    single-loop fluxonium model in ``basis_m`` Fock states is fitted.
+    ``forward`` in the result records which. Datasets in tesla add
+    field-to-flux scale and offset nuisance parameters unless they are
+    pinned via ``init``/``bounds`` with zero-width bounds.
 
     Either model returns its analytic Jacobian with every evaluation, and
     TRF's Jacobian at a point reuses the evaluation just made there; the
@@ -340,7 +342,7 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
                                                 basis_m)
         else:
             freqs, d = _model_freqs_coupled(p[0], p[1], p[2], phis, trs,
-                                            resonator, coupled_basis)
+                                            resonator, COUPLED_BASIS)
         if dataset.unit == "tesla":    # phi = scale * x + offset
             return freqs, np.column_stack([d[:, :3], d[:, 3] * x_meas,
                                            d[:, 3]])

@@ -138,6 +138,8 @@ class TimeTrace:
                            np.asarray(self.value, dtype=float))
         if self.t_s.size != self.value.size:
             raise ValueError("t_s and value must have equal length")
+        if not np.all(np.isfinite(self.t_s)):
+            raise ValueError("trace times must be finite")
         if self.t_s.size and not np.all(np.diff(self.t_s) > 0):
             raise ValueError("t_s must be strictly increasing")
         if not np.all(np.isfinite(self.value)):
@@ -151,13 +153,14 @@ class TimeTrace:
 def simulate_telegraph(rate_eo_hz: float, rate_oe_hz: float,
                        duration_s: float, dt_s: float,
                        noise_sigma: float = 0.0, seed: int = 0,
-                       levels=(0.0, 1.0), label: str = "") -> TimeTrace:
+                       label: str = "") -> TimeTrace:
     """Two-state Markov telegraph trace sampled on a uniform grid.
 
     ``rate_eo_hz`` is the even-to-odd switching rate and ``rate_oe_hz`` the
     reverse; dwell times are exponential. The trace starts in the even
-    state at level ``levels[0]``. Gaussian readout noise of standard
-    deviation ``noise_sigma`` is added per sample. Reproducible per seed.
+    state, which reads 0; the odd state reads 1. Gaussian readout noise of
+    standard deviation ``noise_sigma`` is added per sample. Reproducible
+    per seed.
     Raises ``ValueError`` when the expected number of switches,
     2 T / (1/rate_eo + 1/rate_oe), exceeds :data:`MAX_SWITCHES`.
     """
@@ -195,7 +198,7 @@ def simulate_telegraph(rate_eo_hz: float, rate_oe_hz: float,
     switches = np.asarray(switches)
 
     state_idx = np.searchsorted(switches, t, side="right") % 2
-    value = np.asarray(levels, dtype=float)[state_idx]
+    value = state_idx.astype(float)
     if noise_sigma > 0:
         value = value + rng.normal(0.0, noise_sigma, size=n)
     return TimeTrace(t_s=t, value=value, noise_sigma=noise_sigma,
@@ -248,9 +251,11 @@ def detect_jumps(trace: TimeTrace, threshold_in_mads: float = 6.0,
                  window: int = 15) -> list:
     """Detect level jumps in a noisy two-level trace.
 
-    Three stages: (1) candidate boundaries where the rolling-median shift
-    exceeds half the threshold (in units of the noise MAD, estimated from
-    first differences so slow drifts and the steps themselves drop out);
+    Three stages: (1) candidate boundaries, one per run of rolling-median
+    shifts above half the threshold and one per run below minus half of
+    it (in units of the noise MAD, estimated from first differences so slow
+    drifts and the steps themselves drop out; on a noise-free trace the
+    MAD and so the gate is 0, and every nonzero shift counts);
     (2) boundary localization by a two-plateau least-squares scan;
     (3) verification of each boundary against the median levels of the full
     adjacent segments, requiring both the MAD gate and a
@@ -272,15 +277,8 @@ def detect_jumps(trace: TimeTrace, threshold_in_mads: float = 6.0,
     mad = float(np.median(np.abs(np.diff(x)))) / math.sqrt(2.0)
     gate = 0.5 * threshold_in_mads * mad
 
-    candidates = []
-    if mad > 0:
-        for run in _runs(s > gate):
-            candidates.append(int(run[np.argmax(s[run])]))
-        for run in _runs(s < -gate):
-            candidates.append(int(run[np.argmin(s[run])]))
-    else:
-        for run in _runs(np.abs(s) > 0):
-            candidates.append(int(run[np.argmax(np.abs(s[run]))]))
+    candidates = [int(run[np.argmax(s[run])]) for run in _runs(s > gate)]
+    candidates += [int(run[np.argmin(s[run])]) for run in _runs(s < -gate)]
 
     boundaries = sorted({_localize(x, j0, w) for j0 in candidates})
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .estimation import (DEFAULT_SIGMA_GHZ, DecayCurve, FitResult,
                          SpectroscopyDataset)
-from .fluxon import DwellStats, TimeTrace
+from .fluxon import (CoincidenceResult, DwellStats, JunctionArrayModel,
+                     PhaseSlipRate, TimeTrace)
 from .spectrum import SweepPoint
 
 SWEEP_COLUMNS = ("flux_phi0", "transition", "freq_GHz", "chi_MHz",
@@ -34,6 +35,10 @@ JSON_KEYS = {
                 "residuals_ghz": "residuals_GHz",
                 "history": "objective_history"},
     DwellStats: {"rate_hz": "lambda_hz"},
+    JunctionArrayModel: {"ej_grain_ghz": "ej_grain_GHz",
+                         "ec_grain_ghz": "ec_grain_GHz"},
+    PhaseSlipRate: {"rate_hz": "rate_Hz", "log10_rate_hz": "log10_rate_Hz"},
+    CoincidenceResult: {"span": "span_s"},
 }
 
 
@@ -47,8 +52,12 @@ def _fmt(x):
     return str(x)
 
 
-def _fields(obj) -> dict:
-    """A dataclass instance's fields by their :data:`JSON_KEYS` names."""
+def fields(obj) -> dict:
+    """A dataclass instance's fields by their :data:`JSON_KEYS` names.
+
+    Payloads merge the fields of one or more results with keys of their
+    own, such as ``meta``.
+    """
     keys = JSON_KEYS.get(type(obj), {})
     return {keys.get(f.name, f.name): getattr(obj, f.name)
             for f in dataclasses.fields(obj)}
@@ -61,7 +70,7 @@ def _sanitize(obj):
     instances dicts of their fields, keyed as in :data:`JSON_KEYS`.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = _fields(obj)
+        obj = fields(obj)
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -139,11 +148,21 @@ def _number(path, line, cell):
 
 
 def read_columns(path, columns) -> list:
-    """One float array per column of a numeric CSV file."""
+    """One float array per column of a numeric CSV file.
+
+    A cell that is not a finite number raises ValueError naming the file
+    and line.
+    """
     rows, lines = _read_csv(path, columns)
-    return [np.array([_number(path, line, r[k])
-                      for line, r in zip(lines, rows)])
-            for k in range(len(columns))]
+    arrays = [np.array([_number(path, line, r[k])
+                        for line, r in zip(lines, rows)])
+              for k in range(len(columns))]
+    finite = np.logical_and.reduce([np.isfinite(a) for a in arrays])
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{path}, line {lines[i]}: non-finite number in "
+                         f"{','.join(rows[i])}")
+    return arrays
 
 
 def write_sweep_csv(path, sweep, meta=None) -> None:
@@ -153,7 +172,7 @@ def write_sweep_csv(path, sweep, meta=None) -> None:
 
 
 def write_sweep_json(path, sweep, meta=None) -> None:
-    write_json(path, {"meta": meta or {}, **_fields(sweep)})
+    write_json(path, {"meta": meta or {}, **fields(sweep)})
 
 
 def write_spectroscopy_csv(path, dataset: SpectroscopyDataset,
@@ -217,7 +236,7 @@ def read_trace_csv(path) -> TimeTrace:
 
 
 def write_dwell_json(path, stats, events=None, meta=None) -> None:
-    payload = {"meta": meta or {}, **_fields(stats),
+    payload = {"meta": meta or {}, **fields(stats),
                "lifetime_s": stats.lifetime_s,
                "lifetime_lower_bound_s": stats.lifetime_lower_bound_s}
     if events is not None:
@@ -226,7 +245,7 @@ def write_dwell_json(path, stats, events=None, meta=None) -> None:
 
 
 def write_fit_json(path, fit, meta=None) -> None:
-    write_json(path, {"meta": meta or {}, **_fields(fit)})
+    write_json(path, {"meta": meta or {}, **fields(fit)})
 
 
 def read_decay_csv(path, kind: str) -> DecayCurve:

@@ -67,12 +67,8 @@ class SolverError(RuntimeError):
 
 
 class LabelError(RuntimeError):
-    """A requested |n_r m_q> label could not be resolved confidently."""
-
-    def __init__(self, message, label=None, confidence=None):
-        super().__init__(message)
-        self.label = label
-        self.confidence = confidence
+    """A requested |n_r m_q> label could not be resolved confidently; the
+    message names the label and, if it was resolved, its overlap."""
 
 
 @dataclass(frozen=True)
@@ -332,15 +328,13 @@ class SpectrumResult:
     def energy(self, label, min_confidence: float = 0.0) -> float:
         label = tuple(label)
         if label not in self.index_of:
-            raise LabelError(f"label {label} not retained in spectrum",
-                             label=label)
+            raise LabelError(f"label {label} not retained in spectrum")
         j = self.index_of[label]
         if self.confidence[j] < min_confidence:
             raise LabelError(
                 f"label {label} resolved with overlap "
                 f"{self.confidence[j]:.3f} < {min_confidence:.3f} "
-                "(near an avoided crossing)",
-                label=label, confidence=float(self.confidence[j]))
+                "(near an avoided crossing)")
         return float(self.energies[j])
 
 
@@ -502,13 +496,6 @@ class SweepResult:
     min_confidence: float
 
 
-def _transition_name(tr):
-    if isinstance(tr, str):
-        return tr
-    pair = parse_transition(tr)
-    return f"{pair[0]}->{pair[1]}"
-
-
 def flux_sweep(eff: EffectiveFluxonium, flux_grid,
                basis: FockBasisSpec = DEFAULT_BASIS,
                transitions=("f01",),
@@ -522,8 +509,11 @@ def flux_sweep(eff: EffectiveFluxonium, flux_grid,
     flux_grid = np.atleast_1d(np.asarray(flux_grid, dtype=float))
     if not np.all(np.isfinite(flux_grid)):
         raise ValueError("flux grid must be finite")
-    pairs = [(str(_transition_name(tr)), parse_transition(tr))
-             for tr in transitions]
+    pairs = []
+    for tr in transitions:
+        pair = parse_transition(tr)
+        pairs.append((tr if isinstance(tr, str) else f"{pair[0]}->{pair[1]}",
+                      pair))
     labels = set(CHI_LABELS).union(*(pair for _, pair in pairs))
     points, errors = [], []
     for phi in flux_grid:

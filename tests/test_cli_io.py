@@ -161,38 +161,52 @@ class TestConfig:
 INPUTS_INI = ("[basis]\nm_qubit = 20\nn_res = 8\n"
               "[trace]\nthreshold_mads = 5.5\n[fit]\nbasis_m = 20\n")
 
-# command, its arguments, the config keys its flags set, output file name
+# command, its arguments, the config keys its flags set, output file name,
+# the top-level keys of each JSON file it writes
 COMMAND_RUNS = [
     ("sweep", ["--start", "0.4", "--stop", "0.6", "--points", "3",
                "--transitions", "f01,fr"],
      {"sweep.start": 0.4, "sweep.stop": 0.6, "sweep.points": 3,
-      "sweep.transitions": "f01,fr"}, "out.csv"),
-    ("chi", ["--flux", "0.5"], {}, "out.json"),
+      "sweep.transitions": "f01,fr"}, "out.csv",
+     "meta points errors transitions basis min_confidence"),
+    ("chi", ["--flux", "0.5"], {}, "out.json",
+     "meta flux_phi0 chi_MHz valid min_overlap"),
     ("fit", ["--data", "{spec}", "--starts", "1", "--seed", "3",
              "--basis-m", "24", "--forward", "single-loop"],
      {"fit.n_starts": 1, "fit.seed": 3, "fit.basis_m": 24,
-      "fit.forward": "single-loop"}, "out.json"),
+      "fit.forward": "single-loop"}, "out.json",
+     "meta params stderr sensitivity rms_residual_GHz chi2 residuals_GHz "
+     "status forward n_starts best_start seed nfev objective_history "
+     "start_objectives sigma_defaulted bounds"),
     ("phaseslip", ["--wire-length-m", "2e-4", "--grain-size-m", "5e-9",
                    "--ej-ghz", "50000"],
      {"geometry.wire_length_m": 2e-4, "geometry.grain_size_m": 5e-9},
-     "out.json"),
+     "out.json",
+     "meta n_junctions ej_grain_GHz ec_grain_GHz rate_Hz log10_rate_Hz "
+     "warning current_activated_above_phi0"),
     ("junctions", ["--wire-length-m", "1e-6", "--grain-size-m", "4e-9"],
      {"geometry.wire_length_m": 1e-6, "geometry.grain_size_m": 4e-9},
-     "out.json"),
+     "out.json", "meta wire_length_m grain_size_m n_junctions"),
     ("simulate-trace", ["--rate-eo", "0.002", "--rate-oe", "0.003",
                         "--duration", "2000", "--dt", "0.5",
                         "--noise", "0.2", "--seed", "5"],
      {"trace.rate_eo_hz": 0.002, "trace.rate_oe_hz": 0.003,
       "trace.duration_s": 2000.0, "trace.dt_s": 0.5,
-      "trace.noise_sigma": 0.2, "trace.seed": 5}, "out.csv"),
+      "trace.noise_sigma": 0.2, "trace.seed": 5}, "out.csv",
+     "meta units noise_sigma label"),
     ("analyze-trace", ["--trace", "{trace_a}", "--threshold", "5.0",
                        "--window", "11"],
-     {"trace.threshold_mads": 5.0, "trace.window": 11}, "out.json"),
+     {"trace.threshold_mads": 5.0, "trace.window": 11}, "out.json",
+     "meta lambda_hz ci_low_hz ci_high_hz n_events total_time_s "
+     "censored_time_s dwell_times_s censored confidence lifetime_s "
+     "lifetime_lower_bound_s events"),
     ("coincidence", ["--traces", "{trace_a}", "{trace_b}",
-                     "--window", "5.0"], {}, "out.json"),
+                     "--window", "5.0"], {}, "out.json",
+     "meta window_s span_s traces pairs"),
     ("decay-fit", ["--data", "{decay}", "--kind", "exponential"], {},
-     "out.json"),
-    ("parabola-fit", ["--data", "{parabola}"], {}, "out.json"),
+     "out.json", "meta kind tau_us tau_stderr_us params stderr"),
+    ("parabola-fit", ["--data", "{parabola}"], {}, "out.json",
+     "meta f_max_GHz b_offset_uT curvature_GHz_per_uT2"),
 ]
 
 
@@ -221,11 +235,13 @@ def command_inputs(tmp_path):
 
 
 class TestCli:
-    @pytest.mark.parametrize("command, extra, flags, out_name", COMMAND_RUNS,
+    @pytest.mark.parametrize("command, extra, flags, out_name, keys",
+                             COMMAND_RUNS,
                              ids=[run[0] for run in COMMAND_RUNS])
     def test_rerun_identical_and_config_resolved(self, tmp_path,
                                                  command_inputs, command,
-                                                 extra, flags, out_name):
+                                                 extra, flags, out_name,
+                                                 keys):
         ini, inputs = command_inputs
         argv = [command] + [a.format(**inputs) for a in extra]
         if command != "junctions":        # the one command without --config
@@ -241,12 +257,13 @@ class TestCli:
             runs.append({p.name: p.read_bytes()
                          for p in sorted((tmp_path / run).iterdir())})
         assert runs[0] == runs[1]
-        metas = [json.loads(text)["meta"]
-                 for name, text in runs[0].items() if name.endswith(".json")]
-        assert metas
-        for meta in metas:
-            assert meta["command"] == command
-            assert meta["config"] == expected
+        payloads = [json.loads(text) for name, text in runs[0].items()
+                    if name.endswith(".json")]
+        assert payloads
+        for payload in payloads:
+            assert set(payload) == set(keys.split())
+            assert payload["meta"]["command"] == command
+            assert payload["meta"]["config"] == expected
 
     @pytest.mark.parametrize("command, name, text, where", [
         ("sweep", "cfg.ini", "points = 3\n", "cfg.ini"),
@@ -282,12 +299,22 @@ class TestCli:
          "field_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
          "0.5,phi0,f01,3.9,0.001\n0.3,phi0,f01,5.0,inf\n",
          "column sigma_ghz"),
+        ("analyze-trace", "trace.csv",
+         "t_s,value\n" + "".join(f"{t}.0,0.1\n" for t in range(11))
+         + "inf,0.1\n", "trace.csv, line 13"),
+        ("decay-fit", "t1.csv",
+         "t_us,inversion\n0.0,0.8\n1.0,nan\n2.0,0.6\n3.0,0.5\n",
+         "t1.csv, line 3"),
+        ("parabola-fit", "par.csv",
+         "b_ut,freq_GHz\n-1.0,7.4\n0.0,inf\n1.0,7.4\n2.0,7.3\n",
+         "par.csv, line 3"),
     ], ids=["ini-no-section", "ini-duplicate-key", "ini-stray-percent",
             "trace-short-row", "dataset-short-row", "trace-non-numeric",
             "dataset-non-numeric", "sweep-zero-points",
             "sweep-negative-points", "ini-run-section",
             "sweep-no-transitions", "ini-outer-area", "dataset-nan-flux",
-            "dataset-inf-freq", "dataset-inf-sigma"])
+            "dataset-inf-freq", "dataset-inf-sigma", "trace-inf-time",
+            "decay-nan", "parabola-inf"])
     def test_malformed_input_exit_2(self, tmp_path, capsys, command, name,
                                     text, where):
         path = tmp_path / name
@@ -296,7 +323,11 @@ class TestCli:
         argv = {"sweep": ["sweep", "--config", str(path), "--out", out],
                 "analyze-trace": ["analyze-trace", "--trace", str(path),
                                   "--out", out],
-                "fit": ["fit", "--data", str(path), "--out", out]}[command]
+                "fit": ["fit", "--data", str(path), "--out", out],
+                "decay-fit": ["decay-fit", "--data", str(path), "--kind",
+                              "exponential", "--out", out],
+                "parabola-fit": ["parabola-fit", "--data", str(path),
+                                 "--out", out]}[command]
         assert main(argv) == 2
         assert where in capsys.readouterr().err
 
@@ -587,8 +618,7 @@ class TestCli:
 
     def test_label_error_exit_1(self, tmp_path, monkeypatch, capsys):
         def unresolved(args, config, meta):
-            raise LabelError("label (1, 1) not retained in spectrum",
-                             label=(1, 1))
+            raise LabelError("label (1, 1) not retained in spectrum")
 
         monkeypatch.setattr(cli, "cmd_chi", unresolved)
         code = main(["chi", "--flux", "0.5",

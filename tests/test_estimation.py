@@ -136,7 +136,8 @@ class TestFitSpectrum:
                   synthetic_dataset(noise_ghz=1e-3, seed=4), {}),
                  ("_model_freqs_coupled", coupled,
                   dict(init=dict(lq_nh=180.0, cj_ff=3.2, ej_ghz=4.8),
-                       resonator=resonator, coupled_basis=basis))]
+                       resonator=resonator))]
+        monkeypatch.setattr(estimation, "COUPLED_BASIS", basis)
         for name, data, kwargs in cases:
             calls = []
             forward = getattr(estimation, name)
@@ -254,10 +255,10 @@ class TestFitSpectrum:
         for key, val in TRUE.items():
             assert val / 3 < guess[key] < val * 3
 
-    def test_coupled_forward_roundtrip(self):
+    def test_coupled_forward_roundtrip(self, monkeypatch):
         data, resonator, basis = coupled_dataset()
-        fit = fit_spectrum(data, init=dict(TRUE),
-                           resonator=resonator, coupled_basis=basis,
+        monkeypatch.setattr(estimation, "COUPLED_BASIS", basis)
+        fit = fit_spectrum(data, init=dict(TRUE), resonator=resonator,
                            n_starts=1, seed=0, max_nfev=600)
         assert fit.forward == "coupled"
         for key, val in TRUE.items():
@@ -372,7 +373,8 @@ class TestJacobian:
 
         least_squares = estimation.least_squares
         monkeypatch.setattr(estimation, "least_squares", checked)
-        for model in ({}, dict(resonator=resonator, coupled_basis=basis)):
+        monkeypatch.setattr(estimation, "COUPLED_BASIS", basis)
+        for model in ({}, dict(resonator=resonator)):
             fit_spectrum(data, init=init, bounds={
                 "scale_phi0_per_t": (3.0e6, 4.2e6),
                 "offset_phi0": (-0.1, 0.1)}, n_starts=1, seed=0, **model)

@@ -140,9 +140,9 @@ class TestSimulateTelegraph:
 
     def test_levels_and_alternation(self):
         trace = simulate_telegraph(0.05, 0.05, 400.0, 1.0, noise_sigma=0.0,
-                                   seed=5, levels=(-1.0, 2.0))
-        assert set(np.unique(trace.value)) <= {-1.0, 2.0}
-        assert trace.value[0] == -1.0      # starts even
+                                   seed=5)
+        assert set(np.unique(trace.value)) == {0.0, 1.0}
+        assert trace.value[0] == 0.0      # starts even
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -186,6 +186,16 @@ class TestDetectJumps:
         assert len(events) == 1
         assert events[0].index == 60
         assert events[0].direction == 1
+
+    def test_zero_noise_short_dwells(self):
+        # dwells shorter than the window give rolling-median shifts of both
+        # signs in one run; each sign still makes its own candidate
+        trace = simulate_telegraph(0.08, 0.08, 3000.0, 1.0, noise_sigma=0.0,
+                                   seed=1)
+        events = detect_jumps(trace)
+        for e in events:
+            assert np.min(np.abs(trace.switch_times - e.time_s)) <= 1.0
+        assert {1637, 1871, 1992, 2961} <= {e.index for e in events}
 
     def test_single_step_at_85_minutes(self):
         # readout-frequency jump 85 min into a two-hour trace, SNR 10
@@ -239,6 +249,10 @@ class TestDetectJumps:
         short = TimeTrace(t_s=np.arange(5.0), value=np.zeros(5))
         with pytest.raises(ValueError):
             detect_jumps(short)
+        for last in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="times must be finite"):
+                TimeTrace(t_s=np.r_[np.arange(9.0), last],
+                          value=np.zeros(10))
 
 
 class TestEstimateLifetime:

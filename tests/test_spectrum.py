@@ -1,6 +1,7 @@
 """Spectrum tests: harmonic limits, normal-mode oracle, labels, sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -287,8 +288,10 @@ class TestLabeledTransitions:
         spec = diagonalize_labeled(build_hamiltonian(EFF, 0.26, BASIS))
         with pytest.raises(LabelError) as err:
             transition_frequency(spec, (0, 1), (1, 1), min_confidence=0.7)
-        assert err.value.confidence is not None
-        assert err.value.confidence < 0.7
+        found = re.fullmatch(r"label \(1, 1\) resolved with overlap (\S+) "
+                             r"< 0\.700 \(near an avoided crossing\)",
+                             str(err.value))
+        assert found and float(found.group(1)) < 0.7
 
     def test_one_level_never_carries_two_labels(self):
         # at phi = 0.247 one dressed level overlaps both (1,1) and (2,0)
