@@ -120,8 +120,9 @@ def _basis_from(config):
 
 
 def _check_out(*paths):
-    """Reject output paths that cannot take a file, before any work."""
-    for path in map(Path, paths):
+    """Reject output paths that cannot take a file, before any work; an
+    unset optional path is skipped."""
+    for path in map(Path, filter(None, paths)):
         if path.is_dir():
             raise ConfigError(f"output path {path} is a directory")
         if not path.parent.is_dir():
@@ -148,7 +149,8 @@ def cmd_sweep(args, config, meta) -> int:
                        transitions=transitions,
                        min_confidence=config["tolerances"]["min_confidence"])
     io.write_sweep_csv(out, sweep, meta=meta)
-    io.write_sweep_json(out.with_suffix(".json"), sweep, meta=meta)
+    io.write_json(out.with_suffix(".json"), {"meta": meta,
+                                             **io.fields(sweep)})
     print(f"sweep: {len(sweep.points)} rows, {len(sweep.errors)} errors "
           f"-> {out}")
     if args.strict and sweep.errors:
@@ -158,8 +160,7 @@ def cmd_sweep(args, config, meta) -> int:
 
 
 def cmd_chi(args, config, meta) -> int:
-    if args.out:
-        _check_out(args.out)
+    _check_out(args.out)
     eff = effective_from_config(config["circuit"])
     min_conf = config["tolerances"]["min_confidence"]
     if args.ladder:
@@ -206,13 +207,14 @@ def cmd_fit(args, config, meta) -> int:
                        basis_m=fit_cfg["basis_m"],
                        n_starts=fit_cfg["n_starts"], seed=fit_cfg["seed"],
                        max_nfev=fit_cfg["max_nfev"])
-    io.write_fit_json(args.out, fit, meta=meta)
+    io.write_json(args.out, {"meta": meta, **io.fields(fit)})
     pstr = ", ".join(f"{k}={v:.6g}" for k, v in fit.params.items())
     print(f"fit: {pstr} (rms {fit.rms_residual_ghz * 1e3:.3f} MHz)")
     return 0
 
 
 def cmd_phaseslip(args, config, meta) -> int:
+    _check_out(args.out)
     n = args.n_junctions
     if n is None:
         geom = config["geometry"]
@@ -233,6 +235,7 @@ def cmd_phaseslip(args, config, meta) -> int:
 
 
 def cmd_junctions(args, config, meta) -> int:
+    _check_out(args.out)
     geom = config["geometry"]
     n = effective_junction_count(geom["wire_length_m"], geom["grain_size_m"])
     if args.out:
@@ -247,6 +250,7 @@ def cmd_junctions(args, config, meta) -> int:
 
 
 def cmd_simulate_trace(args, config, meta) -> int:
+    _check_out(args.out, Path(args.out).with_suffix(".json"))
     tc = config["trace"]
     trace = simulate_telegraph(tc["rate_eo_hz"], tc["rate_oe_hz"],
                                tc["duration_s"], tc["dt_s"],
@@ -260,6 +264,7 @@ def cmd_simulate_trace(args, config, meta) -> int:
 
 
 def cmd_analyze_trace(args, config, meta) -> int:
+    _check_out(args.out)
     trace = io.read_trace_csv(args.trace)
     events = detect_jumps(trace,
                           threshold_in_mads=config["trace"]["threshold_mads"],
@@ -275,6 +280,7 @@ def cmd_analyze_trace(args, config, meta) -> int:
 def cmd_coincidence(args, config, meta) -> int:
     if len(args.traces) < 2:
         raise ConfigError("coincidence needs at least two traces")
+    _check_out(args.out)
     traces = [io.read_trace_csv(p) for p in args.traces]
     spans = [tr.span_s for tr in traces]
     span = (max(s[0] for s in spans), min(s[1] for s in spans))
@@ -292,29 +298,18 @@ def cmd_coincidence(args, config, meta) -> int:
 
 
 def cmd_decay_fit(args, config, meta) -> int:
-    curve = io.read_decay_csv(args.data, args.kind)
-    fit = fit_decay(curve)
-    io.write_json(args.out, {
-        "meta": meta,
-        "kind": fit.kind,
-        "tau_us": fit.tau,
-        "tau_stderr_us": fit.tau_stderr,
-        "params": fit.params,
-        "stderr": fit.stderr,
-    })
+    _check_out(args.out)
+    fit = fit_decay(io.read_decay_csv(args.data, args.kind))
+    io.write_json(args.out, {"meta": meta, **io.fields(fit)})
     names = {"exponential": "T1", "ramsey": "T2*", "echo": "T2"}
     print(f"{names[fit.kind]} = {fit.tau:.4g} +- {fit.tau_stderr:.2g} us")
     return 0
 
 
 def cmd_parabola_fit(args, config, meta) -> int:
+    _check_out(args.out)
     fit = fit_parabola(*io.read_columns(args.data, io.PARABOLA_COLUMNS))
-    io.write_json(args.out, {
-        "meta": meta,
-        "f_max_GHz": fit.f_max,
-        "b_offset_uT": fit.b_offset,
-        "curvature_GHz_per_uT2": fit.curvature,
-    })
+    io.write_json(args.out, {"meta": meta, **io.fields(fit)})
     print(f"parabola: f_max = {fit.f_max:.6f} GHz at "
           f"B = {fit.b_offset:.4g} uT, curvature {fit.curvature:.4g}")
     return 0

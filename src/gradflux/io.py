@@ -5,17 +5,25 @@ and tool version in their metadata, so any output can be reproduced
 bit-identically from the file alone (given the same seed). CSV files start
 with '#'-prefixed metadata comment lines; JSON files keep metadata under a
 "meta" key. No timestamps anywhere, by design.
+
+Every CSV reader takes its rows from one header-checking line source,
+:func:`_data_lines`; numeric files are parsed from it by one
+:func:`numpy.loadtxt` call. Rows are written by :mod:`csv`, floats as their
+repr. JSON payloads take result fields from :func:`fields`, under the names
+of :data:`JSON_KEYS`.
 """
 
 import csv
 import dataclasses
+import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
-from .estimation import (DEFAULT_SIGMA_GHZ, DecayCurve, FitResult,
-                         SpectroscopyDataset)
+from .estimation import (DEFAULT_SIGMA_GHZ, DecayCurve, DecayFit, FitResult,
+                         ParabolaFit, SpectroscopyDataset)
 from .fluxon import (CoincidenceResult, DwellStats, JunctionArrayModel,
                      PhaseSlipRate, TimeTrace)
 from .spectrum import SweepPoint
@@ -39,17 +47,10 @@ JSON_KEYS = {
                          "ec_grain_ghz": "ec_grain_GHz"},
     PhaseSlipRate: {"rate_hz": "rate_Hz", "log10_rate_hz": "log10_rate_Hz"},
     CoincidenceResult: {"span": "span_s"},
+    DecayFit: {"tau": "tau_us", "tau_stderr": "tau_stderr_us"},
+    ParabolaFit: {"f_max": "f_max_GHz", "b_offset": "b_offset_uT",
+                  "curvature": "curvature_GHz_per_uT2"},
 }
-
-
-def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
 
 
 def fields(obj) -> dict:
@@ -94,50 +95,42 @@ def read_json(path):
 
 
 def _write_csv(path, columns, rows, meta=None):
+    """Header and rows of Python scalars, by :mod:`csv`: a float is
+    written as its repr, None as an empty cell, and a cell holding a comma
+    is quoted."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if meta is not None:
             fh.write("# meta: " + json.dumps(_sanitize(meta),
                                              sort_keys=True) + "\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
-def _read_csv(path, expected_columns, required=None):
-    """Data rows of a CSV file whose header is ``expected_columns``, and
-    the line number of each.
+def _data_lines(fh, path, columns, lines):
+    """The data lines of an open CSV file whose header is ``columns``.
 
-    '#' lines and blank rows are skipped. Every row needs at least
-    ``required`` cells (default: one per column); a shorter row, like a
-    file without data rows, raises ValueError naming the file and line.
+    '#' lines and lines of blank cells are skipped. The header is checked,
+    and a data line looked for, before this returns; as each data line is
+    yielded, its file line number is appended to ``lines``. A file without
+    the header or without data lines raises ValueError naming it.
     """
-    if required is None:
-        required = len(expected_columns)
-    with open(path, newline="", encoding="utf-8") as fh:
-        # comment lines read as blank rows, so line_num counts file lines
-        reader = csv.reader("" if line.startswith("#") else line
-                            for line in fh)
-        nonblank = (row for row in reader if "".join(row).strip())
-        header = next(nonblank, None)
-        if header is None:
-            raise ValueError(f"{path}: empty CSV")
-        header = tuple(h.strip() for h in header)
-        if header != tuple(expected_columns):
-            raise ValueError(
-                f"{path}: expected header {','.join(expected_columns)}, "
-                f"got {','.join(header)}")
-        rows, lines = [], []
-        for row in nonblank:
-            if len(row) < required:
-                raise ValueError(
-                    f"{path}, line {reader.line_num}: {len(row)} cells, "
-                    f"expected at least {required}")
-            rows.append(row)
-            lines.append(reader.line_num)
-    if not rows:
+    # a line of empty cells, such as ",", is blank too
+    numbered = ((n, line) for n, line in enumerate(fh, 1)
+                if not line.startswith("#") and line.strip(' \t\r\n,"'))
+    header = next(numbered, None)
+    if header is None:
+        raise ValueError(f"{path}: empty CSV")
+    header = tuple(h.strip() for h in next(csv.reader([header[1]])))
+    if header != tuple(columns):
+        raise ValueError(
+            f"{path}: expected header {','.join(columns)}, "
+            f"got {','.join(header)}")
+    first = next(numbered, None)
+    if first is None:
         raise ValueError(f"{path}: no data rows")
-    return rows, lines
+    return (lines.append(n) or line
+            for n, line in itertools.chain([first], numbered))
 
 
 def _number(path, line, cell):
@@ -148,48 +141,59 @@ def _number(path, line, cell):
 
 
 def read_columns(path, columns) -> list:
-    """One float array per column of a numeric CSV file.
+    """One float array per column of a numeric CSV file, parsed by one
+    :func:`numpy.loadtxt` call over its data lines.
 
-    A cell that is not a finite number raises ValueError naming the file
-    and line.
+    Cells may be quoted and padded with spaces; cells past the last column
+    are ignored. A cell that is not a finite number, or a row too short,
+    raises ValueError naming the file and line.
     """
-    rows, lines = _read_csv(path, columns)
-    arrays = [np.array([_number(path, line, r[k])
-                        for line, r in zip(lines, rows)])
-              for k in range(len(columns))]
-    finite = np.logical_and.reduce([np.isfinite(a) for a in arrays])
+    lines = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        data_lines = _data_lines(fh, path, columns, lines)
+        try:
+            data = np.loadtxt(data_lines, delimiter=",", comments=None,
+                              quotechar='"', usecols=range(len(columns)),
+                              ndmin=2)
+        except ValueError as exc:
+            # numpy counts rows from the first data line; name the file line
+            reason = re.sub(r" at row \d+", "", str(exc))
+            raise ValueError(f"{path}, line {lines[-1]}: {reason}") from None
+    finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"{path}, line {lines[i]}: non-finite number in "
-                         f"{','.join(rows[i])}")
-    return arrays
+                         f"{data[i].tolist()}")
+    return list(data.T.copy())
 
 
 def write_sweep_csv(path, sweep, meta=None) -> None:
-    rows = [(p.flux_phi0, p.transition, p.freq_ghz, p.chi_mhz, p.chi_valid)
-            for p in sweep.points]
+    rows = [(p.flux_phi0, p.transition, p.freq_ghz, p.chi_mhz,
+             "true" if p.chi_valid else "false") for p in sweep.points]
     _write_csv(path, SWEEP_COLUMNS, rows, meta=meta)
-
-
-def write_sweep_json(path, sweep, meta=None) -> None:
-    write_json(path, {"meta": meta or {}, **fields(sweep)})
 
 
 def write_spectroscopy_csv(path, dataset: SpectroscopyDataset,
                            meta=None) -> None:
-    rows = [(dataset.x[i], dataset.unit, dataset.transition[i],
-             dataset.freq_ghz[i], dataset.sigma_ghz[i])
-            for i in range(len(dataset))]
+    rows = zip(dataset.x.tolist(), itertools.repeat(dataset.unit),
+               dataset.transition, dataset.freq_ghz.tolist(),
+               dataset.sigma_ghz.tolist())
     _write_csv(path, DATASET_COLUMNS, rows, meta=meta)
 
 
 def read_spectroscopy_csv(path) -> SpectroscopyDataset:
     """Load a spectroscopy dataset; missing sigmas default to 1 MHz."""
-    # the sigma cell may be left out
-    rows, lines = _read_csv(path, DATASET_COLUMNS, len(DATASET_COLUMNS) - 1)
+    lines = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(_data_lines(fh, path, DATASET_COLUMNS,
+                                           lines)))
+    required = len(DATASET_COLUMNS) - 1      # the sigma cell may be left out
     x, units, trans, freq, sigma = [], set(), [], [], []
     defaulted = False
     for line, row in zip(lines, rows):
+        if len(row) < required:
+            raise ValueError(f"{path}, line {line}: {len(row)} cells, "
+                             f"expected at least {required}")
         x.append(_number(path, line, row[0]))
         units.add(row[1].strip())
         trans.append(row[2].strip())
@@ -211,8 +215,8 @@ def read_spectroscopy_csv(path) -> SpectroscopyDataset:
 def write_trace_csv(path, trace: TimeTrace, meta=None) -> None:
     """Trace CSV plus a JSON sidecar holding units and noise scale."""
     path = Path(path)
-    rows = zip(trace.t_s, trace.value)
-    _write_csv(path, TRACE_COLUMNS, rows)
+    _write_csv(path, TRACE_COLUMNS,
+               zip(trace.t_s.tolist(), trace.value.tolist()))
     sidecar = {
         "meta": meta or {},
         "units": {"t": "s", "value": "arb"},
@@ -244,14 +248,11 @@ def write_dwell_json(path, stats, events=None, meta=None) -> None:
     write_json(path, payload)
 
 
-def write_fit_json(path, fit, meta=None) -> None:
-    write_json(path, {"meta": meta or {}, **fields(fit)})
-
-
 def read_decay_csv(path, kind: str) -> DecayCurve:
     t, v = read_columns(path, DECAY_COLUMNS)
     return DecayCurve(t=t, value=v, kind=kind)
 
 
 def write_decay_csv(path, curve: DecayCurve, meta=None) -> None:
-    _write_csv(path, DECAY_COLUMNS, zip(curve.t, curve.value), meta=meta)
+    _write_csv(path, DECAY_COLUMNS,
+               zip(curve.t.tolist(), curve.value.tolist()), meta=meta)

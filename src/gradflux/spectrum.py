@@ -140,7 +140,7 @@ class HamiltonianMatrix:
     diagonal: np.ndarray
     coupling: np.ndarray
     basis: FockBasisSpec
-    qubit_vectors: np.ndarray | None = None
+    qubit_vectors: np.ndarray
 
     @property
     def shape(self) -> tuple:
@@ -250,13 +250,13 @@ def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
         qubit_vectors=u_q)
 
 
-def solve_hermitian(h: HamiltonianMatrix, lowest: int | None = None):
+def solve_hermitian(h: HamiltonianMatrix, lowest: int):
     """Ascending eigenvalues and eigenvectors of the two-mode Hamiltonian.
 
-    The lowest ``lowest`` pairs (all when None), by :func:`_solve_lowest`
-    on ``h.matrix`` for a full solve or up to :data:`DENSE_MAX_DIM`, else
-    by ARPACK Lanczos on ``h.matvec`` from a fixed start vector to machine
-    precision, so reruns repeat; failures raise :class:`SolverError`.
+    The lowest ``lowest`` pairs, by :func:`_solve_lowest` on ``h.matrix``
+    for a full solve or up to :data:`DENSE_MAX_DIM`, else by ARPACK Lanczos
+    on ``h.matvec`` from a fixed start vector to machine precision, so
+    reruns repeat; failures raise :class:`SolverError`.
     """
     dim = h.basis.dim
     nonfinite = sum(int(np.count_nonzero(~np.isfinite(x)))
@@ -265,7 +265,7 @@ def solve_hermitian(h: HamiltonianMatrix, lowest: int | None = None):
         raise SolverError("eigensolver failed: factors must not contain infs "
                           f"or NaNs [dim={dim}, non-finite entries in "
                           f"factors={nonfinite}]")
-    k = dim if lowest is None else min(lowest, dim)
+    k = min(lowest, dim)
     if k < 1:
         raise ValueError(f"lowest must be >= 1, got {lowest}")
     if k == dim or dim <= DENSE_MAX_DIM:
@@ -338,7 +338,7 @@ class SpectrumResult:
         return float(self.energies[j])
 
 
-def _labeled(h: HamiltonianMatrix, lowest: int | None) -> SpectrumResult:
+def _labeled(h: HamiltonianMatrix, lowest: int) -> SpectrumResult:
     w, v = solve_hermitian(h, lowest)
     ov = v ** 2
     best = np.argmax(ov, axis=0)               # per level: best basis index
@@ -367,8 +367,7 @@ def _certified(spec: SpectrumResult, labels, basis: FockBasisSpec) -> bool:
     return True
 
 
-def diagonalize_labeled(h: HamiltonianMatrix,
-                        labels=None) -> SpectrumResult:
+def diagonalize_labeled(h: HamiltonianMatrix, labels) -> SpectrumResult:
     """Ascending spectrum with |n_r m_q> labels by maximal overlap.
 
     The basis states (uncoupled fluxonium eigenstates x resonator Fock
@@ -377,18 +376,16 @@ def diagonalize_labeled(h: HamiltonianMatrix,
     when two levels claim the same label (possible near avoided crossings)
     only the higher-overlap claimant retains it.
 
-    Without ``labels`` every level is solved. With ``labels``, the
-    (n_r, m_q) labels the caller reads, only the lowest levels are: first
-    :data:`N_START`, doubled while the certificate fails for a wanted label,
-    up to :data:`N_LOWEST`. The certificate holds when the level keeping the
-    label overlaps its basis state b by more than r_b = 1 - sum_j v_bj^2
-    over the solved levels j; no unsolved level can overlap b by more than
-    r_b, so none can take the label, and the wanted labels keep the levels
-    and confidences of any larger solve. :func:`solve_hermitian` picks the
-    dense or Lanczos method for each solve.
+    Only the lowest levels are solved, enough for ``labels``, the (n_r, m_q)
+    labels the caller reads: first :data:`N_START`, doubled while the
+    certificate fails for a wanted label, up to :data:`N_LOWEST`. The
+    certificate holds when the level keeping the label overlaps its basis
+    state b by more than r_b = 1 - sum_j v_bj^2 over the solved levels j;
+    no unsolved level can overlap b by more than r_b, so none can take the
+    label, and the wanted labels keep the levels and confidences of any
+    larger solve. :func:`solve_hermitian` picks the dense or Lanczos method
+    for each solve.
     """
-    if labels is None:
-        return _labeled(h, None)
     labels = list(labels)
     k = N_START
     while True:

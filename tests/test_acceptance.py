@@ -20,6 +20,7 @@ from gradflux import (DEVICE_ARRAY, DEVICE_GEOMETRY, PHI0, BranchCircuit,
                       phase_slip_rate, reduce_circuit, simulate_telegraph,
                       single_loop_transitions)
 from gradflux.fluxon import TimeTrace
+from gradflux.spectrum import solve_hermitian
 
 DEVICE_PARAMS = dict(lq_eff=172.0, cj=3.4, ej=5.1, cr=20.2, lr=21.6, ls=2.8)
 
@@ -58,12 +59,13 @@ def test_criterion_2_single_loop_equivalence():
                                        lr=21.6, cr=20.2, cj=cj, ej=ej))
     assert eff.lq == pytest.approx(lq, rel=1e-12)
     basis = FockBasisSpec(25, 4)
+    labels = [(0, m) for m in range(10)]
     worst = 0.0
     for phi in np.linspace(0.0, 1.0, 21):
-        spec = diagonalize_labeled(build_hamiltonian(eff, phi, basis))
+        spec = diagonalize_labeled(build_hamiltonian(eff, phi, basis), labels)
         reference = single_loop_transitions(lq, cj, ej, phi, 25,
                                             n_levels=25)[0]
-        qubit_sector = np.array([spec.energy((0, m)) for m in range(10)])
+        qubit_sector = np.array([spec.energy(label) for label in labels])
         worst = max(worst, float(np.max(np.abs(qubit_sector -
                                                reference[:10]))))
     assert worst <= 1e-6
@@ -191,16 +193,15 @@ def test_criterion_7_property_suites():
                               FockBasisSpec(8, 6))
         assert np.array_equal(h.matrix, h.matrix.T)
 
+    def levels(phi):
+        return solve_hermitian(build_hamiltonian(eff, phi, basis),
+                               basis.dim)[0]
+
     for phi in (0.2, 0.41):
-        w1 = diagonalize_labeled(build_hamiltonian(eff, phi, basis)).energies
-        w2 = diagonalize_labeled(build_hamiltonian(eff, phi + 1.0,
-                                                   basis)).energies
+        w1, w2 = levels(phi), levels(phi + 1.0)
         assert np.max(np.abs(w1[:40] - w2[:40])) < 1e-9
     for delta in (0.05, 0.1, 0.2):
-        wp = diagonalize_labeled(build_hamiltonian(eff, 0.5 + delta,
-                                                   basis)).energies
-        wm = diagonalize_labeled(build_hamiltonian(eff, 0.5 - delta,
-                                                   basis)).energies
+        wp, wm = levels(0.5 + delta), levels(0.5 - delta)
         assert np.max(np.abs(wp[:40] - wm[:40])) < 1e-9
 
     from test_circuit import make_circuit, rational_reduction

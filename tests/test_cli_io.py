@@ -11,7 +11,9 @@ from gradflux import cli, spectrum
 from gradflux import io as gfio
 from gradflux.cli import (ConfigError, build_meta, effective_from_config,
                           load_config, main)
-from gradflux.spectrum import FockBasisSpec, LabelError
+from gradflux.fluxon import TimeTrace
+from gradflux.spectrum import (FockBasisSpec, LabelError, SweepPoint,
+                               SweepResult)
 
 
 @pytest.fixture
@@ -100,7 +102,7 @@ class TestFileFormats:
         csv_path = tmp_path / "sweep.csv"
         json_path = tmp_path / "sweep.json"
         gfio.write_sweep_csv(csv_path, sweep, meta=meta)
-        gfio.write_sweep_json(json_path, sweep, meta=meta)
+        gfio.write_json(json_path, {"meta": meta, **gfio.fields(sweep)})
         text = csv_path.read_text()
         assert text.startswith("# meta: ")
         assert "flux_phi0,transition,freq_GHz,chi_MHz,chi_valid" in text
@@ -120,6 +122,95 @@ class TestFileFormats:
         assert payload == {"a": "inf", "b": "nan", "c": ["-inf", "inf"],
                            "d": 1.5}
 
+
+
+# the writers' float cells: shortest repr, signed zero, subnormal, exponent
+PINNED_FLOATS = [-0.0, 5e-324, 0.1, 1e16]
+
+
+class TestPinnedFormats:
+    """The exact bytes each CSV writer produces, and the inputs
+    read_columns accepts, independent of how either is implemented."""
+
+    def test_trace_csv_text(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        gfio.write_trace_csv(path, TimeTrace(
+            t_s=PINNED_FLOATS, value=PINNED_FLOATS[::-1]))
+        assert path.read_bytes() == (b"t_s,value\r\n-0.0,1e+16\r\n"
+                                     b"5e-324,0.1\r\n0.1,5e-324\r\n"
+                                     b"1e+16,-0.0\r\n")
+
+    def test_decay_csv_text(self, tmp_path):
+        path = tmp_path / "decay.csv"
+        gfio.write_decay_csv(path, DecayCurve(
+            t=PINNED_FLOATS + [2e16], value=[0.5] + PINNED_FLOATS[::-1]),
+            meta={"k": 1})
+        assert path.read_bytes() == (b'# meta: {"k": 1}\nt_us,inversion\r\n'
+                                     b"-0.0,0.5\r\n5e-324,1e+16\r\n"
+                                     b"0.1,0.1\r\n1e+16,5e-324\r\n"
+                                     b"2e+16,-0.0\r\n")
+
+    def test_spectroscopy_csv_text(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        gfio.write_spectroscopy_csv(path, SpectroscopyDataset(
+            x=PINNED_FLOATS[:2], transition=("f01", "f02"),
+            freq_ghz=PINNED_FLOATS[2:], sigma_ghz=[0.1, 1e-3]))
+        assert path.read_bytes() == (
+            b"field_or_flux,unit,transition,freq_GHz,sigma_GHz\r\n"
+            b"-0.0,phi0,f01,0.1,0.1\r\n5e-324,phi0,f02,1e+16,0.001\r\n")
+
+    def test_sweep_csv_text(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        pair = "(0, 0)->(1, 1)"
+        points = [SweepPoint(0.1, "f01", 1e16, None, False),
+                  SweepPoint(-0.0, pair, 5e-324, -7.5, np.True_),
+                  SweepPoint(5e-324, "fr", 0.1, -0.0, True)]
+        gfio.write_sweep_csv(path, SweepResult(
+            points=points, errors=[], transitions=("f01", pair, "fr"),
+            basis=FockBasisSpec(12, 6), min_confidence=0.7))
+        assert path.read_bytes() == (
+            b"flux_phi0,transition,freq_GHz,chi_MHz,chi_valid\r\n"
+            b"0.1,f01,1e+16,,false\r\n"
+            b'-0.0,"(0, 0)->(1, 1)",5e-324,-7.5,true\r\n'
+            b"5e-324,fr,0.1,-0.0,true\r\n")
+
+    @pytest.mark.parametrize("body", [
+        "0.0,0.1\n# between rows\n1.0,-0.0\n#\n2.0,5e-324\n",
+        "\n0.0,0.1\n\n1.0,-0.0\n   \n2.0,5e-324\n\n",
+        "0.0,0.1\r\n1.0,-0.0\r\n2.0,5e-324\r\n",
+        " 0.0 ,0.1\n1.0,\t-0.0 \n  2.0  ,  5e-324\n",
+        '"0.0",0.1\n1.0,"-0.0"\n"2.0","5e-324"\n',
+        "0.0,0.1,x\n1.0,-0.0,\n2.0,5e-324,3,four\n",
+        "0.0,0.1\n,\n1.0,-0.0\n , \n2.0,5e-324\n",
+    ], ids=["comment-lines", "blank-lines", "crlf", "spaces", "quoted",
+            "extra-cells", "empty-cells"])
+    def test_read_columns_accepts(self, tmp_path, body):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(("# meta: {}\nt_s,value\n" + body).encode())
+        t, v = gfio.read_columns(path, gfio.TRACE_COLUMNS)
+        assert t.tolist() == [0.0, 1.0, 2.0]
+        assert [x.hex() for x in v.tolist()] == [
+            x.hex() for x in (0.1, -0.0, 5e-324)]
+        assert t.flags.c_contiguous and v.flags.c_contiguous
+
+    @pytest.mark.parametrize("bad", ["3.0,abc", "3.0", "3.0,", "3.0,inf"])
+    def test_read_columns_names_file_line(self, tmp_path, bad):
+        path = tmp_path / "trace.csv"
+        path.write_text("# meta: {}\n\nt_s,value\n0.0,0.1\n# note\n,\n"
+                        f"1.0,0.2\n\n{bad}\n4.0,0.5\n")
+        with pytest.raises(ValueError, match=r"trace\.csv, line 9: "):
+            gfio.read_columns(path, gfio.TRACE_COLUMNS)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty CSV"), ("# meta: {}\n\n", "empty CSV"),
+        ("t_s,val\n0.0,0.1\n", "expected header t_s,value, got t_s,val"),
+        ("# meta: {}\nt_s,value\n\n# none\n", "no data rows")],
+        ids=["empty", "comments-only", "wrong-header", "no-rows"])
+    def test_read_columns_rejects(self, tmp_path, text, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            gfio.read_columns(path, gfio.TRACE_COLUMNS)
 
 class TestConfig:
     def test_defaults_complete(self):
@@ -591,23 +682,47 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--points", "3"],
         ["chi", "--ladder", "25x15,40x25"],
-        ["fit", "--data", "{dir}/spec.csv"],
-    ], ids=["sweep", "chi", "fit"])
+        ["fit", "--data", "{spec}"],
+        ["simulate-trace", "--duration", "100"],
+        ["analyze-trace", "--trace", "{trace_a}"],
+        ["coincidence", "--traces", "{trace_a}", "{trace_b}",
+         "--window", "5.0"],
+        ["decay-fit", "--data", "{decay}", "--kind", "exponential"],
+        ["parabola-fit", "--data", "{parabola}"],
+        ["phaseslip"],
+        ["junctions", "--wire-length-m", "1e-6", "--grain-size-m", "4e-9"],
+    ], ids=lambda argv: argv[0])
     @pytest.mark.parametrize("out", ["{dir}/out", "{dir}/out/no/out.json"],
                              ids=["directory", "no-parent"])
     def test_bad_out_rejected_before_work(self, tmp_path, monkeypatch,
-                                          capsys, dataset, argv, out):
+                                          capsys, command_inputs, argv, out):
         def never(*args, **kwargs):
             raise AssertionError("computed before checking --out")
 
-        for name in ("flux_sweep", "convergence_report", "fit_spectrum"):
+        for name in ("flux_sweep", "convergence_report", "fit_spectrum",
+                     "simulate_telegraph", "detect_jumps", "fit_decay",
+                     "fit_parabola", "phase_slip_rate",
+                     "effective_junction_count"):
             monkeypatch.setattr(cli, name, never)
-        gfio.write_spectroscopy_csv(tmp_path / "spec.csv", dataset)
+        _, inputs = command_inputs
         (tmp_path / "out").mkdir()
-        argv = [a.format(dir=tmp_path) for a in argv + ["--out", out]]
+        argv = [a.format(dir=tmp_path, **inputs)
+                for a in argv + ["--out", out]]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: output path")
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_trace_sidecar_checked_before_work(self, tmp_path, monkeypatch,
+                                               capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("computed before checking the sidecar")
+
+        monkeypatch.setattr(cli, "simulate_telegraph", never)
+        (tmp_path / "x.json").mkdir()
+        assert main(["simulate-trace", "--duration", "100",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "x.json is a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
 
     @pytest.mark.parametrize("ladder, where", [
         ("25x", "'25x'"), ("25x15,40", "'40'"), ("40x25,25x15", "ascend")],

@@ -26,6 +26,11 @@ EFF = reduce_circuit(balanced_branch_circuit(172.0, 2.8, 21.6, 20.2, 3.4, 5.1))
 BASIS = FockBasisSpec(25, 15)
 
 
+def full_spectrum(h):
+    """Every level of ``h``, labeled."""
+    return spectrum._labeled(h, h.basis.dim)
+
+
 def uncoupled(ej=0.0, lq=100.0, lr=20.0, cj=3.0, cr=18.0):
     return EffectiveFluxonium(lq=lq, lr=lr, lrq=math.inf, cj=cj, cr=cr,
                               ej=ej, alpha=0.0)
@@ -37,15 +42,15 @@ class TestHarmonicLimits:
         f_q = mode_frequency(eff.lq, eff.cj)
         f_r = mode_frequency(eff.lr, eff.cr)
         basis = FockBasisSpec(6, 5)
-        spec = diagonalize_labeled(build_hamiltonian(eff, 0.3, basis))
+        spec = full_spectrum(build_hamiltonian(eff, 0.3, basis))
         expected = np.sort([m * f_q + n * f_r
                             for m in range(6) for n in range(5)])
         assert np.max(np.abs(spec.energies - expected)) < 1e-9
 
     def test_flux_independent_without_junction(self):
         eff = uncoupled()
-        w1 = diagonalize_labeled(build_hamiltonian(eff, 0.1, BASIS)).energies
-        w2 = diagonalize_labeled(build_hamiltonian(eff, 0.9, BASIS)).energies
+        w1 = full_spectrum(build_hamiltonian(eff, 0.1, BASIS)).energies
+        w2 = full_spectrum(build_hamiltonian(eff, 0.9, BASIS)).energies
         assert np.max(np.abs(w1 - w2)) < 1e-12
 
     def test_labels_are_product_indices(self):
@@ -53,17 +58,18 @@ class TestHarmonicLimits:
         f_q = mode_frequency(eff.lq, eff.cj)
         f_r = mode_frequency(eff.lr, eff.cr)
         basis = FockBasisSpec(5, 4)
-        spec = diagonalize_labeled(build_hamiltonian(eff, 0.0, basis))
-        for mq in range(3):
-            for nr in range(3):
-                assert spec.energy((nr, mq)) == pytest.approx(
-                    mq * f_q + nr * f_r, abs=1e-9)
+        labels = [(nr, mq) for mq in range(3) for nr in range(3)]
+        spec = diagonalize_labeled(build_hamiltonian(eff, 0.0, basis), labels)
+        for nr, mq in labels:
+            assert spec.energy((nr, mq)) == pytest.approx(
+                mq * f_q + nr * f_r, abs=1e-9)
 
-    @pytest.mark.parametrize("lowest", [None, 2])
+    @pytest.mark.parametrize("lowest", [2])
     def test_solver_failure_carries_diagnostics(self, lowest):
         bad = HamiltonianMatrix(diagonal=np.r_[np.nan, np.ones(11)],
                                 coupling=np.zeros((4, 4)),
-                                basis=FockBasisSpec(4, 3))
+                                basis=FockBasisSpec(4, 3),
+                                qubit_vectors=np.eye(4))
         with pytest.raises(SolverError,
                            match=r"dim=12, non-finite entries in factors=1"):
             solve_hermitian(bad, lowest)
@@ -85,8 +91,8 @@ class TestNormalModeOracle:
         f_modes = np.sort(np.sqrt(np.linalg.eigvalsh(
             mass_half @ stiffness @ mass_half)))
 
-        spec = diagonalize_labeled(build_hamiltonian(eff, 0.2,
-                                                     FockBasisSpec(12, 12)))
+        spec = full_spectrum(build_hamiltonian(eff, 0.2,
+                                               FockBasisSpec(12, 12)))
         got = np.sort([spec.energies[1], spec.energies[2]]) - spec.energies[0]
         assert np.max(np.abs(got - f_modes)) < 1e-9
 
@@ -147,7 +153,7 @@ class TestOneDenseSolver:
         spectrum._phase_eigenbasis.cache_clear()
         assert BASIS.dim <= DENSE_MAX_DIM
         h = build_hamiltonian(EFF, 0.5, BASIS)
-        assert solve_hermitian(h)[0].shape == (BASIS.dim,)
+        assert solve_hermitian(h, BASIS.dim)[0].shape == (BASIS.dim,)
         assert solve_hermitian(h, 16)[1].shape == (BASIS.dim, 16)
         single_loop_transitions(172.0, 3.4, 5.1, [0.3, 0.5], 30)
         single_loop_transitions(172.0, 3.4, 5.1, [0.3, 0.5], 30,
@@ -208,7 +214,7 @@ class TestFockBasisReference:
     def test_spectrum_and_labels_match(self):
         for eff, phi, basis in self.cases():
             w, index_of = fock_basis_reference(eff, phi, basis)
-            spec = diagonalize_labeled(build_hamiltonian(eff, phi, basis))
+            spec = full_spectrum(build_hamiltonian(eff, phi, basis))
             assert np.max(np.abs(spec.energies - w)) < 1e-9
             assert spec.index_of == index_of
 
@@ -223,13 +229,13 @@ class TestSingleLoopEquivalence:
             cr=20.2, cj=cj, ej=ej))
         assert eff.lq == pytest.approx(lq, rel=1e-12)
         basis = FockBasisSpec(25, 4)
+        labels = [(0, m) for m in range(10)]
         for phi_delta in np.linspace(0.0, 1.0, 5):
             spec = diagonalize_labeled(build_hamiltonian(eff, phi_delta,
-                                                         basis))
+                                                         basis), labels)
             reference = single_loop_transitions(lq, cj, ej, phi_delta, 25,
                                                 n_levels=25)[0]
-            qubit_sector = np.array(
-                [spec.energy((0, m)) for m in range(10)])
+            qubit_sector = np.array([spec.energy(label) for label in labels])
             assert np.max(np.abs(qubit_sector - reference[:10])) < 1e-6
 
     def test_harmonic_ladder_without_junction(self):
@@ -255,29 +261,32 @@ class TestSingleLoopEquivalence:
 
 class TestLabeledTransitions:
     def test_same_label_zero(self):
-        spec = diagonalize_labeled(build_hamiltonian(EFF, 0.5, BASIS))
+        spec = diagonalize_labeled(build_hamiltonian(EFF, 0.5, BASIS),
+                                   [(0, 1)])
         assert transition_frequency(spec, (0, 1), (0, 1)) == 0.0
 
     def test_harmonic_f01(self):
         eff = uncoupled()
         spec = diagonalize_labeled(build_hamiltonian(eff, 0.0,
-                                                     FockBasisSpec(8, 4)))
+                                                     FockBasisSpec(8, 4)),
+                                   CHI_LABELS)
         assert transition_frequency(spec, (0, 0), (0, 1)) == pytest.approx(
             mode_frequency(eff.lq, eff.cj), abs=1e-9)
 
     def test_sweet_spot_f01_frozen_oracle(self):
         # dressed f01 at half flux; converged dense-diagonalization value
-        spec = diagonalize_labeled(build_hamiltonian(EFF, 0.5, BASIS))
+        spec = diagonalize_labeled(build_hamiltonian(EFF, 0.5, BASIS),
+                                   CHI_LABELS)
         assert transition_frequency(spec, (0, 0), (0, 1)) == pytest.approx(
             3.902433, abs=1e-4)
 
     def test_level_ordering_away_from_crossings(self):
         # at low flux f01 lies above the readout: order (0,0),(1,0),(0,1)
         order = [(0, 0), (1, 0), (0, 1)]
-        spec = diagonalize_labeled(build_hamiltonian(EFF, 0.05, BASIS))
+        spec = diagonalize_labeled(build_hamiltonian(EFF, 0.05, BASIS), order)
         assert [spec.index_of[label] for label in order] == [0, 1, 2]
         bigger = diagonalize_labeled(
-            build_hamiltonian(EFF, 0.05, FockBasisSpec(35, 21)))
+            build_hamiltonian(EFF, 0.05, FockBasisSpec(35, 21)), order)
         assert [bigger.index_of[label] for label in order] == [0, 1, 2]
         for j in range(3):
             assert abs((bigger.energies[j] - bigger.energies[0])
@@ -285,7 +294,8 @@ class TestLabeledTransitions:
 
     def test_unresolved_label_near_crossing(self):
         # at phi = 0.26 the (1,1) level hybridizes strongly with (0,2)
-        spec = diagonalize_labeled(build_hamiltonian(EFF, 0.26, BASIS))
+        spec = diagonalize_labeled(build_hamiltonian(EFF, 0.26, BASIS),
+                                   CHI_LABELS)
         with pytest.raises(LabelError) as err:
             transition_frequency(spec, (0, 1), (1, 1), min_confidence=0.7)
         found = re.fullmatch(r"label \(1, 1\) resolved with overlap (\S+) "
@@ -306,7 +316,7 @@ class TestLabeledTransitions:
 
     def test_subset_labels_match_full_solve(self):
         h = build_hamiltonian(EFF, 0.3, BASIS)
-        full = diagonalize_labeled(h)
+        full = full_spectrum(h)
         labels = [(nr, mq) for nr in range(3) for mq in range(3)]
         low = diagonalize_labeled(h, labels)
         k = low.energies.size
@@ -367,7 +377,8 @@ class TestDispersiveShift:
 class TestFluxSweep:
     def test_single_point_matches_direct_call(self):
         sweep = flux_sweep(EFF, [0.5], BASIS, transitions=("f01", "fr"))
-        spec = diagonalize_labeled(build_hamiltonian(EFF, 0.5, BASIS))
+        spec = diagonalize_labeled(build_hamiltonian(EFF, 0.5, BASIS),
+                                   CHI_LABELS)
         by_name = {p.transition: p for p in sweep.points}
         assert by_name["f01"].freq_ghz == pytest.approx(
             transition_frequency(spec, (0, 0), (0, 1)), rel=1e-12)
@@ -522,7 +533,7 @@ class TestCertifiedSolve:
         sizes = []
         solve = spectrum.solve_hermitian
 
-        def spy(h, lowest=None):
+        def spy(h, lowest):
             sizes.append(lowest)
             return solve(h, lowest)
 
