@@ -18,14 +18,8 @@ from .units import PHI0
 
 
 class CircuitError(ValueError):
-    """Degenerate circuit: a reduction denominator vanished.
-
-    The offending quantity is named in ``quantity``.
-    """
-
-    def __init__(self, message, quantity):
-        super().__init__(message)
-        self.quantity = quantity
+    """Degenerate circuit: a reduction denominator vanished; the message
+    names it."""
 
 
 def _require_finite(name, value):
@@ -167,7 +161,7 @@ def reduce_circuit(c: BranchCircuit) -> EffectiveFluxonium:
     Returns the effective shunt, resonator, and coupling inductances along
     with the flux asymmetry alpha. A vanishing shared path (ls*l3 == 0)
     yields ``lrq = inf``, i.e. the readout decouples; other vanishing
-    denominators are reported as :class:`CircuitError` naming the quantity.
+    denominators raise :class:`CircuitError` naming the quantity.
     """
     l1, l2, l3, ls, lr = c.l1, c.l2, c.l3, c.ls, c.lr
 
@@ -175,7 +169,7 @@ def reduce_circuit(c: BranchCircuit) -> EffectiveFluxonium:
     if l_sigma2 == 0.0:
         raise CircuitError(
             "pairwise inductance sum L_sigma^2 = L1 L2 + L2 L3 + L1 L3 "
-            "vanishes; the loop arms are degenerate", "l_sigma2")
+            "vanishes; the loop arms are degenerate")
     l_eps2 = ls * l2 + ls * l3 + l_sigma2
     l_a2 = ls * l2 + l_sigma2
     l_b2 = lr * l3 + l_sigma2
@@ -183,14 +177,14 @@ def reduce_circuit(c: BranchCircuit) -> EffectiveFluxonium:
     shunt_norm = lr * l_a2 + ls * l_b2
     if shunt_norm == 0.0:
         raise CircuitError(
-            "coupling denominator Lr*La^2 + Ls*Lb^2 vanishes", "shunt_norm")
+            "coupling denominator Lr*La^2 + Ls*Lb^2 vanishes")
     if l_eps2 == 0.0:
-        raise CircuitError("resonator denominator L_eps^2 vanishes", "l_eps2")
+        raise CircuitError("resonator denominator L_eps^2 vanishes")
 
     inv_lq = (l3 * l_sigma2 * (ls + lr) + lr * ls * l2 * l3) \
         / (l_sigma2 * shunt_norm) + l1 / l_sigma2
     if inv_lq == 0.0:
-        raise CircuitError("effective shunt inductance diverges", "inv_lq")
+        raise CircuitError("effective shunt inductance diverges")
 
     lq = 1.0 / inv_lq
     lr_eff = shunt_norm / l_eps2
@@ -256,10 +250,10 @@ def balanced_branch_circuit(lq_eff: float, ls: float, lr: float,
     cc = p * ls - lq_eff * (s * ls + p)
     disc = b * b - 4.0 * s * cc
     if disc < 0:
-        raise CircuitError("no positive balanced-arm solution", "disc")
+        raise CircuitError("no positive balanced-arm solution")
     l1 = (-b + math.sqrt(disc)) / (2.0 * s)
     if l1 <= 0:
-        raise CircuitError("balanced-arm solution not positive", "l1")
+        raise CircuitError("balanced-arm solution not positive")
     return BranchCircuit(l1=l1, l2=0.0, l3=l1 + ls, ls=ls, lr=lr,
                          cr=cr, cj=cj, ej=ej)
 

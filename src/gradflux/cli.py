@@ -81,7 +81,7 @@ def load_config(path=None) -> dict:
                     f"unknown config key '{key}' in section [{section}]")
             caster = CONFIG_SCHEMA[section][key]
             try:
-                config.setdefault(section, {})[key] = caster(raw)
+                config[section][key] = caster(raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for [{section}] {key} = {raw!r}: {exc}"
@@ -119,20 +119,34 @@ def _basis_from(config):
                          config["basis"]["n_res"])
 
 
-def _check_out(*paths):
+def _check_out(args, *paths):
     """Reject output paths that cannot take a file, before any work; an
-    unset optional path is skipped."""
+    unset optional path is skipped.
+
+    No output may name the same file as another output, an input of
+    ``args`` (``--config``, ``--data``, ``--trace``, ``--traces``) or an
+    input trace's ``.json`` sidecar.
+    """
+    traces = getattr(args, "traces", None) or [getattr(args, "trace", None)]
+    traces = [Path(p) for p in traces if p]
+    taken = {Path(p).resolve() for p in [
+        args.config, getattr(args, "data", None), *traces,
+        *(p.with_suffix(".json") for p in traces)] if p}
     for path in map(Path, filter(None, paths)):
         if path.is_dir():
             raise ConfigError(f"output path {path} is a directory")
         if not path.parent.is_dir():
             raise ConfigError(f"output path {path}: no directory "
                               f"{path.parent}")
+        if path.resolve() in taken:
+            raise ConfigError(f"output path {path} names an input or "
+                              "another output of this command")
+        taken.add(path.resolve())
 
 
 def cmd_sweep(args, config, meta) -> int:
     out = Path(args.out)
-    _check_out(out, out.with_suffix(".json"))
+    _check_out(args, out, out.with_suffix(".json"))
     eff = effective_from_config(config["circuit"])
     sweep_cfg = config["sweep"]
     if sweep_cfg["points"] < 1:
@@ -160,7 +174,7 @@ def cmd_sweep(args, config, meta) -> int:
 
 
 def cmd_chi(args, config, meta) -> int:
-    _check_out(args.out)
+    _check_out(args, args.out)
     eff = effective_from_config(config["circuit"])
     min_conf = config["tolerances"]["min_confidence"]
     if args.ladder:
@@ -193,7 +207,7 @@ def cmd_chi(args, config, meta) -> int:
 
 
 def cmd_fit(args, config, meta) -> int:
-    _check_out(args.out)
+    _check_out(args, args.out)
     dataset = io.read_spectroscopy_csv(args.data)
     fit_cfg = config["fit"]
     if fit_cfg["forward"] not in ("single-loop", "coupled"):
@@ -214,7 +228,7 @@ def cmd_fit(args, config, meta) -> int:
 
 
 def cmd_phaseslip(args, config, meta) -> int:
-    _check_out(args.out)
+    _check_out(args, args.out)
     n = args.n_junctions
     if n is None:
         geom = config["geometry"]
@@ -235,7 +249,7 @@ def cmd_phaseslip(args, config, meta) -> int:
 
 
 def cmd_junctions(args, config, meta) -> int:
-    _check_out(args.out)
+    _check_out(args, args.out)
     geom = config["geometry"]
     n = effective_junction_count(geom["wire_length_m"], geom["grain_size_m"])
     if args.out:
@@ -250,21 +264,20 @@ def cmd_junctions(args, config, meta) -> int:
 
 
 def cmd_simulate_trace(args, config, meta) -> int:
-    _check_out(args.out, Path(args.out).with_suffix(".json"))
+    _check_out(args, args.out, Path(args.out).with_suffix(".json"))
     tc = config["trace"]
     trace = simulate_telegraph(tc["rate_eo_hz"], tc["rate_oe_hz"],
                                tc["duration_s"], tc["dt_s"],
                                noise_sigma=tc["noise_sigma"], seed=tc["seed"],
                                label=args.label)
     io.write_trace_csv(args.out, trace, meta=meta)
-    n_switch = 0 if trace.switch_times is None else trace.switch_times.size
-    print(f"trace: {trace.t_s.size} samples, {n_switch} switches -> "
-          f"{args.out}")
+    print(f"trace: {trace.t_s.size} samples, {trace.switch_times.size} "
+          f"switches -> {args.out}")
     return 0
 
 
 def cmd_analyze_trace(args, config, meta) -> int:
-    _check_out(args.out)
+    _check_out(args, args.out)
     trace = io.read_trace_csv(args.trace)
     events = detect_jumps(trace,
                           threshold_in_mads=config["trace"]["threshold_mads"],
@@ -280,7 +293,7 @@ def cmd_analyze_trace(args, config, meta) -> int:
 def cmd_coincidence(args, config, meta) -> int:
     if len(args.traces) < 2:
         raise ConfigError("coincidence needs at least two traces")
-    _check_out(args.out)
+    _check_out(args, args.out)
     traces = [io.read_trace_csv(p) for p in args.traces]
     spans = [tr.span_s for tr in traces]
     span = (max(s[0] for s in spans), min(s[1] for s in spans))
@@ -298,7 +311,7 @@ def cmd_coincidence(args, config, meta) -> int:
 
 
 def cmd_decay_fit(args, config, meta) -> int:
-    _check_out(args.out)
+    _check_out(args, args.out)
     fit = fit_decay(io.read_decay_csv(args.data, args.kind))
     io.write_json(args.out, {"meta": meta, **io.fields(fit)})
     names = {"exponential": "T1", "ramsey": "T2*", "echo": "T2"}
@@ -307,7 +320,7 @@ def cmd_decay_fit(args, config, meta) -> int:
 
 
 def cmd_parabola_fit(args, config, meta) -> int:
-    _check_out(args.out)
+    _check_out(args, args.out)
     fit = fit_parabola(*io.read_columns(args.data, io.PARABOLA_COLUMNS))
     io.write_json(args.out, {"meta": meta, **io.fields(fit)})
     print(f"parabola: f_max = {fit.f_max:.6f} GHz at "

@@ -242,10 +242,6 @@ def _latin_hypercube(lo, hi, n_starts, rng):
     return pts
 
 
-class _StopStart(Exception):
-    """Ends one fit start on a model failure."""
-
-
 @dataclass
 class _Start:
     """Best point one fit start evaluated, and what the start spent."""
@@ -349,15 +345,13 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
         return freqs, d[:, :3]
 
     rng = np.random.default_rng(seed)
-    starts = [x0]
-    if n_starts > 1:
-        span_lo = np.where(lo > 0, lo, np.maximum(lo, 1e-6))
-        pts = _latin_hypercube(span_lo, np.maximum(hi, span_lo * (1 + 1e-12)),
-                               n_starts - 1, rng)
-        if "offset_phi0" in names:      # linear axis, not log
-            k = names.index("offset_phi0")
-            pts[:, k] = lo[k] + rng.random(n_starts - 1) * (hi[k] - lo[k])
-        starts += [np.clip(p, lo, hi) for p in pts]
+    span_lo = np.where(lo > 0, lo, np.maximum(lo, 1e-6))
+    pts = _latin_hypercube(span_lo, np.maximum(hi, span_lo * (1 + 1e-12)),
+                           n_starts - 1, rng)
+    if "offset_phi0" in names:      # linear axis, not log
+        k = names.index("offset_phi0")
+        pts[:, k] = lo[k] + rng.random(n_starts - 1) * (hi[k] - lo[k])
+    starts = [x0] + [np.clip(p, lo, hi) for p in pts]
 
     # least_squares rejects zero-width bounds: pinned parameters stay out of
     # the solver's vector and keep their start value, which is the pin
@@ -372,11 +366,7 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
             out.nfev += 1
             p = st.copy()
             p[free] = x
-            try:
-                freqs, jac = model(p)
-            except (LabelError, SolverError) as exc:
-                out.failure = str(exc)
-                raise _StopStart from None
+            freqs, jac = model(p)
             r = (freqs - f_meas) / sig
             chi2 = float(np.dot(r, r))
             if chi2 < out.chi2:
@@ -397,8 +387,9 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
                     jac=jacobian, method="trf", x_scale="jac", xtol=1e-10,
                     ftol=1e-12, gtol=1e-12, max_nfev=max_nfev).success:
                 out.end = "max-evaluations"
-        except _StopStart:
+        except (LabelError, SolverError) as exc:
             out.end = "model-failure"   # at its best point so far
+            out.failure = str(exc)
         return out
 
     outcomes = [run_start(st) for st in starts]

@@ -140,7 +140,7 @@ class TimeTrace:
             raise ValueError("t_s and value must have equal length")
         if not np.all(np.isfinite(self.t_s)):
             raise ValueError("trace times must be finite")
-        if self.t_s.size and not np.all(np.diff(self.t_s) > 0):
+        if not np.all(np.diff(self.t_s) > 0):
             raise ValueError("t_s must be strictly increasing")
         if not np.all(np.isfinite(self.value)):
             raise ValueError("trace values must be finite")
@@ -294,7 +294,7 @@ def detect_jumps(trace: TimeTrace, threshold_in_mads: float = 6.0,
             dlev = float(np.median(right) - np.median(left))
             se = MEDIAN_EFF * sigma * math.sqrt(1.0 / left.size
                                                 + 1.0 / right.size)
-            if abs(dlev) >= gate and (se == 0.0 or abs(dlev) >= Z_VERIFY * se):
+            if abs(dlev) >= gate and abs(dlev) >= Z_VERIFY * se:
                 keep.append(b)
                 sizes[b] = dlev
             else:
@@ -434,12 +434,9 @@ def coincidence_analysis(event_lists, window_s: float,
     for i in range(len(times)):
         for j in range(i + 1, len(times)):
             ta, tb = times[i], times[j]
-            if tb.size:
-                left = np.searchsorted(tb, ta - window_s, side="left")
-                right = np.searchsorted(tb, ta + window_s, side="right")
-                observed = int(np.count_nonzero(right > left))
-            else:
-                observed = 0
+            left = np.searchsorted(tb, ta - window_s, side="left")
+            right = np.searchsorted(tb, ta + window_s, side="right")
+            observed = int(np.count_nonzero(right > left))
             expected = 2.0 * rates[i] * rates[j] * window_s * total
             ratio = observed / expected if expected > 0 else None
             pairs.append(PairCoincidence(

@@ -239,13 +239,11 @@ def read_trace_csv(path) -> TimeTrace:
     return TimeTrace(t_s=t, value=v, noise_sigma=noise, label=label)
 
 
-def write_dwell_json(path, stats, events=None, meta=None) -> None:
-    payload = {"meta": meta or {}, **fields(stats),
-               "lifetime_s": stats.lifetime_s,
-               "lifetime_lower_bound_s": stats.lifetime_lower_bound_s}
-    if events is not None:
-        payload["events"] = events
-    write_json(path, payload)
+def write_dwell_json(path, stats, events, meta=None) -> None:
+    write_json(path, {"meta": meta or {}, **fields(stats),
+                      "lifetime_s": stats.lifetime_s,
+                      "lifetime_lower_bound_s": stats.lifetime_lower_bound_s,
+                      "events": events})
 
 
 def read_decay_csv(path, kind: str) -> DecayCurve:

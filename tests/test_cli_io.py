@@ -724,6 +724,43 @@ class TestCli:
         assert "x.json is a directory" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--points", "3", "--out", "{dir}/s.json"],
+        ["simulate-trace", "--duration", "100", "--out", "{dir}/x.json"],
+        ["analyze-trace", "--trace", "{trace_a}",
+         "--out", "{dir}/trace_a.json"],
+        ["coincidence", "--traces", "{trace_a}", "{trace_b}",
+         "--window", "5.0", "--out", "{dir}/trace_b.json"],
+        ["analyze-trace", "--trace", "{trace_a}", "--out", "{trace_a}"],
+        ["fit", "--data", "{spec}", "--out", "{dir}/./spec.csv"],
+        ["decay-fit", "--data", "{decay}", "--kind", "exponential",
+         "--out", "{decay}"],
+        ["chi", "--config", "{ini}", "--out", "{ini}"],
+    ], ids=["sweep-own-json", "simulate-own-sidecar", "analyze-sidecar",
+            "coincidence-sidecar", "analyze-input", "fit-input",
+            "decay-input", "config"])
+    def test_colliding_out_rejected_before_work(self, tmp_path, monkeypatch,
+                                                capsys, command_inputs,
+                                                argv):
+        def never(*args, **kwargs):
+            raise AssertionError("computed before checking --out")
+
+        for name in ("flux_sweep", "dispersive_shift", "fit_spectrum",
+                     "simulate_telegraph", "detect_jumps", "fit_decay"):
+            monkeypatch.setattr(cli, name, never)
+        ini, inputs = command_inputs
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        argv = [a.format(dir=tmp_path, ini=ini, **inputs) for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: output path")
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_fit_out_may_share_the_data_stem(self, tmp_path, command_inputs):
+        _, inputs = command_inputs
+        assert main(["fit", "--data", inputs["spec"], "--starts", "1",
+                     "--out", str(tmp_path / "spec.json")]) == 0
+        assert "params" in gfio.read_json(tmp_path / "spec.json")
+
     @pytest.mark.parametrize("ladder, where", [
         ("25x", "'25x'"), ("25x15,40", "'40'"), ("40x25,25x15", "ascend")],
         ids=["no-n", "no-x", "descending"])

@@ -94,6 +94,15 @@ class TestFitSpectrum:
         assert fit.params["offset_phi0"] == 0.0
         assert fit.params["lq_nh"] == pytest.approx(TRUE["lq_nh"], rel=1e-3)
 
+    def test_one_start_runs_from_the_initial_guess(self):
+        """A one-start fit reports one start, the first of a longer fit."""
+        data = synthetic_dataset(n=12, noise_ghz=1e-3, seed=2)
+        fit = fit_spectrum(data, n_starts=1, seed=0)
+        assert fit.status == "converged"
+        assert fit.best_start == 0 and fit.start_objectives == (fit.chi2,)
+        longer = fit_spectrum(data, n_starts=3, seed=0)
+        assert longer.start_objectives[0] == fit.chi2
+
     def test_zero_init_needs_explicit_bounds(self):
         data = synthetic_dataset(n=12)
         with pytest.raises(ValueError, match="bounds"):

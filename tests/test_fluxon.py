@@ -239,6 +239,11 @@ class TestDetectJumps:
         directions = [e.direction for e in detect_jumps(trace)]
         assert directions == [1, -1, 1, -1, 1, -1]
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_trace_of_fewer_than_two_samples_accepted(self, n):
+        trace = TimeTrace(t_s=np.arange(float(n)), value=np.zeros(n))
+        assert trace.t_s.size == trace.value.size == n
+
     def test_validation(self):
         trace = TimeTrace(t_s=np.arange(100.0), value=np.zeros(100))
         with pytest.raises(ValueError):
@@ -359,6 +364,14 @@ class TestCoincidence:
         assert pair.rate_b_hz == pytest.approx(0.1, rel=1e-12)
         assert pair.observed == 50
         assert pair.expected == pytest.approx(2 * 0.1 * 0.1 * 1.0 * 500.0)
+
+    @pytest.mark.parametrize("empty", [0, 1], ids=["first", "second"])
+    def test_empty_list_gives_no_coincidence(self, empty):
+        lists = [np.array([2.0, 5.0]), np.array([2.5, 8.0])]
+        lists[empty] = []
+        pair = coincidence_analysis(lists, 1.0, (0.0, 10.0)).pairs[0]
+        assert pair.observed == 0 and pair.expected == 0.0
+        assert pair.excess_ratio is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
