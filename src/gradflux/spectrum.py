@@ -21,9 +21,10 @@ everything but the coupling is diagonal: H = diag(e_q (+) k f_r) - g phi_q
 Every dense symmetric solve, of the fluxonium as of the two-mode matrix,
 goes through :func:`_solve_lowest` (LAPACK's MRRR driver, lowest k pairs).
 :func:`solve_hermitian` uses it on the two-mode factors for full solves and
-up to a measured dimension crossover; above it ARPACK's implicitly restarted
-Lanczos (:func:`scipy.sparse.linalg.eigsh`) finds the lowest levels,
-applying H as the structured product above, so no dim^2 array is formed.
+up to a measured dimension crossover; above it a block Davidson solve finds
+the lowest levels, applying H as the structured product above, so no dim^2
+array is formed. Its projected and Gram matrices, a few block widths wide,
+go through :func:`_solve_lowest` as well.
 
 Eigenvalues are reported relative to the harmonic zero-point energy, so two
 uncoupled linear modes give exactly n*f_r + m*f_q.
@@ -55,14 +56,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .circuit import EffectiveFluxonium
 from .units import EL_GHZ_NH, mode_frequency, phase_zpf
 
 
 class SolverError(RuntimeError):
-    """Eigensolver failure (dense or Lanczos), naming the dimension and the
+    """Eigensolver failure (dense or Davidson), naming the dimension and the
     non-finite entries counted in the Hamiltonian's factors."""
 
 
@@ -103,21 +103,44 @@ N_START = 16
 #: taken as they come, certified or not.
 N_LOWEST = 80
 
-#: Largest dimension whose subset solve stays dense; above it the
-#: matrix-free Lanczos solve runs. Measured crossover for the N_START = 16
+#: Largest dimension whose 16-pair subset solve stays dense; above it the
+#: matrix-free block Davidson solve runs. Measured for the N_START = 16
 #: pairs of a labeled solve (device circuit, phi = 0.5, 2 BLAS threads,
-#: median of 15 solves; 1 thread gives the same crossover):
+#: median of 15 solves, two series):
 #:
-#:     dim    dense dsyevr        Lanczos
-#:     375    12.5-12.9 ms        14.2-17.0 ms
-#:     450    17.8 ms             17.6-19.3 ms  (break-even)
-#:     500    21.6-22.5 ms        18.7-19.5 ms
-#:     600    26.8-27.6 ms        19.5-19.7 ms
-#:     1000   83 ms               31 ms
-#:     2000   0.57 s              0.06 s
+#:     dim    dense dsyevr    Davidson
+#:     160    2.7-2.8 ms      5.7-6.8 ms
+#:     200    3.8-4.2 ms      6.0-6.5 ms
+#:     240    4.8-5.3 ms      6.1-6.3 ms
+#:     255    5.9 ms          6.6-6.7 ms
+#:     300    8.4-8.6 ms      6.6-7.5 ms
+#:     375    12.1-13.1 ms    7.1-7.7 ms
+#:     1000   80-104 ms       7.4-10.8 ms
+#:     2000   0.50-0.52 s     34 ms
+#:     3500   -               30-31 ms
 #:
-#: A labeled solve that doubles past N_START is routed by the same bound.
-DENSE_MAX_DIM = 450
+#: The Davidson basis, and with it the crossover, grows with the pair
+#: count: a k-pair solve stays dense up to DENSE_MAX_DIM (k + GUARD) /
+#: (16 + GUARD), that is 481 at k = 32 and 1161 at k = 80 (measured at
+#: phi = 0.26: break-even about 450-540 and 1500).
+DENSE_MAX_DIM = 255
+
+#: The Davidson solve: GUARD pairs beyond the wanted ones ride in its block
+#: (they speed up the highest wanted pair), its basis holds CAP blocks before
+#: a thick restart, and it stops once every wanted residual norm is at most
+#: TOL (GHz), or fails after MAX_ITER iterations. The device sweep and the
+#: ladder take 7-8 iterations; a circuit at half the coupling where H loses
+#: its lower bound takes about 50.
+GUARD = 2
+CAP = 3
+TOL = 1e-10
+MAX_ITER = 200
+
+#: Smallest |diagonal - theta| (GHz) a Davidson correction divides by, and
+#: the Gram eigenvalue below which a normalized correction direction counts
+#: as already in the basis.
+FLOOR = 1e-8
+LINDEP = 1e-14
 
 #: Default label overlap below which chi and transitions are flagged.
 MIN_CONFIDENCE = 0.7
@@ -133,7 +156,7 @@ class HamiltonianMatrix:
     qubit-major: composite index k = i_q * n_res + i_r, where i_q counts
     the fluxonium eigenstates at the bias flux upwards. Entries are in GHz.
     ``shape`` and ``matvec`` make it a matrix-free linear operator for the
-    Lanczos solve; ``matrix`` assembles the dense array on demand.
+    Davidson solve; ``matrix`` assembles the dense array on demand.
     ``qubit_vectors`` holds those fluxonium eigenstates in its Fock basis.
     """
 
@@ -153,17 +176,25 @@ class HamiltonianMatrix:
         h.flat[::self.basis.dim + 1] += self.diagonal
         return h
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """H @ x at O(m^2 n + m n^2), without forming H."""
-        x = np.ravel(x)
-        y = self.coupling @ x.reshape(self.basis.m_qubit, self.basis.n_res)
-        return (self.diagonal * x
-                - (y @ _phase_quadrature(self.basis.n_res)).ravel())
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None
+               ) -> np.ndarray:
+        """H @ x for a vector or a (dim, b) block, at O(m^2 n + m n^2) per
+        column, without forming H. ``out``, if given, is a column-major
+        array of x's shape that receives the product."""
+        m, n = self.basis.m_qubit, self.basis.n_res
+        # rows of o are the columns of the product, each an m x n array
+        o = np.empty(x.T.shape) if out is None else out.T
+        np.matmul(self.coupling, x.T.reshape(-1, m, n),
+                  out=o.reshape(-1, m, n))
+        y = o.reshape(-1, n) @ _phase_quadrature(n)
+        np.multiply(x.T, self.diagonal, out=o)
+        o -= y.reshape(o.shape)
+        return o.T
 
 
 # The phase quadrature a + a^T and its eigenbasis depend on the Fock count
-# alone, so each is built once per count (the Lanczos matvec needs the
-# quadrature on every call) and handed out read-only.
+# alone, so each is built once per count (every matvec needs the
+# quadrature) and handed out read-only.
 @functools.cache
 def _phase_quadrature(n):
     a = np.diag(np.sqrt(np.arange(1, n)), 1)
@@ -254,9 +285,9 @@ def solve_hermitian(h: HamiltonianMatrix, lowest: int):
     """Ascending eigenvalues and eigenvectors of the two-mode Hamiltonian.
 
     The lowest ``lowest`` pairs, by :func:`_solve_lowest` on ``h.matrix``
-    for a full solve or up to :data:`DENSE_MAX_DIM`, else by ARPACK Lanczos
-    on ``h.matvec`` from a fixed start vector to machine precision, so
-    reruns repeat; failures raise :class:`SolverError`.
+    for a full solve or up to the dense bound (:data:`DENSE_MAX_DIM`, scaled
+    with the pair count), else by :func:`_davidson` on ``h.matvec``. Both
+    repeat bit for bit on rerun; failures raise :class:`SolverError`.
     """
     dim = h.basis.dim
     nonfinite = sum(int(np.count_nonzero(~np.isfinite(x)))
@@ -268,15 +299,89 @@ def solve_hermitian(h: HamiltonianMatrix, lowest: int):
     k = min(lowest, dim)
     if k < 1:
         raise ValueError(f"lowest must be >= 1, got {lowest}")
-    if k == dim or dim <= DENSE_MAX_DIM:
+    if k == dim or (16 + GUARD) * dim <= DENSE_MAX_DIM * (k + GUARD):
         (w,), (v,) = _solve_lowest(h.matrix[None], k, vectors=True)
         return w, v
-    op = spla.LinearOperator(h.shape, matvec=h.matvec, dtype=float)
-    try:
-        return spla.eigsh(op, k=k, which="SA", v0=np.ones(dim), tol=0)
-    except spla.ArpackError as exc:
-        raise SolverError(f"eigensolver failed: {exc} [dim={dim}, "
-                          "non-finite entries in factors=0]") from exc
+    return _davidson(h, k)
+
+
+def _davidson(h: HamiltonianMatrix, k: int):
+    """Lowest ``k`` pairs of ``h`` by block Davidson (Davidson, J. Comput.
+    Phys. 17, 87 (1975)) on ``h.matvec``.
+
+    The block of k + :data:`GUARD` vectors starts as the unit vectors of the
+    lowest diagonal entries, in stable order, so reruns repeat bit for bit.
+    Each iteration takes the Ritz pairs of the basis from its projected
+    matrix, updated by the new columns only, and extends the basis by the
+    Jacobi correction (residual / (diagonal - theta)) of every Ritz pair
+    not yet converged, made orthonormal to it by :func:`_orthonormalize`.
+    A full basis (:data:`CAP` blocks) restarts from the block's Ritz
+    vectors. With zero coupling the start block is exact and the residuals
+    are 0. The solve ends when every wanted residual norm is at most
+    :data:`TOL`, and raises :class:`SolverError` after :data:`MAX_ITER`
+    iterations.
+
+    The pairs returned are exact and orthonormal to within TOL, but an
+    iteration could skip a level that no correction reached. The labels
+    stay right all the same: :func:`_certified` needs only orthonormal
+    eigenvectors, since for each basis state b the weight r_b = 1 - sum_j
+    v_bj^2 left by the solved levels bounds b's overlap with every unsolved
+    level, skipped ones included. A skipped level cannot take a certified
+    label, so the energies and labels read through ``index_of`` are exact.
+    """
+    dim, d = h.basis.dim, h.diagonal
+    b = min(k + GUARD, dim)
+    cap = min(CAP * b, dim)
+    # vectors are rows: the basis, the Ritz block and the residual block
+    basis = np.zeros((cap, dim))
+    ritz, res = np.empty((b, dim)), np.empty((b, dim))
+    t = np.zeros((cap, cap))
+    basis[np.arange(b), np.argsort(d, kind="stable")[:b]] = 1.0
+    n, w = 0, b
+    for _ in range(MAX_ITER):
+        hv = h.matvec(basis[n:n + w].T, out=res[:w].T).T
+        t[n:n + w, :n + w] = hv @ basis[:n + w].T
+        n += w
+        (theta,), (y,) = _solve_lowest(t[None, :n, :n], n, vectors=True)
+        theta, y = theta[:b], y[:, :b]
+        np.matmul(y.T, basis[:n], out=ritz)
+        h.matvec(ritz.T, out=res.T)
+        res -= theta[:, None] * ritz
+        norm = np.sqrt(np.einsum("ij,ij->i", res, res))
+        if np.all(norm[:k] <= TOL):
+            return theta[:k], ritz[:k].T
+        active = np.flatnonzero(norm > TOL)
+        if n + active.size > cap:
+            basis[:b] = ritz
+            t[:b, :b] = np.diag(theta)
+            n = b
+        np.subtract(d, theta[:, None], out=ritz)
+        ritz[np.abs(ritz) < FLOOR] = FLOOR
+        res /= ritz
+        w = active.size
+        res[:w] = res[active]
+        block = _orthonormalize(basis[:n], res[:w], ritz)
+        w = len(block)
+        basis[n:n + w] = block
+    raise SolverError(f"eigensolver failed: no convergence in {MAX_ITER} "
+                      f"iterations [dim={dim}, non-finite entries in "
+                      "factors=0]")
+
+
+def _orthonormalize(v: np.ndarray, w: np.ndarray, spare: np.ndarray):
+    """Rows of ``w`` made orthonormal to those of ``v`` and to each other
+    by two passes of block Gram-Schmidt and SVQB (Stathopoulos & Wu, SIAM
+    J. Sci. Comput. 23, 2165 (2002)); dependent directions are dropped.
+    ``w`` and ``spare`` (as wide, as many rows) are overwritten."""
+    w /= np.sqrt(np.einsum("ij,ij->i", w, w))[:, None]
+    for _ in range(2):
+        proj = np.matmul(w @ v.T, v, out=spare[:len(w)])
+        w -= proj
+        (lam,), (u,) = _solve_lowest((w @ w.T)[None], len(w), vectors=True)
+        keep = lam > LINDEP
+        w, spare = np.matmul((u[:, keep] / np.sqrt(lam[keep])).T, w,
+                             out=spare[:np.count_nonzero(keep)]), w
+    return w
 
 
 def _solve_lowest(h: np.ndarray, k: int, vectors: bool = False):
@@ -383,7 +488,7 @@ def diagonalize_labeled(h: HamiltonianMatrix, labels) -> SpectrumResult:
     state b by more than r_b = 1 - sum_j v_bj^2 over the solved levels j;
     no unsolved level can overlap b by more than r_b, so none can take the
     label, and the wanted labels keep the levels and confidences of any
-    larger solve. :func:`solve_hermitian` picks the dense or Lanczos method
+    larger solve. :func:`solve_hermitian` picks the dense or Davidson method
     for each solve.
     """
     labels = list(labels)

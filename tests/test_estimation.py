@@ -103,6 +103,21 @@ class TestFitSpectrum:
         longer = fit_spectrum(data, n_starts=3, seed=0)
         assert longer.start_objectives[0] == fit.chi2
 
+    def test_best_start_survives_a_last_digit_change(self, monkeypatch):
+        # all 8 starts end within about 2e-11 relative chi^2; a 1e-13 GHz
+        # shift of the forward model reorders them
+        data = synthetic_dataset(noise_ghz=1e-3, seed=1)
+        fit = fit_spectrum(data, n_starts=8, seed=0)
+        forward = estimation._model_freqs_single_loop
+
+        def shifted(*args):
+            freqs, jac = forward(*args)
+            return freqs + 1e-13, jac
+
+        monkeypatch.setattr(estimation, "_model_freqs_single_loop", shifted)
+        again = fit_spectrum(data, n_starts=8, seed=0)
+        assert again.best_start == fit.best_start
+
     def test_zero_init_needs_explicit_bounds(self):
         data = synthetic_dataset(n=12)
         with pytest.raises(ValueError, match="bounds"):

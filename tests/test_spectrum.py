@@ -151,10 +151,13 @@ class TestOneDenseSolver:
                              (scipy.linalg, "eigh")):
             monkeypatch.setattr(module, name, boom)
         spectrum._phase_eigenbasis.cache_clear()
-        assert BASIS.dim <= DENSE_MAX_DIM
+        small = FockBasisSpec(16, 15)
+        assert small.dim <= DENSE_MAX_DIM < BASIS.dim
         h = build_hamiltonian(EFF, 0.5, BASIS)
         assert solve_hermitian(h, BASIS.dim)[0].shape == (BASIS.dim,)
         assert solve_hermitian(h, 16)[1].shape == (BASIS.dim, 16)
+        assert solve_hermitian(build_hamiltonian(EFF, 0.5, small),
+                               16)[1].shape == (small.dim, 16)
         single_loop_transitions(172.0, 3.4, 5.1, [0.3, 0.5], 30)
         single_loop_transitions(172.0, 3.4, 5.1, [0.3, 0.5], 30,
                                 gradient=True)
@@ -436,12 +439,14 @@ class TestConvergenceReport:
         assert rel_f01 < rel_chi
 
 
-# the criterion-1 rungs on Lanczos, and a rung just above the crossover
+# the criterion-1 rungs on the Davidson solve, and a rung just above the
+# crossover
 ABOVE_CROSSOVER = [(50, 40), (70, 50), (24, 20)]
 
 
 class TestLanczosSolve:
-    """Matrix-free Lanczos above DENSE_MAX_DIM against the dense solve."""
+    """Matrix-free block Davidson above DENSE_MAX_DIM against the dense
+    solve."""
 
     @pytest.mark.parametrize("phi", [0.0, 0.26, 0.5])
     @pytest.mark.parametrize("m, n", ABOVE_CROSSOVER)
@@ -466,33 +471,95 @@ class TestLanczosSolve:
         assert (convergence_report(EFF, 0.5, ladder)
                 == convergence_report(EFF, 0.5, ladder))
 
-    @pytest.mark.parametrize("exc", [
-        spectrum.spla.ArpackNoConvergence("no convergence", np.empty(0),
-                                          np.empty((0, 0))),
-        spectrum.spla.ArpackError(-9999)])
-    def test_arpack_failure_is_solver_error(self, exc, monkeypatch):
-        def fail(*args, **kwargs):
-            raise exc
-
-        monkeypatch.setattr(spectrum.spla, "eigsh", fail)
+    def test_iteration_cap_is_solver_error(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "MAX_ITER", 1)
         with pytest.raises(SolverError,
                            match=r"dim=1125, non-finite entries in factors=0"):
             convergence_report(EFF, 0.5, [(45, 25)])
 
-    @pytest.mark.parametrize("m, n, calls", [(30, 15, 0), (31, 15, 1)])
+    @pytest.mark.parametrize("m, n, calls", [(17, 15, 0), (18, 15, 1)])
     def test_routing_at_crossover(self, m, n, calls, monkeypatch):
-        # dim 450 is the last dense one, dim 465 the first on Lanczos
+        # dim 255 is the last dense one, dim 270 the first on Davidson
         seen = []
-        eigsh = spectrum.spla.eigsh
+        davidson = spectrum._davidson
 
-        def spy(*args, **kwargs):
-            seen.append(args[0].shape)
-            return eigsh(*args, **kwargs)
+        def spy(h, k):
+            seen.append(h.shape)
+            return davidson(h, k)
 
-        monkeypatch.setattr(spectrum.spla, "eigsh", spy)
+        monkeypatch.setattr(spectrum, "_davidson", spy)
         diagonalize_labeled(build_hamiltonian(EFF, 0.5, FockBasisSpec(m, n)),
                             CHI_LABELS)
         assert len(seen) == calls
+
+
+class TestDavidsonAgainstDense:
+    """The Davidson solve against the dense one on the same matrix, forced
+    by DENSE_MAX_DIM, at the first and at the largest labeled solve size."""
+
+    @staticmethod
+    def both(h, k, monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(spectrum, "DENSE_MAX_DIM", 0)
+            davidson = spectrum._labeled(h, k)
+            mp.setattr(spectrum, "DENSE_MAX_DIM", h.basis.dim)
+            dense = spectrum._labeled(h, k)
+        return davidson, dense
+
+    def assert_same(self, h, monkeypatch):
+        for k in (N_START, N_LOWEST):
+            davidson, dense = self.both(h, k, monkeypatch)
+            assert np.max(np.abs(davidson.energies - dense.energies)) < 1e-9
+            assert davidson.index_of == dense.index_of
+            assert np.max(np.abs(davidson.confidence
+                                 - dense.confidence)) < 1e-9
+
+    def test_device_sweep(self, monkeypatch):
+        for phi in np.linspace(0.0, 1.0, 101):
+            self.assert_same(build_hamiltonian(EFF, phi, BASIS), monkeypatch)
+
+    def test_random_circuits(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for strong in (True, False, False, False):
+            lq, lr, lrq = rng.uniform(10, 500, 3)
+            cj, cr = rng.uniform(1, 30, 2)
+            # strong: half the inductive coupling at which H loses its
+            # lower bound, about 20 times the device's
+            eff = EffectiveFluxonium(lq=lq, lr=lr,
+                                     lrq=math.sqrt(lq * lr) if strong else lrq,
+                                     cj=cj, cr=cr, ej=rng.uniform(0, 12),
+                                     alpha=0.0)
+            self.assert_same(build_hamiltonian(eff, rng.uniform(0, 1), BASIS),
+                             monkeypatch)
+
+    def test_uncoupled_converges_at_the_start(self, monkeypatch):
+        # the start block's unit vectors are eigenvectors: zero residuals
+        h = build_hamiltonian(uncoupled(ej=5.1), 0.3, BASIS)
+        self.assert_same(h, monkeypatch)
+        monkeypatch.setattr(spectrum, "MAX_ITER", 1)
+        for k in (N_START, N_LOWEST):
+            davidson, _ = self.both(h, k, monkeypatch)
+            assert np.array_equal(davidson.energies, np.sort(h.diagonal)[:k])
+            assert np.all(davidson.confidence == 1.0)
+
+    def test_exact_degeneracies_at_the_block_edge(self, monkeypatch):
+        # f_r = 2 f_q exactly: level m_q + 2 n_r is (m_q + 2 n_r) f_q, and
+        # the 18-vector start block and the 80th level split a degenerate
+        # group. Within such a group either solver may order and pick the
+        # levels differently, so compare each kept label's energy.
+        eff = EffectiveFluxonium(lq=100.0, lr=25.0, lrq=math.inf, cj=4.0,
+                                 cr=4.0, ej=0.0, alpha=0.0)
+        f_q = mode_frequency(eff.lq, eff.cj)
+        assert mode_frequency(eff.lr, eff.cr) == 2.0 * f_q
+        h = build_hamiltonian(eff, 0.3, BASIS)
+        for k in (N_START, N_LOWEST):
+            for spec in self.both(h, k, monkeypatch):
+                assert np.array_equal(spec.energies,
+                                      np.sort(h.diagonal)[:k])
+                assert np.all(spec.confidence == 1.0)
+                for (nr, mq), j in spec.index_of.items():
+                    assert spec.energies[j] == h.diagonal[mq * BASIS.n_res
+                                                          + nr]
 
 
 class TestCertifiedSolve:
