@@ -302,7 +302,12 @@ def solve_hermitian(h: HamiltonianMatrix, lowest: int):
     if k == dim or (16 + GUARD) * dim <= DENSE_MAX_DIM * (k + GUARD):
         (w,), (v,) = _solve_lowest(h.matrix[None], k, vectors=True)
         return w, v
-    return _davidson(h, k)
+    try:
+        return _davidson(h, k)
+    except SolverError as exc:
+        # an inner dense solve names the projected size, not the Hamiltonian's
+        raise SolverError(f"{exc} [dim={dim}, non-finite entries in "
+                          "factors=0]") from exc
 
 
 def _davidson(h: HamiltonianMatrix, k: int):
@@ -364,8 +369,7 @@ def _davidson(h: HamiltonianMatrix, k: int):
         w = len(block)
         basis[n:n + w] = block
     raise SolverError(f"eigensolver failed: no convergence in {MAX_ITER} "
-                      f"iterations [dim={dim}, non-finite entries in "
-                      "factors=0]")
+                      "iterations")
 
 
 def _orthonormalize(v: np.ndarray, w: np.ndarray, spare: np.ndarray):

@@ -471,11 +471,18 @@ class TestLanczosSolve:
         assert (convergence_report(EFF, 0.5, ladder)
                 == convergence_report(EFF, 0.5, ladder))
 
-    def test_iteration_cap_is_solver_error(self, monkeypatch):
-        monkeypatch.setattr(spectrum, "MAX_ITER", 1)
+    @pytest.mark.parametrize("exc", [
+        (spectrum, "MAX_ITER", 1),
+        (scipy.linalg.lapack, "dsyevr",
+         lambda *args, **kwargs: (None, None, 0, None, 1))])
+    def test_arpack_failure_is_solver_error(self, exc, monkeypatch):
+        # named for the ARPACK solve that Davidson replaced; the solve fails
+        # at its iteration cap (exc0) or in its inner dense solve (exc1)
+        h = build_hamiltonian(EFF, 0.5, FockBasisSpec(45, 25))
+        monkeypatch.setattr(*exc)
         with pytest.raises(SolverError,
                            match=r"dim=1125, non-finite entries in factors=0"):
-            convergence_report(EFF, 0.5, [(45, 25)])
+            diagonalize_labeled(h, CHI_LABELS)
 
     @pytest.mark.parametrize("m, n, calls", [(17, 15, 0), (18, 15, 1)])
     def test_routing_at_crossover(self, m, n, calls, monkeypatch):
