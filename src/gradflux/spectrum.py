@@ -42,12 +42,13 @@ overlap 0. Near avoided crossings the overlap drops and label-dependent
 quantities (transition frequencies, dispersive shift) are flagged invalid
 below a configurable confidence.
 
-Callers name the labels they read (chi's four, a sweep's transitions), and
-only the lowest :data:`N_START` levels are solved if a certificate shows
+Callers name the labels they read (chi's four, a sweep's transitions). The
+first solve takes the lowest levels up to the highest-ranked basis state of
+those labels among the uncoupled levels, and is kept if a certificate shows
 no higher level could take those labels: the level keeping label b must
-overlap it by more than the weight 1 - sum_j v_bj^2 the solved levels
-leave to the unsolved ones. Otherwise the solve doubles, up to
-:data:`N_LOWEST` levels, where the labels are taken as they come.
+overlap it by more than the weight 1 - sum_j v_bj^2 the solved levels leave
+to the unsolved ones. Otherwise the solve doubles, up to :data:`N_LOWEST`
+levels, where the labels are taken as they come.
 """
 
 import functools
@@ -94,36 +95,31 @@ DEFAULT_BASIS = FockBasisSpec(25, 15)
 #: Labels chi reads: |00>, |10>, |01> and |11> as (n_r, m_q).
 CHI_LABELS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
-#: Levels a labeled subset solve starts from; enough to certify the chi and
-#: transition labels at every point of the device sweep.
-N_START = 16
-
-#: Most levels a labeled subset solve reaches by doubling :data:`N_START`
-#: while a wanted label fails its certificate; at this size the labels are
-#: taken as they come, certified or not.
+#: Most levels a labeled subset solve reaches by doubling while a wanted
+#: label fails its certificate; at this size the labels are taken as they
+#: come, certified or not.
 N_LOWEST = 80
 
-#: Largest dimension whose 16-pair subset solve stays dense; above it the
-#: matrix-free block Davidson solve runs. Measured for the N_START = 16
-#: pairs of a labeled solve (device circuit, phi = 0.5, 2 BLAS threads,
-#: median of 15 solves, two series):
+#: Largest dimension whose few-pair subset solve stays dense; above it the
+#: matrix-free block Davidson solve runs. Dense ``dsyevr`` costs about the
+#: same at any pair count k, the Davidson solve grows with its block. Break-
+#: even dims for k pairs (device circuit, phi = 0.5 and 0.26, 2 BLAS
+#: threads, median of 9 solves; dense / Davidson on either side):
 #:
-#:     dim    dense dsyevr    Davidson
-#:     160    2.7-2.8 ms      5.7-6.8 ms
-#:     200    3.8-4.2 ms      6.0-6.5 ms
-#:     240    4.8-5.3 ms      6.1-6.3 ms
-#:     255    5.9 ms          6.6-6.7 ms
-#:     300    8.4-8.6 ms      6.6-7.5 ms
-#:     375    12.1-13.1 ms    7.1-7.7 ms
-#:     1000   80-104 ms       7.4-10.8 ms
-#:     2000   0.50-0.52 s     34 ms
-#:     3500   -               30-31 ms
+#:     k     break-even    below                    above
+#:     2     150-180       0.8 / 1.0 ms at 150      1.3 / 0.9 ms at 180
+#:     4     180-210       1.9 / 2.6 ms at 195      2.9 / 2.7 ms at 210
+#:     6     150-195       1.0 / 1.5 ms at 150      1.8 / 1.6 ms at 195
+#:     8     180-210       1.8 / 1.9 ms at 180      2.4 / 2.0 ms at 210
+#:     16    255-300       4.6 / 4.7 ms at 255      6.2 / 4.7 ms at 300
+#:     32    about 600     23 / 28 ms at 540        28 / 28 ms at 600
+#:     80    1750-2000     346 / 410 ms at 1750     533 / 388 ms at 2000
 #:
-#: The Davidson basis, and with it the crossover, grows with the pair
-#: count: a k-pair solve stays dense up to DENSE_MAX_DIM (k + GUARD) /
-#: (16 + GUARD), that is 481 at k = 32 and 1161 at k = 80 (measured at
-#: phi = 0.26: break-even about 450-540 and 1500).
-DENSE_MAX_DIM = 255
+#: So a solve of up to 11 pairs stays dense up to DENSE_MAX_DIM, and above
+#: that the bound grows with the Davidson block k + GUARD, to six times
+#: DENSE_MAX_DIM at N_LOWEST pairs: 253 at k = 16, 478 at k = 32 and 1152
+#: at k = 80.
+DENSE_MAX_DIM = 192
 
 #: The Davidson solve: GUARD pairs beyond the wanted ones ride in its block
 #: (they speed up the highest wanted pair), its basis holds CAP blocks before
@@ -285,8 +281,8 @@ def solve_hermitian(h: HamiltonianMatrix, lowest: int):
     """Ascending eigenvalues and eigenvectors of the two-mode Hamiltonian.
 
     The lowest ``lowest`` pairs, by :func:`_solve_lowest` on ``h.matrix``
-    for a full solve or up to the dense bound (:data:`DENSE_MAX_DIM`, scaled
-    with the pair count), else by :func:`_davidson` on ``h.matvec``. Both
+    for a full solve or up to the dense bound (:data:`DENSE_MAX_DIM`, raised
+    for many pairs), else by :func:`_davidson` on ``h.matvec``. Both
     repeat bit for bit on rerun; failures raise :class:`SolverError`.
     """
     dim = h.basis.dim
@@ -299,7 +295,8 @@ def solve_hermitian(h: HamiltonianMatrix, lowest: int):
     k = min(lowest, dim)
     if k < 1:
         raise ValueError(f"lowest must be >= 1, got {lowest}")
-    if k == dim or (16 + GUARD) * dim <= DENSE_MAX_DIM * (k + GUARD):
+    grow = max(1.0, 6 * (k + GUARD) / (N_LOWEST + GUARD))
+    if k == dim or dim <= DENSE_MAX_DIM * grow:
         (w,), (v,) = _solve_lowest(h.matrix[None], k, vectors=True)
         return w, v
     try:
@@ -462,16 +459,20 @@ def _labeled(h: HamiltonianMatrix, lowest: int) -> SpectrumResult:
                           vectors=v)
 
 
+def _basis_states(labels, basis: FockBasisSpec):
+    """(label, basis index) of each of ``labels`` with a basis state."""
+    n = basis.n_res
+    return [((nr, mq), mq * n + nr) for nr, mq in labels
+            if 0 <= nr < n and 0 <= mq < basis.m_qubit]
+
+
 def _certified(spec: SpectrumResult, labels, basis: FockBasisSpec) -> bool:
     """The certificate of :func:`diagonalize_labeled`: True if no unsolved
     level can take any of ``labels``."""
-    n = basis.n_res
     residual = 1.0 - np.sum(spec.vectors ** 2, axis=1)
-    for nr, mq in labels:
-        if not (0 <= nr < n and 0 <= mq < basis.m_qubit):
-            continue                       # no basis state: no level keeps it
-        j = spec.index_of.get((nr, mq))
-        if j is None or spec.confidence[j] <= residual[mq * n + nr]:
+    for label, b in _basis_states(labels, basis):
+        j = spec.index_of.get(label)
+        if j is None or spec.confidence[j] <= residual[b]:
             return False
     return True
 
@@ -486,8 +487,11 @@ def diagonalize_labeled(h: HamiltonianMatrix, labels) -> SpectrumResult:
     only the higher-overlap claimant retains it.
 
     Only the lowest levels are solved, enough for ``labels``, the (n_r, m_q)
-    labels the caller reads: first :data:`N_START`, doubled while the
-    certificate fails for a wanted label, up to :data:`N_LOWEST`. The
+    labels the caller reads. The first solve takes 1 + the highest rank any
+    wanted label's basis state has in the stable-sorted diagonal (the
+    uncoupled energies); labels without a basis state are skipped. It
+    doubles while the certificate fails for a wanted label, up to
+    :data:`N_LOWEST`. The
     certificate holds when the level keeping the label overlaps its basis
     state b by more than r_b = 1 - sum_j v_bj^2 over the solved levels j;
     no unsolved level can overlap b by more than r_b, so none can take the
@@ -496,7 +500,9 @@ def diagonalize_labeled(h: HamiltonianMatrix, labels) -> SpectrumResult:
     for each solve.
     """
     labels = list(labels)
-    k = N_START
+    rank = np.argsort(np.argsort(h.diagonal, kind="stable"))
+    k = 1 + max((int(rank[b]) for _, b in _basis_states(labels, h.basis)),
+                default=0)
     while True:
         spec = _labeled(h, min(k, N_LOWEST))
         if (k >= min(N_LOWEST, h.basis.dim)

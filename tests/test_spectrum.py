@@ -15,9 +15,8 @@ from gradflux import (EffectiveFluxonium, FockBasisSpec, LabelError,
                       transition_frequency)
 from gradflux import estimation, spectrum
 from gradflux.spectrum import (CHI_LABELS, DENSE_MAX_DIM, MIN_CONFIDENCE,
-                               N_LOWEST, N_START, HamiltonianMatrix,
-                               SolverError, qubit_hamiltonians,
-                               solve_hermitian)
+                               N_LOWEST, HamiltonianMatrix, SolverError,
+                               qubit_hamiltonians, solve_hermitian)
 from gradflux.units import (charging_energy, inductive_energy, mode_frequency,
                             phase_zpf)
 
@@ -29,6 +28,26 @@ BASIS = FockBasisSpec(25, 15)
 def full_spectrum(h):
     """Every level of ``h``, labeled."""
     return spectrum._labeled(h, h.basis.dim)
+
+
+def start_size(h, labels):
+    """1 + the highest position of a label's basis state among the
+    uncoupled levels, sorted stably by energy."""
+    order = list(np.argsort(h.diagonal, kind="stable"))
+    return 1 + max(order.index(mq * h.basis.n_res + nr) for nr, mq in labels)
+
+
+def solve_sizes(monkeypatch):
+    """The pair counts of every labeled solve from here on, in order."""
+    sizes = []
+    labeled = spectrum._labeled
+
+    def spy(h, lowest):
+        sizes.append(lowest)
+        return labeled(h, lowest)
+
+    monkeypatch.setattr(spectrum, "_labeled", spy)
+    return sizes
 
 
 def uncoupled(ej=0.0, lq=100.0, lr=20.0, cj=3.0, cr=18.0):
@@ -151,7 +170,7 @@ class TestOneDenseSolver:
                              (scipy.linalg, "eigh")):
             monkeypatch.setattr(module, name, boom)
         spectrum._phase_eigenbasis.cache_clear()
-        small = FockBasisSpec(16, 15)
+        small = FockBasisSpec(12, 16)
         assert small.dim <= DENSE_MAX_DIM < BASIS.dim
         h = build_hamiltonian(EFF, 0.5, BASIS)
         assert solve_hermitian(h, BASIS.dim)[0].shape == (BASIS.dim,)
@@ -323,7 +342,7 @@ class TestLabeledTransitions:
         labels = [(nr, mq) for nr in range(3) for mq in range(3)]
         low = diagonalize_labeled(h, labels)
         k = low.energies.size
-        assert N_START <= k < full.energies.size
+        assert start_size(h, labels) <= k < full.energies.size
         assert np.allclose(low.energies, full.energies[:k], atol=1e-9)
         for label in labels:
             assert low.index_of[label] == full.index_of[label]
@@ -451,16 +470,16 @@ class TestLanczosSolve:
     @pytest.mark.parametrize("phi", [0.0, 0.26, 0.5])
     @pytest.mark.parametrize("m, n", ABOVE_CROSSOVER)
     def test_parity_with_dense(self, m, n, phi, monkeypatch):
-        # from the first labeled solve size and from the largest
+        # the labeled solve, and the largest solve a labeled one reaches
         h = build_hamiltonian(EFF, phi, FockBasisSpec(m, n))
         assert h.basis.dim > DENSE_MAX_DIM
-        for start in (N_START, N_LOWEST):
-            monkeypatch.setattr(spectrum, "N_START", start)
+        for solve in (lambda: diagonalize_labeled(h, CHI_LABELS),
+                      lambda: spectrum._labeled(h, N_LOWEST)):
             monkeypatch.setattr(spectrum, "DENSE_MAX_DIM", DENSE_MAX_DIM)
-            lanczos = diagonalize_labeled(h, CHI_LABELS)
+            lanczos = solve()
             monkeypatch.setattr(spectrum, "DENSE_MAX_DIM", h.basis.dim)
-            dense = diagonalize_labeled(h, CHI_LABELS)
-            assert lanczos.energies.size == dense.energies.size >= start
+            dense = solve()
+            assert lanczos.energies.size == dense.energies.size
             assert np.max(np.abs(lanczos.energies - dense.energies)) < 1e-9
             assert lanczos.index_of == dense.index_of
             assert np.max(np.abs(lanczos.confidence
@@ -484,9 +503,9 @@ class TestLanczosSolve:
                            match=r"dim=1125, non-finite entries in factors=0"):
             diagonalize_labeled(h, CHI_LABELS)
 
-    @pytest.mark.parametrize("m, n, calls", [(17, 15, 0), (18, 15, 1)])
+    @pytest.mark.parametrize("m, n, calls", [(12, 16, 0), (13, 15, 1)])
     def test_routing_at_crossover(self, m, n, calls, monkeypatch):
-        # dim 255 is the last dense one, dim 270 the first on Davidson
+        # dim 192 is the last dense one for a few pairs, dim 195 on Davidson
         seen = []
         davidson = spectrum._davidson
 
@@ -498,6 +517,20 @@ class TestLanczosSolve:
         diagonalize_labeled(build_hamiltonian(EFF, 0.5, FockBasisSpec(m, n)),
                             CHI_LABELS)
         assert len(seen) == calls
+
+    def test_coupled_fit_basis_stays_dense(self, monkeypatch):
+        # the coupled forward model's 20x8 basis (dim 160) over a flux sweep
+        def never(h, k):
+            raise AssertionError(f"Davidson solve at dim {h.basis.dim}")
+
+        monkeypatch.setattr(spectrum, "_davidson", never)
+        sizes = solve_sizes(monkeypatch)
+        phis = np.linspace(0.0, 1.0, 21)
+        estimation._model_freqs_coupled(
+            172.0, 3.4, 5.1, phis, ("f01", "f02") * 10 + ("f01",),
+            {"ls": 2.8, "lr": 21.6, "cr": 20.2}, estimation.COUPLED_BASIS)
+        assert estimation.COUPLED_BASIS.dim == 160
+        assert len(sizes) == phis.size
 
 
 class TestDavidsonAgainstDense:
@@ -514,7 +547,7 @@ class TestDavidsonAgainstDense:
         return davidson, dense
 
     def assert_same(self, h, monkeypatch):
-        for k in (N_START, N_LOWEST):
+        for k in (start_size(h, CHI_LABELS), N_LOWEST):
             davidson, dense = self.both(h, k, monkeypatch)
             assert np.max(np.abs(davidson.energies - dense.energies)) < 1e-9
             assert davidson.index_of == dense.index_of
@@ -544,22 +577,24 @@ class TestDavidsonAgainstDense:
         h = build_hamiltonian(uncoupled(ej=5.1), 0.3, BASIS)
         self.assert_same(h, monkeypatch)
         monkeypatch.setattr(spectrum, "MAX_ITER", 1)
-        for k in (N_START, N_LOWEST):
+        for k in (start_size(h, CHI_LABELS), N_LOWEST):
             davidson, _ = self.both(h, k, monkeypatch)
             assert np.array_equal(davidson.energies, np.sort(h.diagonal)[:k])
             assert np.all(davidson.confidence == 1.0)
 
     def test_exact_degeneracies_at_the_block_edge(self, monkeypatch):
         # f_r = 2 f_q exactly: level m_q + 2 n_r is (m_q + 2 n_r) f_q, and
-        # the 18-vector start block and the 80th level split a degenerate
-        # group. Within such a group either solver may order and pick the
-        # levels differently, so compare each kept label's energy.
+        # the chi labels' 5 levels, their 7-vector start block and the 80th
+        # level each split a degenerate group. Within such a group either
+        # solver may order and pick the levels differently, so compare each
+        # kept label's energy.
         eff = EffectiveFluxonium(lq=100.0, lr=25.0, lrq=math.inf, cj=4.0,
                                  cr=4.0, ej=0.0, alpha=0.0)
         f_q = mode_frequency(eff.lq, eff.cj)
         assert mode_frequency(eff.lr, eff.cr) == 2.0 * f_q
         h = build_hamiltonian(eff, 0.3, BASIS)
-        for k in (N_START, N_LOWEST):
+        assert start_size(h, CHI_LABELS) == 5
+        for k in (start_size(h, CHI_LABELS), N_LOWEST):
             for spec in self.both(h, k, monkeypatch):
                 assert np.array_equal(spec.energies,
                                       np.sort(h.diagonal)[:k])
@@ -573,52 +608,59 @@ class TestCertifiedSolve:
     """Labeled lowest-k solves against the N_LOWEST solve they replace."""
 
     @staticmethod
-    def both(h, labels, monkeypatch):
-        certified = diagonalize_labeled(h, labels)
-        with monkeypatch.context() as mp:
-            mp.setattr(spectrum, "N_START", N_LOWEST)
-            full = diagonalize_labeled(h, labels)
-        assert full.energies.size == N_LOWEST
-        return certified, full
-
-    @staticmethod
     def chi_valid(spec):
         levels = [spec.index_of.get(label) for label in CHI_LABELS]
         return None not in levels and min(
             spec.confidence[j] for j in levels) >= MIN_CONFIDENCE
 
+    def assert_matches_full(self, h, labels, sizes):
+        """One solve at the start size, with the labels, energies and chi
+        validity of the N_LOWEST solve; returns that validity. ``sizes``
+        is a :func:`solve_sizes` list."""
+        full = spectrum._labeled(h, N_LOWEST)
+        sizes.clear()
+        certified = diagonalize_labeled(h, labels)
+        assert sizes == [start_size(h, labels)]
+        for label in labels:
+            j = certified.index_of[label]
+            assert j == full.index_of[label]
+            assert abs(certified.energies[j] - full.energies[j]) < 1e-12
+        assert self.chi_valid(certified) == self.chi_valid(full)
+        return self.chi_valid(certified)
+
     def test_sweep_grid_matches_full_solve(self, monkeypatch):
         # 101 points, through the avoided crossing near 0.26
         labels = set(CHI_LABELS) | {(0, 2), (2, 0)}
+        sizes = solve_sizes(monkeypatch)
         invalid = 0
         for phi in np.linspace(0.0, 1.0, 101):
-            certified, full = self.both(build_hamiltonian(EFF, phi, BASIS),
-                                        labels, monkeypatch)
-            assert certified.energies.size == N_START
-            for label in labels:
-                j = certified.index_of[label]
-                assert j == full.index_of[label]
-                assert abs(certified.energies[j] - full.energies[j]) < 1e-12
-            assert self.chi_valid(certified) == self.chi_valid(full)
-            invalid += not self.chi_valid(certified)
+            h = build_hamiltonian(EFF, phi, BASIS)
+            invalid += not self.assert_matches_full(h, labels, sizes)
         assert invalid > 0                # the exclusion zones are covered
 
+    def test_start_certifies_device_sweep_and_ladder(self, monkeypatch):
+        # the chi labels, which a sweep of f01 and fr also reads, at the
+        # 101 sweep points and on the four chi-ladder rungs at half flux
+        sizes = solve_sizes(monkeypatch)
+        for phi in np.linspace(0.0, 1.0, 101):
+            self.assert_matches_full(build_hamiltonian(EFF, phi, BASIS),
+                                     CHI_LABELS, sizes)
+        for m, n in ((25, 15), (40, 25), (50, 40), (70, 50)):
+            h = build_hamiltonian(EFF, 0.5, FockBasisSpec(m, n))
+            assert self.assert_matches_full(h, CHI_LABELS, sizes)
+
     def test_doubling_reaches_full_solve_result(self, monkeypatch):
-        sizes = []
-        solve = spectrum.solve_hermitian
-
-        def spy(h, lowest):
-            sizes.append(lowest)
-            return solve(h, lowest)
-
+        # at 0.26 the nine labels up to n_r, m_q = 2 fail the certificate at
+        # their start size and hold at twice it
         h = build_hamiltonian(EFF, 0.26, BASIS)
-        _, full = self.both(h, CHI_LABELS, monkeypatch)
-        monkeypatch.setattr(spectrum, "N_START", 2)
-        monkeypatch.setattr(spectrum, "solve_hermitian", spy)
-        certified = diagonalize_labeled(h, CHI_LABELS)
-        assert sizes[:2] == [2, 4]
-        assert sizes[-1] == certified.energies.size
-        for label in CHI_LABELS:
+        labels = [(nr, mq) for nr in range(3) for mq in range(3)]
+        full = spectrum._labeled(h, N_LOWEST)
+        sizes = solve_sizes(monkeypatch)
+        certified = diagonalize_labeled(h, labels)
+        start = start_size(h, labels)
+        assert sizes == [start, 2 * start]
+        assert certified.energies.size == 2 * start
+        for label in labels:
             j = certified.index_of[label]
             assert j == full.index_of[label]
             assert abs(certified.energies[j] - full.energies[j]) < 1e-12
@@ -632,6 +674,18 @@ class TestCertifiedSolve:
         with pytest.raises(LabelError, match="not retained"):
             spec.energy((0, 24))
 
+    @pytest.mark.parametrize("rank", [N_LOWEST - 1, N_LOWEST, N_LOWEST + 7])
+    def test_start_is_capped_at_lowest(self, rank, monkeypatch):
+        # a label whose basis state ranks at or above N_LOWEST - 1 among the
+        # uncoupled levels is solved once, at N_LOWEST levels
+        h = build_hamiltonian(EFF, 0.5, BASIS)
+        mq, nr = divmod(int(np.argsort(h.diagonal, kind="stable")[rank]),
+                        BASIS.n_res)
+        assert start_size(h, [(0, 0), (nr, mq)]) == rank + 1
+        sizes = solve_sizes(monkeypatch)
+        diagonalize_labeled(h, [(0, 0), (nr, mq)])
+        assert sizes == [N_LOWEST]
+
     @pytest.mark.parametrize("p", [(172.0, 3.4, 5.1), (150.0, 4.0, 6.0)],
                              ids=["truth", "off-truth"])
     def test_coupled_forward_matches_60_pairs(self, p, monkeypatch):
@@ -644,8 +698,13 @@ class TestCertifiedSolve:
             return estimation._model_freqs_coupled(*p, phis, trans,
                                                    resonator, basis)
 
+        sizes = solve_sizes(monkeypatch)
         freqs, jac = forward()
-        monkeypatch.setattr(spectrum, "N_START", 60)
+        assert len(sizes) == phis.size and max(sizes) < 60
+        # every row from one 60-pair solve, with no certificate
+        monkeypatch.setattr(estimation, "diagonalize_labeled",
+                            lambda h, labels: spectrum._labeled(h, 60))
         freqs_60, jac_60 = forward()
+        assert len(sizes) == 2 * phis.size and set(sizes[6:]) == {60}
         np.testing.assert_allclose(freqs, freqs_60, rtol=0, atol=1e-10)
         np.testing.assert_allclose(jac, jac_60, rtol=0, atol=1e-10)
