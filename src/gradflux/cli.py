@@ -125,13 +125,13 @@ def _check_out(args, *paths):
 
     No output may name the same file as another output, an input of
     ``args`` (``--config``, ``--data``, ``--trace``, ``--traces``) or an
-    input trace's ``.json`` sidecar.
+    input trace's sidecar (:func:`io.companion`).
     """
     traces = getattr(args, "traces", None) or [getattr(args, "trace", None)]
-    traces = [Path(p) for p in traces if p]
+    traces = [p for p in traces if p]
     taken = {Path(p).resolve() for p in [
         args.config, getattr(args, "data", None), *traces,
-        *(p.with_suffix(".json") for p in traces)] if p}
+        *map(io.companion, traces)] if p}
     for path in map(Path, filter(None, paths)):
         if path.is_dir():
             raise ConfigError(f"output path {path} is a directory")
@@ -145,8 +145,7 @@ def _check_out(args, *paths):
 
 
 def cmd_sweep(args, config, meta) -> int:
-    out = Path(args.out)
-    _check_out(args, out, out.with_suffix(".json"))
+    _check_out(args, args.out, io.companion(args.out))
     eff = effective_from_config(config["circuit"])
     sweep_cfg = config["sweep"]
     if sweep_cfg["points"] < 1:
@@ -162,11 +161,9 @@ def cmd_sweep(args, config, meta) -> int:
     sweep = flux_sweep(eff, grid, basis=_basis_from(config),
                        transitions=transitions,
                        min_confidence=config["tolerances"]["min_confidence"])
-    io.write_sweep_csv(out, sweep, meta=meta)
-    io.write_json(out.with_suffix(".json"), {"meta": meta,
-                                             **io.fields(sweep)})
+    io.write_sweep_csv(args.out, sweep, meta=meta)
     print(f"sweep: {len(sweep.points)} rows, {len(sweep.errors)} errors "
-          f"-> {out}")
+          f"-> {args.out}")
     if args.strict and sweep.errors:
         print("strict mode: per-point errors present", file=sys.stderr)
         return 1
@@ -194,8 +191,7 @@ def cmd_chi(args, config, meta) -> int:
         shift = dispersive_shift(eff, args.flux, _basis_from(config),
                                  min_confidence=min_conf)
         chi = shift.chi_mhz
-        result = {"chi_MHz": chi, "valid": shift.valid,
-                  "min_overlap": shift.min_overlap}
+        result = io.fields(shift)
     if args.out:
         io.write_json(args.out, {"meta": meta, "flux_phi0": args.flux,
                                  **result})
@@ -253,18 +249,13 @@ def cmd_junctions(args, config, meta) -> int:
     geom = config["geometry"]
     n = effective_junction_count(geom["wire_length_m"], geom["grain_size_m"])
     if args.out:
-        io.write_json(args.out, {
-            "meta": meta,
-            "wire_length_m": geom["wire_length_m"],
-            "grain_size_m": geom["grain_size_m"],
-            "n_junctions": n,
-        })
+        io.write_json(args.out, {"meta": meta, **geom, "n_junctions": n})
     print(f"effective junctions: {n}")
     return 0
 
 
 def cmd_simulate_trace(args, config, meta) -> int:
-    _check_out(args, args.out, Path(args.out).with_suffix(".json"))
+    _check_out(args, args.out, io.companion(args.out))
     tc = config["trace"]
     trace = simulate_telegraph(tc["rate_eo_hz"], tc["rate_oe_hz"],
                                tc["duration_s"], tc["dt_s"],

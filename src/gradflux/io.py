@@ -10,7 +10,8 @@ Every CSV reader takes its rows from one header-checking line source,
 :func:`_data_lines`; numeric files are parsed from it by one
 :func:`numpy.loadtxt` call. Rows are written by :mod:`csv`, floats as their
 repr. JSON payloads take result fields from :func:`fields`, under the names
-of :data:`JSON_KEYS`.
+of :data:`JSON_KEYS`. A CSV output's JSON file sits beside it, at
+:func:`companion`.
 """
 
 import csv
@@ -26,7 +27,7 @@ from .estimation import (DEFAULT_SIGMA_GHZ, DecayCurve, DecayFit, FitResult,
                          ParabolaFit, SpectroscopyDataset)
 from .fluxon import (CoincidenceResult, DwellStats, JunctionArrayModel,
                      PhaseSlipRate, TimeTrace)
-from .spectrum import SweepPoint
+from .spectrum import DispersiveShiftResult, SweepPoint
 
 SWEEP_COLUMNS = ("flux_phi0", "transition", "freq_GHz", "chi_MHz",
                  "chi_valid")
@@ -39,6 +40,7 @@ PARABOLA_COLUMNS = ("b_ut", "freq_GHz")
 #: JSON keys of the result fields that are written under another name.
 JSON_KEYS = {
     SweepPoint: {"freq_ghz": "freq_GHz", "chi_mhz": "chi_MHz"},
+    DispersiveShiftResult: {"chi_mhz": "chi_MHz"},
     FitResult: {"rms_residual_ghz": "rms_residual_GHz",
                 "residuals_ghz": "residuals_GHz",
                 "history": "objective_history"},
@@ -51,6 +53,12 @@ JSON_KEYS = {
     ParabolaFit: {"f_max": "f_max_GHz", "b_offset": "b_offset_uT",
                   "curvature": "curvature_GHz_per_uT2"},
 }
+
+
+def companion(path) -> Path:
+    """The JSON file written beside the CSV file ``path``: a trace's
+    sidecar, a sweep's mirror."""
+    return Path(path).with_suffix(".json")
 
 
 def fields(obj) -> dict:
@@ -67,7 +75,7 @@ def fields(obj) -> dict:
 def _sanitize(obj):
     """Make a payload json-serializable.
 
-    Arrays become lists, numpy scalars Python numbers, and dataclass
+    Arrays become lists, numpy scalars Python scalars, and dataclass
     instances dicts of their fields, keyed as in :data:`JSON_KEYS`.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -78,7 +86,7 @@ def _sanitize(obj):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
         return repr(obj)     # "inf" / "-inf" / "nan" as strings
@@ -168,9 +176,12 @@ def read_columns(path, columns) -> list:
 
 
 def write_sweep_csv(path, sweep, meta=None) -> None:
+    """Sweep rows as CSV, plus the whole result as its JSON mirror at
+    :func:`companion`."""
     rows = [(p.flux_phi0, p.transition, p.freq_ghz, p.chi_mhz,
              "true" if p.chi_valid else "false") for p in sweep.points]
     _write_csv(path, SWEEP_COLUMNS, rows, meta=meta)
+    write_json(companion(path), {"meta": meta or {}, **fields(sweep)})
 
 
 def write_spectroscopy_csv(path, dataset: SpectroscopyDataset,
@@ -213,8 +224,8 @@ def read_spectroscopy_csv(path) -> SpectroscopyDataset:
 
 
 def write_trace_csv(path, trace: TimeTrace, meta=None) -> None:
-    """Trace CSV plus a JSON sidecar holding units and noise scale."""
-    path = Path(path)
+    """Trace CSV plus a JSON sidecar at :func:`companion` holding units,
+    noise scale and label."""
     _write_csv(path, TRACE_COLUMNS,
                zip(trace.t_s.tolist(), trace.value.tolist()))
     sidecar = {
@@ -223,20 +234,13 @@ def write_trace_csv(path, trace: TimeTrace, meta=None) -> None:
         "noise_sigma": trace.noise_sigma,
         "label": trace.label,
     }
-    write_json(path.with_suffix(".json"), sidecar)
+    write_json(companion(path), sidecar)
 
 
 def read_trace_csv(path) -> TimeTrace:
-    path = Path(path)
-    t, v = read_columns(path, TRACE_COLUMNS)
-    noise = 0.0
-    label = ""
-    sidecar = path.with_suffix(".json")
-    if sidecar.exists():
-        info = read_json(sidecar)
-        noise = float(info.get("noise_sigma", 0.0))
-        label = str(info.get("label", ""))
-    return TimeTrace(t_s=t, value=v, noise_sigma=noise, label=label)
+    """A trace CSV's samples, as measured data: the sidecar is not read,
+    so its noise scale and label stay at their defaults."""
+    return TimeTrace(*read_columns(path, TRACE_COLUMNS))
 
 
 def write_dwell_json(path, stats, events, meta=None) -> None:

@@ -281,8 +281,9 @@ def solve_hermitian(h: HamiltonianMatrix, lowest: int):
     """Ascending eigenvalues and eigenvectors of the two-mode Hamiltonian.
 
     The lowest ``lowest`` pairs, by :func:`_solve_lowest` on ``h.matrix``
-    for a full solve or up to the dense bound (:data:`DENSE_MAX_DIM`, raised
-    for many pairs), else by :func:`_davidson` on ``h.matvec``. Both
+    up to the dense bound (:data:`DENSE_MAX_DIM`, raised for many pairs),
+    else by :func:`_davidson` on ``h.matvec``. At k pairs the bound is at
+    least 14(k + GUARD), so a full solve is always dense. Both
     repeat bit for bit on rerun; failures raise :class:`SolverError`.
     """
     dim = h.basis.dim
@@ -296,7 +297,7 @@ def solve_hermitian(h: HamiltonianMatrix, lowest: int):
     if k < 1:
         raise ValueError(f"lowest must be >= 1, got {lowest}")
     grow = max(1.0, 6 * (k + GUARD) / (N_LOWEST + GUARD))
-    if k == dim or dim <= DENSE_MAX_DIM * grow:
+    if dim <= DENSE_MAX_DIM * grow:
         (w,), (v,) = _solve_lowest(h.matrix[None], k, vectors=True)
         return w, v
     try:
@@ -546,12 +547,16 @@ class DispersiveShiftResult:
     change of the resonator frequency when the qubit is excited. Invalid
     (chi_mhz None) inside avoided-crossing exclusion zones where the label
     overlap drops below the confidence threshold; ``reason`` then says why.
+    It is derived from ``valid``, so it is not a field and not written.
     """
 
     chi_mhz: float | None
     valid: bool
     min_overlap: float
-    reason: str | None = None
+
+    @property
+    def reason(self) -> str | None:
+        return None if self.valid else "avoided-crossing exclusion zone"
 
 
 def _chi_from_levels(spec: SpectrumResult,
@@ -561,8 +566,7 @@ def _chi_from_levels(spec: SpectrumResult,
                 for j in levels)
     if None in levels or worst < min_confidence:
         return DispersiveShiftResult(chi_mhz=None, valid=False,
-                                     min_overlap=worst,
-                                     reason="avoided-crossing exclusion zone")
+                                     min_overlap=worst)
     e00, e10, e01, e11 = (float(spec.energies[j]) for j in levels)
     chi_ghz = (e11 - e01) - (e10 - e00)
     return DispersiveShiftResult(chi_mhz=1e3 * chi_ghz, valid=True,

@@ -1,6 +1,9 @@
 """File-format and command-line behavior tests."""
 
+import inspect
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,8 @@ from gradflux import io as gfio
 from gradflux.cli import (ConfigError, build_meta, effective_from_config,
                           load_config, main)
 from gradflux.fluxon import TimeTrace
-from gradflux.spectrum import (FockBasisSpec, LabelError, SweepPoint,
-                               SweepResult)
+from gradflux.spectrum import (DispersiveShiftResult, FockBasisSpec,
+                               LabelError, SweepPoint, SweepResult)
 
 
 @pytest.fixture
@@ -77,12 +80,14 @@ class TestFileFormats:
                                    seed=4, label="device-A")
         path = tmp_path / "trace.csv"
         gfio.write_trace_csv(path, trace, meta={"seed": 4})
-        assert (tmp_path / "trace.json").exists()
         loaded = gfio.read_trace_csv(path)
         assert np.array_equal(loaded.t_s, trace.t_s)
         assert np.array_equal(loaded.value, trace.value)
-        assert loaded.noise_sigma == trace.noise_sigma
-        assert loaded.label == "device-A"
+        sidecar = gfio.read_json(gfio.companion(path))
+        assert gfio.companion(path) == tmp_path / "trace.json"
+        assert sidecar["meta"] == {"seed": 4}
+        assert sidecar["noise_sigma"] == trace.noise_sigma
+        assert sidecar["label"] == "device-A"
 
     def test_decay_csv_roundtrip(self, tmp_path):
         curve = DecayCurve(t=np.linspace(0, 10, 12),
@@ -100,15 +105,17 @@ class TestFileFormats:
         sweep = flux_sweep(eff, [0.5], FockBasisSpec(12, 6))
         meta = {"tool": "gradflux", "version": "x"}
         csv_path = tmp_path / "sweep.csv"
-        json_path = tmp_path / "sweep.json"
         gfio.write_sweep_csv(csv_path, sweep, meta=meta)
-        gfio.write_json(json_path, {"meta": meta, **gfio.fields(sweep)})
         text = csv_path.read_text()
         assert text.startswith("# meta: ")
         assert "flux_phi0,transition,freq_GHz,chi_MHz,chi_valid" in text
-        payload = gfio.read_json(json_path)
+        # the JSON mirror is written beside the CSV file
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "sweep.csv", "sweep.json"]
+        payload = gfio.read_json(tmp_path / "sweep.json")
         assert payload["meta"]["tool"] == "gradflux"
         assert payload["points"][0]["transition"] == "f01"
+        assert payload["transitions"] == ["f01"]
 
     def test_numpy_non_finite_written_as_strings(self, tmp_path):
         def reject(name):
@@ -121,6 +128,22 @@ class TestFileFormats:
         payload = json.loads(path.read_text(), parse_constant=reject)
         assert payload == {"a": "inf", "b": "nan", "c": ["-inf", "inf"],
                            "d": 1.5}
+
+    def test_numpy_scalars_written_as_python(self, tmp_path):
+        path = tmp_path / "payload.json"
+        gfio.write_json(path, {"ok": np.True_, "no": [np.False_],
+                               "n": np.int8(3), "s": np.str_("f01")})
+        assert gfio.read_json(path) == {"ok": True, "no": [False], "n": 3,
+                                        "s": "f01"}
+
+    def test_one_companion_rule(self):
+        # every CSV output's JSON file is named by io.companion alone
+        rule = re.compile(r"""with_suffix\(\s*["']\.json["']\s*\)""")
+        package = Path(gfio.__file__).parent
+        hits = {p.name: len(rule.findall(p.read_text()))
+                for p in package.glob("*.py")}
+        assert {name: n for name, n in hits.items() if n} == {"io.py": 1}
+        assert rule.search(inspect.getsource(gfio.companion))
 
 
 
@@ -173,6 +196,23 @@ class TestPinnedFormats:
             b"0.1,f01,1e+16,,false\r\n"
             b'-0.0,"(0, 0)->(1, 1)",5e-324,-7.5,true\r\n'
             b"5e-324,fr,0.1,-0.0,true\r\n")
+
+    @pytest.mark.parametrize("flux, shift, code, text", [
+        ("0.5", DispersiveShiftResult(-7.5, True, 0.1), 0,
+         b'{\n  "chi_MHz": -7.5,\n  "flux_phi0": 0.5,\n'
+         b'  "meta": {\n    "k": 1\n  },\n  "min_overlap": 0.1,\n'
+         b'  "valid": true\n}\n'),
+        ("0.27", DispersiveShiftResult(None, False, 5e-324), 1,
+         b'{\n  "chi_MHz": null,\n  "flux_phi0": 0.27,\n'
+         b'  "meta": {\n    "k": 1\n  },\n  "min_overlap": 5e-324,\n'
+         b'  "valid": false\n}\n')], ids=["valid", "invalid"])
+    def test_chi_json_text(self, tmp_path, monkeypatch, flux, shift, code,
+                           text):
+        monkeypatch.setattr(cli, "build_meta", lambda *args: {"k": 1})
+        monkeypatch.setattr(cli, "dispersive_shift", lambda *args, **kw: shift)
+        path = tmp_path / "chi.json"
+        assert main(["chi", "--flux", flux, "--out", str(path)]) == code
+        assert path.read_bytes() == text
 
     @pytest.mark.parametrize("body", [
         "0.0,0.1\n# between rows\n1.0,-0.0\n#\n2.0,5e-324\n",
@@ -750,6 +790,27 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: output path")
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("sidecar", ["[1, 2]", '{"noise_sigma": null}',
+                                         "{not json"],
+                             ids=["list", "null-noise", "not-json"])
+    def test_trace_reads_skip_the_sidecar(self, tmp_path, command_inputs,
+                                          sidecar):
+        _, inputs = command_inputs
+        traces = [inputs["trace_a"], inputs["trace_b"]]
+        argv = [["analyze-trace", "--trace", traces[0]],
+                ["coincidence", "--traces", *traces, "--window", "5.0"]]
+
+        def outputs(tag):
+            outs = [tmp_path / f"{tag}-{args[0]}.json" for args in argv]
+            for args, out in zip(argv, outs):
+                assert main(args + ["--out", str(out)]) == 0
+            return [out.read_bytes() for out in outs]
+
+        good = outputs("good")
+        for trace in traces:
+            gfio.companion(trace).write_text(sidecar)
+        assert outputs("bad") == good
 
     def test_fit_out_may_share_the_data_stem(self, tmp_path, command_inputs):
         _, inputs = command_inputs

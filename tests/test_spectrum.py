@@ -505,7 +505,8 @@ class TestLanczosSolve:
 
     @pytest.mark.parametrize("m, n, calls", [(12, 16, 0), (13, 15, 1)])
     def test_routing_at_crossover(self, m, n, calls, monkeypatch):
-        # dim 192 is the last dense one for a few pairs, dim 195 on Davidson
+        # dim 192 is the last dense one for a few pairs, dim 195 on Davidson;
+        # a full solve is dense on either side
         seen = []
         davidson = spectrum._davidson
 
@@ -514,8 +515,10 @@ class TestLanczosSolve:
             return davidson(h, k)
 
         monkeypatch.setattr(spectrum, "_davidson", spy)
-        diagonalize_labeled(build_hamiltonian(EFF, 0.5, FockBasisSpec(m, n)),
-                            CHI_LABELS)
+        h = build_hamiltonian(EFF, 0.5, FockBasisSpec(m, n))
+        diagonalize_labeled(h, CHI_LABELS)
+        assert len(seen) == calls
+        assert spectrum._labeled(h, h.basis.dim).energies.size == h.basis.dim
         assert len(seen) == calls
 
     def test_coupled_fit_basis_stays_dense(self, monkeypatch):
