@@ -151,8 +151,8 @@ class HamiltonianMatrix:
     The basis is uncoupled fluxonium eigenstates x resonator Fock states,
     qubit-major: composite index k = i_q * n_res + i_r, where i_q counts
     the fluxonium eigenstates at the bias flux upwards. Entries are in GHz.
-    ``shape`` and ``matvec`` make it a matrix-free linear operator for the
-    Davidson solve; ``matrix`` assembles the dense array on demand.
+    ``matvec`` applies it without forming the dense array, for the Davidson
+    solve; ``matrix`` assembles that array on demand.
     ``qubit_vectors`` holds those fluxonium eigenstates in its Fock basis.
     """
 
@@ -172,20 +172,16 @@ class HamiltonianMatrix:
         h.flat[::self.basis.dim + 1] += self.diagonal
         return h
 
-    def matvec(self, x: np.ndarray, out: np.ndarray | None = None
-               ) -> np.ndarray:
+    def matvec(self, x: np.ndarray) -> np.ndarray:
         """H @ x for a vector or a (dim, b) block, at O(m^2 n + m n^2) per
-        column, without forming H. ``out``, if given, is a column-major
-        array of x's shape that receives the product."""
+        column, without forming H."""
         m, n = self.basis.m_qubit, self.basis.n_res
-        # rows of o are the columns of the product, each an m x n array
-        o = np.empty(x.T.shape) if out is None else out.T
-        np.matmul(self.coupling, x.T.reshape(-1, m, n),
-                  out=o.reshape(-1, m, n))
-        y = o.reshape(-1, n) @ _phase_quadrature(n)
-        np.multiply(x.T, self.diagonal, out=o)
-        o -= y.reshape(o.shape)
-        return o.T
+        # rows of x.T are the columns of x, each an m x n array
+        y = ((self.coupling @ x.T.reshape(-1, m, n)).reshape(-1, n)
+             @ _phase_quadrature(n))
+        hx = x.T * self.diagonal
+        hx -= y.reshape(hx.shape)
+        return hx.T
 
 
 # The phase quadrature a + a^T and its eigenbasis depend on the Fock count
@@ -337,52 +333,44 @@ def _davidson(h: HamiltonianMatrix, k: int):
     cap = min(CAP * b, dim)
     # vectors are rows: the basis, the Ritz block and the residual block
     basis = np.zeros((cap, dim))
-    ritz, res = np.empty((b, dim)), np.empty((b, dim))
     t = np.zeros((cap, cap))
     basis[np.arange(b), np.argsort(d, kind="stable")[:b]] = 1.0
     n, w = 0, b
     for _ in range(MAX_ITER):
-        hv = h.matvec(basis[n:n + w].T, out=res[:w].T).T
-        t[n:n + w, :n + w] = hv @ basis[:n + w].T
+        t[n:n + w, :n + w] = h.matvec(basis[n:n + w].T).T @ basis[:n + w].T
         n += w
         (theta,), (y,) = _solve_lowest(t[None, :n, :n], n, vectors=True)
         theta, y = theta[:b], y[:, :b]
-        np.matmul(y.T, basis[:n], out=ritz)
-        h.matvec(ritz.T, out=res.T)
+        ritz = y.T @ basis[:n]
+        res = h.matvec(ritz.T).T
         res -= theta[:, None] * ritz
         norm = np.sqrt(np.einsum("ij,ij->i", res, res))
         if np.all(norm[:k] <= TOL):
             return theta[:k], ritz[:k].T
-        active = np.flatnonzero(norm > TOL)
-        if n + active.size > cap:
+        active = norm > TOL
+        if n + np.count_nonzero(active) > cap:
             basis[:b] = ritz
             t[:b, :b] = np.diag(theta)
             n = b
-        np.subtract(d, theta[:, None], out=ritz)
-        ritz[np.abs(ritz) < FLOOR] = FLOOR
-        res /= ritz
-        w = active.size
-        res[:w] = res[active]
-        block = _orthonormalize(basis[:n], res[:w], ritz)
+        denom = d - theta[:, None]
+        denom[np.abs(denom) < FLOOR] = FLOOR
+        block = _orthonormalize(basis[:n], (res / denom)[active])
         w = len(block)
         basis[n:n + w] = block
     raise SolverError(f"eigensolver failed: no convergence in {MAX_ITER} "
                       "iterations")
 
 
-def _orthonormalize(v: np.ndarray, w: np.ndarray, spare: np.ndarray):
+def _orthonormalize(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Rows of ``w`` made orthonormal to those of ``v`` and to each other
     by two passes of block Gram-Schmidt and SVQB (Stathopoulos & Wu, SIAM
-    J. Sci. Comput. 23, 2165 (2002)); dependent directions are dropped.
-    ``w`` and ``spare`` (as wide, as many rows) are overwritten."""
-    w /= np.sqrt(np.einsum("ij,ij->i", w, w))[:, None]
+    J. Sci. Comput. 23, 2165 (2002)); dependent directions are dropped."""
+    w = w / np.sqrt(np.einsum("ij,ij->i", w, w))[:, None]
     for _ in range(2):
-        proj = np.matmul(w @ v.T, v, out=spare[:len(w)])
-        w -= proj
+        w -= (w @ v.T) @ v
         (lam,), (u,) = _solve_lowest((w @ w.T)[None], len(w), vectors=True)
         keep = lam > LINDEP
-        w, spare = np.matmul((u[:, keep] / np.sqrt(lam[keep])).T, w,
-                             out=spare[:np.count_nonzero(keep)]), w
+        w = (u[:, keep] / np.sqrt(lam[keep])).T @ w
     return w
 
 

@@ -127,9 +127,14 @@ class TestHamiltonianProperties:
                                      ej=ej, alpha=0.0)
             h = build_hamiltonian(eff, rng.uniform(0, 1), FockBasisSpec(8, 6))
             assert np.array_equal(h.matrix, h.matrix.T)
+            atol = 1e-12 * np.abs(h.matrix).max()
             x = rng.normal(size=h.basis.dim)
-            assert np.allclose(h.matvec(x), h.matrix @ x,
-                               rtol=0.0, atol=1e-12 * np.abs(h.matrix).max())
+            assert np.allclose(h.matvec(x), h.matrix @ x, rtol=0.0, atol=atol)
+            # a block, C-ordered and as the transposed rows _davidson passes
+            rows = rng.normal(size=(3, h.basis.dim))
+            for block in (np.ascontiguousarray(rows.T), rows.T):
+                assert np.allclose(h.matvec(block), h.matrix @ block,
+                                   rtol=0.0, atol=atol)
 
     def test_periodicity_one_flux_quantum(self):
         for phi in (0.13, 0.37):
