@@ -19,12 +19,13 @@ everything but the coupling is diagonal: H = diag(e_q (+) k f_r) - g phi_q
 (x) X_n, kept as those factors.
 
 Every dense symmetric solve, of the fluxonium as of the two-mode matrix,
-goes through :func:`_solve_lowest` (LAPACK's MRRR driver, lowest k pairs).
+goes through :func:`_solve_lowest`: numpy's ``eigh`` for full solves,
+LAPACK's MRRR driver for the lowest k pairs of a larger matrix.
 :func:`solve_hermitian` uses it on the two-mode factors for full solves and
 up to a measured dimension crossover; above it a block Davidson solve finds
 the lowest levels, applying H as the structured product above, so no dim^2
 array is formed. Its projected and Gram matrices, a few block widths wide,
-go through :func:`_solve_lowest` as well.
+are solved in full by :func:`_solve_lowest` as well.
 
 Eigenvalues are reported relative to the harmonic zero-point energy, so two
 uncoupled linear modes give exactly n*f_r + m*f_q.
@@ -375,14 +376,18 @@ def _orthonormalize(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _solve_lowest(h: np.ndarray, k: int, vectors: bool = False):
-    """Lowest ``k`` eigenpairs of each symmetric matrix in a stack, by
-    LAPACK's MRRR subset driver ``dsyevr`` (Dhillon & Parlett, Linear
-    Algebra Appl. 387, 1 (2004)): the one dense eigensolver of gradflux.
+    """Lowest ``k`` eigenpairs of each symmetric matrix in a stack: the one
+    dense eigensolver of gradflux.
 
-    ``h`` is (n, m, m), read by its lower triangle; k = m solves it all.
-    Returns the ascending eigenvalues (n, k), with ``vectors`` the pair
-    (values, vectors (n, m, k)). Non-finite entries and solver failures
-    raise :class:`SolverError`, as in :func:`solve_hermitian`.
+    ``h`` is (n, m, m), read by its lower triangle; k = m solves it all, by
+    numpy's batched ``eigh``. A subset (k < m) goes through LAPACK's MRRR
+    subset driver ``dsyevr`` (Dhillon & Parlett, Linear Algebra Appl. 387,
+    1 (2004)), faster there. numpy and scipy each bundle their own BLAS
+    thread pool, and the Davidson iteration, whose inner solves are all
+    full, stays in numpy's. Returns the ascending eigenvalues (n, k), with
+    ``vectors`` the pair (values, vectors (n, m, k)). Non-finite entries
+    and solver failures raise :class:`SolverError`, as in
+    :func:`solve_hermitian`.
     """
     n, m = h.shape[0], h.shape[-1]
     nonfinite = int(np.count_nonzero(~np.isfinite(h)))
@@ -390,6 +395,12 @@ def _solve_lowest(h: np.ndarray, k: int, vectors: bool = False):
         raise SolverError("eigensolver failed: stack must not contain infs "
                           f"or NaNs [dim={m}, non-finite entries in "
                           f"stack={nonfinite}]")
+    if k == m:
+        try:
+            return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"eigensolver failed: {exc} [dim={m}, "
+                              "non-finite entries in stack=0]") from exc
     values = np.empty((n, k))
     vecs = np.empty((n, m, k)) if vectors else None
     for i in range(n):

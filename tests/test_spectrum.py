@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -168,12 +169,25 @@ class TestOneDenseSolver:
     """Every dense solve runs through ``spectrum._solve_lowest``."""
 
     def test_no_other_dense_eigensolver(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise AssertionError("dense solve outside _solve_lowest")
+        def boom(message):
+            def fail(*args, **kwargs):
+                raise AssertionError(message)
+            return fail
 
-        for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
-                             (scipy.linalg, "eigh")):
-            monkeypatch.setattr(module, name, boom)
+        def only_in_solve_lowest(solve):
+            def checked(*args, **kwargs):
+                if sys._getframe(1).f_code is not (
+                        spectrum._solve_lowest.__code__):
+                    raise AssertionError("dense solve outside _solve_lowest")
+                return solve(*args, **kwargs)
+            return checked
+
+        # numpy's full solves are _solve_lowest's own; scipy's eigh is no one's
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name,
+                                only_in_solve_lowest(getattr(np.linalg, name)))
+        monkeypatch.setattr(scipy.linalg, "eigh",
+                            boom("dense solve outside _solve_lowest"))
         spectrum._phase_eigenbasis.cache_clear()
         small = FockBasisSpec(12, 16)
         assert small.dim <= DENSE_MAX_DIM < BASIS.dim
@@ -187,6 +201,11 @@ class TestOneDenseSolver:
                                 gradient=True)
         assert dispersive_shift(EFF, 0.5, BASIS).valid
         assert flux_sweep(EFF, [0.5], BASIS).points
+        # a Davidson solve stays in numpy's LAPACK and BLAS thread pool
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr",
+                            boom("dsyevr inside a Davidson solve"))
+        assert spectrum._davidson(h, N_LOWEST)[1].shape == (BASIS.dim,
+                                                            N_LOWEST)
 
     @pytest.mark.parametrize("phi", [0.0, 0.26, 0.5])
     def test_builder_and_gradient_share_one_basis(self, phi):
@@ -463,6 +482,10 @@ class TestConvergenceReport:
         assert rel_f01 < rel_chi
 
 
+def no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 # the criterion-1 rungs on the Davidson solve, and a rung just above the
 # crossover
 ABOVE_CROSSOVER = [(50, 40), (70, 50), (24, 20)]
@@ -497,8 +520,7 @@ class TestLanczosSolve:
 
     @pytest.mark.parametrize("exc", [
         (spectrum, "MAX_ITER", 1),
-        (scipy.linalg.lapack, "dsyevr",
-         lambda *args, **kwargs: (None, None, 0, None, 1))])
+        (np.linalg, "eigh", no_convergence)])
     def test_arpack_failure_is_solver_error(self, exc, monkeypatch):
         # named for the ARPACK solve that Davidson replaced; the solve fails
         # at its iteration cap (exc0) or in its inner dense solve (exc1)
