@@ -108,17 +108,17 @@ N_LOWEST = 80
 #: threads, median of 9 solves; dense / Davidson on either side):
 #:
 #:     k     break-even    below                    above
-#:     2     150-180       0.8 / 1.0 ms at 150      1.3 / 0.9 ms at 180
-#:     4     180-210       1.9 / 2.6 ms at 195      2.9 / 2.7 ms at 210
-#:     6     150-195       1.0 / 1.5 ms at 150      1.8 / 1.6 ms at 195
-#:     8     180-210       1.8 / 1.9 ms at 180      2.4 / 2.0 ms at 210
-#:     16    255-300       4.6 / 4.7 ms at 255      6.2 / 4.7 ms at 300
-#:     32    about 600     23 / 28 ms at 540        28 / 28 ms at 600
-#:     80    1750-2000     346 / 410 ms at 1750     533 / 388 ms at 2000
+#:     2     180-195       1.3 / 1.4 ms at 180      1.6 / 0.9 ms at 195
+#:     4     150-180       1.0 / 1.2 ms at 150      1.5 / 1.2 ms at 180
+#:     6     150-180       1.2 / 1.6 ms at 150      1.8 / 1.5 ms at 180
+#:     8     about 180     1.2 / 1.8 ms at 150      2.0 / 2.0 ms at 180
+#:     16    255-300       4.6 / 8.5 ms at 255      8.9 / 6.8 ms at 300
+#:     32    300-375       10 / 16 ms at 300        15 / 14 ms at 375
+#:     80    600-900       45 / 71 ms at 600        92 / 67 ms at 900
 #:
-#: So a solve of up to 11 pairs stays dense up to DENSE_MAX_DIM, and above
-#: that the bound grows with the Davidson block k + GUARD, to six times
-#: DENSE_MAX_DIM at N_LOWEST pairs: 253 at k = 16, 478 at k = 32 and 1152
+#: So a solve of up to 18 pairs stays dense up to DENSE_MAX_DIM, and above
+#: that the bound grows with the Davidson block k + GUARD, to four times
+#: DENSE_MAX_DIM at N_LOWEST pairs: 192 at k = 16, 318 at k = 32 and 768
 #: at k = 80.
 DENSE_MAX_DIM = 192
 
@@ -280,7 +280,7 @@ def solve_hermitian(h: HamiltonianMatrix, lowest: int):
     The lowest ``lowest`` pairs, by :func:`_solve_lowest` on ``h.matrix``
     up to the dense bound (:data:`DENSE_MAX_DIM`, raised for many pairs),
     else by :func:`_davidson` on ``h.matvec``. At k pairs the bound is at
-    least 14(k + GUARD), so a full solve is always dense. Both
+    least 9(k + GUARD), so a full solve is always dense. Both
     repeat bit for bit on rerun; failures raise :class:`SolverError`.
     """
     dim = h.basis.dim
@@ -293,7 +293,7 @@ def solve_hermitian(h: HamiltonianMatrix, lowest: int):
     k = min(lowest, dim)
     if k < 1:
         raise ValueError(f"lowest must be >= 1, got {lowest}")
-    grow = max(1.0, 6 * (k + GUARD) / (N_LOWEST + GUARD))
+    grow = max(1.0, 4 * (k + GUARD) / (N_LOWEST + GUARD))
     if dim <= DENSE_MAX_DIM * grow:
         (w,), (v,) = _solve_lowest(h.matrix[None], k, vectors=True)
         return w, v
