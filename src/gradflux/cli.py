@@ -22,8 +22,10 @@ import numpy as np
 
 from . import __version__, io
 from .circuit import BranchCircuit, balanced_branch_circuit, reduce_circuit
-from .estimation import FitError, fit_decay, fit_parabola, fit_spectrum
+from .estimation import (BASIS_M, MAX_NFEV, N_STARTS, FitError, fit_decay,
+                         fit_parabola, fit_spectrum)
 from .fluxon import (CURRENT_ACTIVATED_BIAS_PHI0, DEVICE_ARRAY,
+                     JUMP_THRESHOLD_MADS, JUMP_WINDOW,
                      JunctionArrayModel, coincidence_analysis, detect_jumps,
                      effective_junction_count, estimate_lifetime,
                      phase_slip_rate, simulate_telegraph)
@@ -46,9 +48,10 @@ DEFAULT_CONFIG = {
     "geometry": {"wire_length_m": 300e-6, "grain_size_m": 4e-9},
     "trace": {"rate_eo_hz": 1.0 / 1800.0, "rate_oe_hz": 1.0 / 1800.0,
               "duration_s": 100_000.0, "dt_s": 1.0, "noise_sigma": 0.1,
-              "seed": 0, "threshold_mads": 6.0, "window": 15},
-    "fit": {"n_starts": 8, "seed": 0, "basis_m": 30,
-            "forward": "single-loop", "max_nfev": 2000},
+              "seed": 0, "threshold_mads": JUMP_THRESHOLD_MADS,
+              "window": JUMP_WINDOW},
+    "fit": {"n_starts": N_STARTS, "seed": 0, "basis_m": BASIS_M,
+            "forward": "single-loop", "max_nfev": MAX_NFEV},
     "tolerances": {"min_confidence": MIN_CONFIDENCE},
 }
 

@@ -35,6 +35,13 @@ TRANSITION_KINDS = ("f01", "f02")
 #: linewidth scale, 1 MHz.
 DEFAULT_SIGMA_GHZ = 1e-3
 
+#: Default effort of :func:`fit_spectrum`: starts, forward evaluations per
+#: start, and Fock states of its single-loop fluxonium model (also the
+#: default truncation of :func:`single_loop_transitions`).
+N_STARTS = 8
+MAX_NFEV = 2000
+BASIS_M = 30
+
 #: Truncation of the coupled two-mode forward model of :func:`fit_spectrum`.
 COUPLED_BASIS = FockBasisSpec(20, 8)
 
@@ -101,7 +108,7 @@ class SpectroscopyDataset:
         return self.x.size
 
 
-def single_loop_transitions(lq, cj, ej, phis, m=30, n_levels=3, *,
+def single_loop_transitions(lq, cj, ej, phis, m=BASIS_M, n_levels=3, *,
                             gradient=False):
     """Batched single-loop fluxonium levels over flux points.
 
@@ -265,9 +272,9 @@ class _Start:
 
 def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
                  bounds: dict | None = None, *,
-                 resonator: dict | None = None, basis_m: int = 30,
-                 n_starts: int = 8, seed: int = 0,
-                 max_nfev: int = 2000) -> FitResult:
+                 resonator: dict | None = None, basis_m: int = BASIS_M,
+                 n_starts: int = N_STARTS, seed: int = 0,
+                 max_nfev: int = MAX_NFEV) -> FitResult:
     """Weighted least-squares fit of circuit parameters to a spectrum.
 
     Minimizes sum(((f_model - f_meas)/sigma)^2) by trust-region-reflective

@@ -32,6 +32,11 @@ Z_VERIFY = 6.0
 #: Std of a sample median relative to sigma/sqrt(n) for Gaussian noise.
 MEDIAN_EFF = 1.2533141373155003
 
+#: Default gate (in noise MADs) and rolling-median window (in samples) of
+#: :func:`detect_jumps`.
+JUMP_THRESHOLD_MADS = 6.0
+JUMP_WINDOW = 15
+
 #: Largest expected switch count of simulate_telegraph's Python loop.
 MAX_SWITCHES = 10**6
 
@@ -247,8 +252,9 @@ def _localize(x, j0, w):
     return best_j
 
 
-def detect_jumps(trace: TimeTrace, threshold_in_mads: float = 6.0,
-                 window: int = 15) -> list:
+def detect_jumps(trace: TimeTrace,
+                 threshold_in_mads: float = JUMP_THRESHOLD_MADS,
+                 window: int = JUMP_WINDOW) -> list:
     """Detect level jumps in a noisy two-level trace.
 
     Three stages: (1) candidate boundaries, one per run of rolling-median
