@@ -22,10 +22,12 @@ Every dense symmetric solve, of the fluxonium as of the two-mode matrix,
 goes through :func:`_solve_lowest`: numpy's ``eigh`` for full solves,
 LAPACK's MRRR driver for the lowest k pairs of a larger matrix.
 :func:`solve_hermitian` uses it on the two-mode factors for full solves and
-up to a measured dimension crossover; above it a block Davidson solve finds
-the lowest levels, applying H as the structured product above, so no dim^2
-array is formed. Its projected and Gram matrices, a few block widths wide,
-are solved in full by :func:`_solve_lowest` as well.
+up to a measured dimension crossover (192 for a few pairs, 768 for 80);
+above it a block Davidson solve finds the lowest levels, applying H as the
+structured product above, so no dim^2 array is formed. Its projected and
+Gram matrices, a few block widths wide, are solved in full by
+:func:`_solve_lowest` as well, so each iteration runs on numpy's BLAS
+alone.
 
 Eigenvalues are reported relative to the harmonic zero-point energy, so two
 uncoupled linear modes give exactly n*f_r + m*f_q.
