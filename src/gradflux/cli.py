@@ -95,11 +95,11 @@ def load_config(path=None) -> dict:
 def effective_from_config(circ: dict):
     """Effective fluxonium from a [circuit] section.
 
-    Explicit branch inductances (l1/l3, optional l2) take precedence;
-    otherwise the balanced-gradiometer reconstruction matching lq_eff is
-    used.
+    Any branch inductance (l1 and l3, optional l2) selects the branch
+    circuit, which needs both l1 and l3; otherwise the balanced-gradiometer
+    reconstruction matching lq_eff is used.
     """
-    if "l1" in circ or "l3" in circ:
+    if any(key in circ for key in ("l1", "l2", "l3")):
         if not ("l1" in circ and "l3" in circ):
             raise ConfigError("branch circuit needs both l1 and l3")
         branch = BranchCircuit(l1=circ["l1"], l2=circ.get("l2", 0.0),

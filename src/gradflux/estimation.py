@@ -108,38 +108,30 @@ class SpectroscopyDataset:
         return self.x.size
 
 
-def single_loop_transitions(lq, cj, ej, phis, m=BASIS_M, n_levels=3, *,
-                            gradient=False):
-    """Batched single-loop fluxonium levels over flux points.
+def single_loop_transitions(lq, cj, ej, phis, m=BASIS_M, n_levels=3):
+    """Single-loop fluxonium levels over flux points and their derivatives.
 
-    Returns an (n_flux, n_levels) array of the lowest eigenvalues [GHz] of
-    the Hamiltonian stack of :func:`~gradflux.spectrum.qubit_hamiltonians`.
-    Only those ``n_levels`` eigenpairs of each matrix are solved for
-    (LAPACK's subset driver), so a fit reading three levels at m = 30
-    solves a tenth of the spectrum. Non-finite parameters or fluxes raise
-    :class:`~gradflux.spectrum.SolverError`; ``n_levels`` outside
-    [1, m] raises ``ValueError``.
-
-    With ``gradient=True`` the same solve also returns the eigenvectors and
-    the result is ``(levels, d_levels)``: ``d_levels`` (n_flux, n_levels, 4)
-    holds the Hellmann-Feynman derivatives
-    (:func:`~gradflux.spectrum.qubit_gradient`) of each level with respect
-    to lq [nH], cj [fF], ej [GHz] and the flux [Phi_0], in that order, exact
-    wherever the levels are non-degenerate.
+    Returns ``(levels, d_levels)``: the lowest ``n_levels`` eigenvalues
+    [GHz] of each matrix of the :func:`~gradflux.spectrum.qubit_hamiltonians`
+    stack (n_flux, n_levels), solved for alone when n_levels < m,
+    and their Hellmann-Feynman derivatives
+    (:func:`~gradflux.spectrum.qubit_gradient`; n_flux, n_levels, 4) in lq
+    [nH], cj [fF], ej [GHz] and the flux [Phi_0], from the same solve's
+    eigenvectors and exact wherever the levels are non-degenerate.
+    Non-finite parameters or fluxes raise
+    :class:`~gradflux.spectrum.SolverError`; ``n_levels`` outside [1, m]
+    raises ``ValueError``.
     """
     if not 1 <= n_levels <= m:
         raise ValueError(f"n_levels must be in [1, m={m}], got {n_levels}")
-    h = qubit_hamiltonians(lq, cj, ej, phis, m)
-    if not gradient:
-        return _solve_lowest(h, n_levels)
-    levels, u = _solve_lowest(h, n_levels, vectors=True)
+    levels, u = _solve_lowest(qubit_hamiltonians(lq, cj, ej, phis, m),
+                              n_levels)
     return levels, qubit_gradient(lq, cj, ej, np.atleast_1d(phis), u)
 
 
 def _model_freqs_single_loop(lq, cj, ej, phis, transitions, m):
     """f01 or f02 per row, and its derivatives in (lq, cj, ej, phi)."""
-    levels, d_levels = single_loop_transitions(lq, cj, ej, phis, m=m,
-                                               n_levels=3, gradient=True)
+    levels, d_levels = single_loop_transitions(lq, cj, ej, phis, m)
     rows = np.arange(levels.shape[0])
     upper = np.where(np.asarray(transitions) == "f02", 2, 1)
     return (levels[rows, upper] - levels[:, 0],
@@ -222,12 +214,13 @@ def initial_guess(dataset: SpectroscopyDataset) -> dict:
     The junction capacitance is set by the transmon-like anharmonicity scale
     of the f02 branch, the plasma scale then fixes E_J + E_L, and the
     inductance follows from the f01 modulation depth. Crude by design; the
-    multi-start explores a wide band around it.
+    multi-start explores a wide band around it. A dataset without f01 rows
+    raises ``ValueError``.
     """
     f01 = dataset.freq_ghz[np.asarray(dataset.transition) == "f01"]
     f02 = dataset.freq_ghz[np.asarray(dataset.transition) == "f02"]
     if f01.size == 0:
-        raise FitError("initial guess needs at least one f01 row")
+        raise ValueError("initial guess needs at least one f01 row")
     f01_max, f01_min = float(f01.max()), float(f01.min())
     if f02.size:
         ec0 = abs(2.0 * f01_max - float(f02.max()))
@@ -306,8 +299,8 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
     Raises :class:`FitError` if no start converges, with the best-so-far
     result attached: its ``status`` is "max-evaluations" if some start ran
     out of budget, else "model-failure". Raises ``ValueError`` for
-    under-determined datasets, bounds with lower > upper and an
-    ``n_starts`` or ``max_nfev`` below 1.
+    under-determined datasets, a dataset without f01 rows and no ``init``,
+    bounds with lower > upper and an ``n_starts`` or ``max_nfev`` below 1.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")

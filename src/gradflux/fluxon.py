@@ -81,8 +81,8 @@ CURRENT_ACTIVATED_BIAS_PHI0 = 130.0
 
 @dataclass(frozen=True)
 class PhaseSlipRate:
-    rate_hz: float
-    log10_rate_hz: float     # -inf for zero junctions
+    rate_hz: float           # inf beyond the float range
+    log10_rate_hz: float     # -inf for zero junctions, else finite
     warning: str | None = None
 
 
@@ -104,10 +104,14 @@ def phase_slip_rate(model: JunctionArrayModel) -> PhaseSlipRate:
     ej, ec = model.ej_grain_ghz, model.ec_grain_ghz
     ln_rate = (math.log(model.n_junctions)
                + math.log(4.0 / math.sqrt(math.pi))
-               + 0.25 * math.log(8.0 * ej ** 3 * ec)
+               + 0.25 * (math.log(8.0) + 3.0 * math.log(ej) + math.log(ec))
                + math.log(1e9)                      # GHz -> Hz
                - math.sqrt(8.0 * ej / ec))
-    return PhaseSlipRate(rate_hz=math.exp(ln_rate),
+    try:
+        rate_hz = math.exp(ln_rate)
+    except OverflowError:
+        rate_hz = math.inf
+    return PhaseSlipRate(rate_hz=rate_hz,
                          log10_rate_hz=ln_rate / math.log(10.0),
                          warning=warning)
 

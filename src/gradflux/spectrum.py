@@ -200,7 +200,7 @@ def _phase_quadrature(n):
 
 @functools.cache
 def _phase_eigenbasis(m):
-    (theta,), (v,) = _solve_lowest(_phase_quadrature(m)[None], m, vectors=True)
+    theta, v = _solve_lowest(_phase_quadrature(m), m)
     theta.flags.writeable = v.flags.writeable = False
     return theta, v
 
@@ -264,8 +264,8 @@ def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
     if not math.isfinite(phi_eff):
         raise ValueError("phi_eff must be finite")
     m, n = basis.m_qubit, basis.n_res
-    (e_q,), (u_q,) = _solve_lowest(qubit_hamiltonians(
-        eff.lq, eff.cj, eff.ej, phi_eff, m), m, vectors=True)
+    e_q, u_q = _solve_lowest(qubit_hamiltonians(
+        eff.lq, eff.cj, eff.ej, phi_eff, m)[0], m)
     phi_q = u_q.T @ _phase_quadrature(m) @ u_q
     g = (0.5 * (EL_GHZ_NH / eff.lrq) * phase_zpf(eff.lq, eff.cj)
          * phase_zpf(eff.lr, eff.cr))
@@ -297,8 +297,7 @@ def solve_hermitian(h: HamiltonianMatrix, lowest: int):
         raise ValueError(f"lowest must be >= 1, got {lowest}")
     grow = max(1.0, 4 * (k + GUARD) / (N_LOWEST + GUARD))
     if dim <= DENSE_MAX_DIM * grow:
-        (w,), (v,) = _solve_lowest(h.matrix[None], k, vectors=True)
-        return w, v
+        return _solve_lowest(h.matrix, k)
     try:
         return _davidson(h, k)
     except SolverError as exc:
@@ -342,9 +341,8 @@ def _davidson(h: HamiltonianMatrix, k: int):
     for _ in range(MAX_ITER):
         t[n:n + w, :n + w] = h.matvec(basis[n:n + w].T).T @ basis[:n + w].T
         n += w
-        (theta,), (y,) = _solve_lowest(t[None, :n, :n], n, vectors=True)
-        theta, y = theta[:b], y[:, :b]
-        ritz = y.T @ basis[:n]
+        theta, y = _solve_lowest(t[:n, :n], n)
+        theta, ritz = theta[:b], y[:, :b].T @ basis[:n]
         res = h.matvec(ritz.T).T
         res -= theta[:, None] * ritz
         norm = np.sqrt(np.einsum("ij,ij->i", res, res))
@@ -355,11 +353,16 @@ def _davidson(h: HamiltonianMatrix, k: int):
             basis[:b] = ritz
             t[:b, :b] = np.diag(theta)
             n = b
+        # free each block once read, before the next one is allocated
+        del ritz
         denom = d - theta[:, None]
         denom[np.abs(denom) < FLOOR] = FLOOR
-        block = _orthonormalize(basis[:n], (res / denom)[active])
+        res /= denom
+        del denom
+        block = _orthonormalize(basis[:n], res[active])
         w = len(block)
         basis[n:n + w] = block
+        del res, block
     raise SolverError(f"eigensolver failed: no convergence in {MAX_ITER} "
                       "iterations")
 
@@ -371,27 +374,27 @@ def _orthonormalize(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     w = w / np.sqrt(np.einsum("ij,ij->i", w, w))[:, None]
     for _ in range(2):
         w -= (w @ v.T) @ v
-        (lam,), (u,) = _solve_lowest((w @ w.T)[None], len(w), vectors=True)
+        lam, u = _solve_lowest(w @ w.T, len(w))
         keep = lam > LINDEP
         w = (u[:, keep] / np.sqrt(lam[keep])).T @ w
     return w
 
 
-def _solve_lowest(h: np.ndarray, k: int, vectors: bool = False):
-    """Lowest ``k`` eigenpairs of each symmetric matrix in a stack: the one
-    dense eigensolver of gradflux.
+def _solve_lowest(h: np.ndarray, k: int):
+    """Lowest ``k`` eigenpairs of a symmetric matrix, or of each matrix in
+    a stack: the one dense eigensolver of gradflux.
 
-    ``h`` is (n, m, m), read by its lower triangle; k = m solves it all, by
-    numpy's batched ``eigh``. A subset (k < m) goes through LAPACK's MRRR
-    subset driver ``dsyevr`` (Dhillon & Parlett, Linear Algebra Appl. 387,
-    1 (2004)), faster there. numpy and scipy each bundle their own BLAS
-    thread pool, and the Davidson iteration, whose inner solves are all
-    full, stays in numpy's. Returns the ascending eigenvalues (n, k), with
-    ``vectors`` the pair (values, vectors (n, m, k)). Non-finite entries
-    and solver failures raise :class:`SolverError`, as in
+    ``h`` is (..., m, m), read by its lower triangle; k = m solves it all,
+    by numpy's batched ``eigh``. A subset (k < m) goes through LAPACK's
+    MRRR subset driver ``dsyevr`` (Dhillon & Parlett, Linear Algebra Appl.
+    387, 1 (2004)), faster there. numpy and scipy each bundle their own
+    BLAS thread pool, and the Davidson iteration, whose inner solves are
+    all full, stays in numpy's. Returns the ascending eigenvalues
+    (..., k) and their eigenvectors (..., m, k). Non-finite entries and
+    solver failures raise :class:`SolverError`, as in
     :func:`solve_hermitian`.
     """
-    n, m = h.shape[0], h.shape[-1]
+    m = h.shape[-1]
     nonfinite = int(np.count_nonzero(~np.isfinite(h)))
     if nonfinite:
         raise SolverError("eigensolver failed: stack must not contain infs "
@@ -399,23 +402,22 @@ def _solve_lowest(h: np.ndarray, k: int, vectors: bool = False):
                           f"stack={nonfinite}]")
     if k == m:
         try:
-            return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+            return np.linalg.eigh(h)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"eigensolver failed: {exc} [dim={m}, "
                               "non-finite entries in stack=0]") from exc
-    values = np.empty((n, k))
-    vecs = np.empty((n, m, k)) if vectors else None
-    for i in range(n):
+    values = np.empty(h.shape[:-2] + (k,))
+    vectors = np.empty(h.shape[:-1] + (k,))
+    for i in np.ndindex(h.shape[:-2]):
         # h[i].T is Fortran-ordered; its upper triangle is h[i]'s lower one
-        w, z, _, _, info = sla.lapack.dsyevr(
-            h[i].T, compute_v=vectors, range="I", lower=0, il=1, iu=k)
+        w, z, _, _, info = sla.lapack.dsyevr(h[i].T, range="I", lower=0,
+                                             il=1, iu=k)
         if info != 0:
             raise SolverError(f"eigensolver failed: dsyevr info={info} "
                               f"[dim={m}, non-finite entries in stack=0]")
         values[i] = w[:k]
-        if vectors:
-            vecs[i] = z
-    return (values, vecs) if vectors else values
+        vectors[i] = z
+    return values, vectors
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ def test_criterion_2_single_loop_equivalence():
     for phi in np.linspace(0.0, 1.0, 21):
         spec = diagonalize_labeled(build_hamiltonian(eff, phi, basis), labels)
         reference = single_loop_transitions(lq, cj, ej, phi, 25,
-                                            n_levels=25)[0]
+                                            n_levels=25)[0][0]
         qubit_sector = np.array([spec.energy(label) for label in labels])
         worst = max(worst, float(np.max(np.abs(qubit_sector -
                                                reference[:10]))))
@@ -123,7 +123,7 @@ def test_criterion_5_fit_roundtrip_20_seeds():
     true = dict(lq_nh=172.0, cj_ff=3.4, ej_ghz=5.1)
     phis = np.linspace(0.05, 0.95, 40)
     levels = single_loop_transitions(true["lq_nh"], true["cj_ff"],
-                                     true["ej_ghz"], phis, m=30)
+                                     true["ej_ghz"], phis, m=30)[0]
     trans = tuple("f01" if i % 2 == 0 else "f02" for i in range(40))
     clean = np.where([t == "f01" for t in trans],
                      levels[:, 1] - levels[:, 0],

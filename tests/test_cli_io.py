@@ -283,6 +283,15 @@ class TestConfig:
         eff = effective_from_config(config["circuit"])
         assert eff.lq == pytest.approx(172.0, rel=0.01)
 
+    def test_l2_alone_asks_for_the_branch_circuit(self, tmp_path, capsys):
+        path = tmp_path / "l2.ini"
+        path.write_text("[circuit]\nl2 = 50.0\n")
+        with pytest.raises(ConfigError, match="needs both l1 and l3"):
+            effective_from_config(load_config(path)["circuit"])
+        assert main(["chi", "--flux", "0.5", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: branch circuit needs both l1 and l3\n")
+
     def test_effective_reconstruction_default(self):
         eff = effective_from_config(load_config(None)["circuit"])
         assert eff.lq == pytest.approx(172.0, rel=1e-12)
@@ -526,6 +535,17 @@ class TestCli:
                      "--out", str(tmp_path / "fit.json")])
         assert code == 2
 
+    def test_fit_without_f01_rows_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "spec.csv"
+        data.write_text("field_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
+                        + "".join(f"0.{k},phi0,f02,{14 - k},0.001\n"
+                                  for k in range(1, 5)))
+        code = main(["fit", "--data", str(data),
+                     "--out", str(tmp_path / "fit.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: initial guess needs at least one f01 row\n")
+
     def test_fit_unknown_forward_exit_2(self, tmp_path, capsys):
         data = tmp_path / "spec.csv"
         data.write_text("field_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
@@ -541,7 +561,7 @@ class TestCli:
     def test_fit_runs_on_synthetic_data(self, tmp_path):
         from gradflux import single_loop_transitions
         phis = np.linspace(0.1, 0.9, 12)
-        levels = single_loop_transitions(172.0, 3.4, 5.1, phis, m=30)
+        levels = single_loop_transitions(172.0, 3.4, 5.1, phis, m=30)[0]
         rows = ["field_or_flux,unit,transition,freq_GHz,sigma_GHz"]
         for i, phi in enumerate(phis):
             tr = "f01" if i % 2 == 0 else "f02"
@@ -591,6 +611,20 @@ class TestCli:
         payload = gfio.read_json(out)
         assert payload["n_junctions"] == 75_000
         assert 0.0 < payload["rate_Hz"] <= 1e-20
+
+    @pytest.mark.parametrize("argv, rate, log10", [
+        (["--ej-ghz", "1e120"], 0.0, -1.773e59),
+        (["--n-junctions", "1" + "0" * 400], "inf", 372.73)],
+        ids=["huge-ej", "huge-count"])
+    def test_phaseslip_beyond_float_range(self, tmp_path, capsys, argv, rate,
+                                          log10):
+        # E_J^3 and the rate itself leave the float range; the log does not
+        out = tmp_path / "rate.json"
+        assert main(["phaseslip", *argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        payload = gfio.read_json(out)
+        assert payload["rate_Hz"] == rate
+        assert payload["log10_rate_Hz"] == pytest.approx(log10, rel=1e-3)
 
     def test_junctions_command(self, tmp_path, capsys):
         assert main(["junctions", "--wire-length-m", "1e-6",

@@ -197,8 +197,6 @@ class TestOneDenseSolver:
         assert solve_hermitian(build_hamiltonian(EFF, 0.5, small),
                                16)[1].shape == (small.dim, 16)
         single_loop_transitions(172.0, 3.4, 5.1, [0.3, 0.5], 30)
-        single_loop_transitions(172.0, 3.4, 5.1, [0.3, 0.5], 30,
-                                gradient=True)
         assert dispersive_shift(EFF, 0.5, BASIS).valid
         assert flux_sweep(EFF, [0.5], BASIS).points
         # a Davidson solve stays in numpy's LAPACK and BLAS thread pool
@@ -211,7 +209,7 @@ class TestOneDenseSolver:
     def test_builder_and_gradient_share_one_basis(self, phi):
         m, n = BASIS.m_qubit, BASIS.n_res
         levels, _ = single_loop_transitions(EFF.lq, EFF.cj, EFF.ej, phi, m=m,
-                                            n_levels=m, gradient=True)
+                                            n_levels=m)
         h = build_hamiltonian(EFF, phi, BASIS)
         assert np.array_equal(h.diagonal[::n], levels[0])
 
@@ -280,12 +278,13 @@ class TestSingleLoopEquivalence:
             spec = diagonalize_labeled(build_hamiltonian(eff, phi_delta,
                                                          basis), labels)
             reference = single_loop_transitions(lq, cj, ej, phi_delta, 25,
-                                                n_levels=25)[0]
+                                                n_levels=25)[0][0]
             qubit_sector = np.array([spec.energy(label) for label in labels])
             assert np.max(np.abs(qubit_sector - reference[:10])) < 1e-6
 
     def test_harmonic_ladder_without_junction(self):
-        w = single_loop_transitions(100.0, 3.0, 0.0, 0.3, 20, n_levels=20)[0]
+        w = single_loop_transitions(100.0, 3.0, 0.0, 0.3, 20,
+                                    n_levels=20)[0][0]
         f_q = mode_frequency(100.0, 3.0)
         assert np.max(np.abs(np.diff(w) - f_q)) < 1e-9
 
@@ -293,13 +292,13 @@ class TestSingleLoopEquivalence:
         gaps = []
         for ej in (5.1, 8.0, 12.0, 20.0):
             w = single_loop_transitions(172.0, 3.4, ej, 0.5, 40,
-                                        n_levels=40)[0]
+                                        n_levels=40)[0][0]
             gaps.append(w[1] - w[0])
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_reference_converged_at_double_basis(self):
-        w40 = single_loop_transitions(172.0, 3.4, 5.1, 0.5, 40)[0]
-        w80 = single_loop_transitions(172.0, 3.4, 5.1, 0.5, 80)[0]
+        w40 = single_loop_transitions(172.0, 3.4, 5.1, 0.5, 40)[0][0]
+        w80 = single_loop_transitions(172.0, 3.4, 5.1, 0.5, 80)[0][0]
         f40, f80 = w40[1] - w40[0], w80[1] - w80[0]
         assert abs(f40 - f80) < 1e-6   # < 1 kHz on basis doubling
         assert f80 == pytest.approx(3.904685, abs=2e-5)
@@ -456,6 +455,18 @@ class TestFluxSweep:
         assert len(sweep.errors) == 2            # bad label at each point
         f01_rows = [p for p in sweep.points if p.transition == "f01"]
         assert len(f01_rows) == 2                # good rows still present
+
+    def test_solver_error_recorded_for_the_point(self, monkeypatch):
+        # the few-pair solves at dim 375 run Davidson, here capped at one
+        # iteration: each point's failure is recorded and the next is tried
+        monkeypatch.setattr(spectrum, "MAX_ITER", 1)
+        sweep = flux_sweep(EFF, [0.3, 0.5], BASIS, transitions=("f01", "fr"))
+        assert sweep.points == []
+        assert [(e.flux_phi0, e.transition) for e in sweep.errors] == [
+            (0.3, "*"), (0.5, "*")]
+        for e in sweep.errors:
+            assert re.search(r"no convergence in 1 iterations \[dim=375, "
+                             r"non-finite entries in factors=0\]", e.message)
 
 
 class TestConvergenceReport:
