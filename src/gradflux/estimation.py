@@ -24,7 +24,7 @@ from scipy.optimize import brentq, curve_fit, least_squares
 from .circuit import DEVICE_GEOMETRY, balanced_branch_circuit, reduce_circuit
 from .spectrum import (DEFAULT_BASIS, FockBasisSpec, LabelError,
                        SolverError, _solve_lowest, build_hamiltonian,
-                       diagonalize_labeled, dispersive_shift,
+                       diagonalize_labeled, dispersive_shift, fold_flux,
                        parse_transition, qubit_gradient, qubit_hamiltonians,
                        transition_frequency)
 from .units import EC_GHZ_FF, EL_GHZ_NH, mode_frequency
@@ -112,21 +112,35 @@ def single_loop_transitions(lq, cj, ej, phis, m=BASIS_M, n_levels=3):
     """Single-loop fluxonium levels over flux points and their derivatives.
 
     Returns ``(levels, d_levels)``: the lowest ``n_levels`` eigenvalues
-    [GHz] of each matrix of the :func:`~gradflux.spectrum.qubit_hamiltonians`
-    stack (n_flux, n_levels), solved for alone when n_levels < m,
+    [GHz] of the :func:`~gradflux.spectrum.qubit_hamiltonians` matrix at
+    each flux (n_flux, n_levels), solved for alone when n_levels < m,
     and their Hellmann-Feynman derivatives
     (:func:`~gradflux.spectrum.qubit_gradient`; n_flux, n_levels, 4) in lq
     [nH], cj [fF], ej [GHz] and the flux [Phi_0], from the same solve's
     eigenvectors and exact wherever the levels are non-degenerate.
-    Non-finite parameters or fluxes raise
-    :class:`~gradflux.spectrum.SolverError`; ``n_levels`` outside [1, m]
-    raises ``ValueError``.
+
+    Only the distinct spectra are solved: the fluxes are folded by
+    :func:`~gradflux.spectrum.fold_flux` (period Phi_0, mirror symmetry
+    about 0 and Phi_0/2), and the flux derivative of a reflected point
+    changes sign. The fit's 40-point grid on [0.05, 0.95] folds to 20
+    matrices. Non-finite parameters leave no spectrum to fold, so then
+    every flux gets its own matrix. Non-finite parameters or fluxes raise
+    :class:`~gradflux.spectrum.SolverError`, which counts the non-finite
+    entries of the stack solved; ``n_levels`` outside [1, m] raises
+    ``ValueError``.
     """
     if not 1 <= n_levels <= m:
         raise ValueError(f"n_levels must be in [1, m={m}], got {n_levels}")
-    levels, u = _solve_lowest(qubit_hamiltonians(lq, cj, ej, phis, m),
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    if np.all(np.isfinite((lq, cj, ej))):
+        reps, inverse, sign = fold_flux(phis)
+    else:
+        reps, inverse, sign = phis, np.arange(phis.size), np.ones(phis.size)
+    levels, u = _solve_lowest(qubit_hamiltonians(lq, cj, ej, reps, m),
                               n_levels)
-    return levels, qubit_gradient(lq, cj, ej, np.atleast_1d(phis), u)
+    d_levels = qubit_gradient(lq, cj, ej, reps, u)[inverse]
+    d_levels[..., 3] *= sign[:, None]
+    return levels[inverse], d_levels
 
 
 def _model_freqs_single_loop(lq, cj, ej, phis, transitions, m):

@@ -106,7 +106,7 @@ def phase_slip_rate(model: JunctionArrayModel) -> PhaseSlipRate:
                + math.log(4.0 / math.sqrt(math.pi))
                + 0.25 * (math.log(8.0) + 3.0 * math.log(ej) + math.log(ec))
                + math.log(1e9)                      # GHz -> Hz
-               - math.sqrt(8.0 * ej / ec))
+               - math.sqrt(8.0 * ej) / math.sqrt(ec))
     try:
         rate_hz = math.exp(ln_rate)
     except OverflowError:

@@ -52,6 +52,14 @@ no higher level could take those labels: the level keeping label b must
 overlap it by more than the weight 1 - sum_j v_bj^2 the solved levels leave
 to the unsolved ones. Otherwise the solve doubles, up to :data:`N_LOWEST`
 levels, where the labels are taken as they come.
+
+H has period Phi_0, and the Fock parity of both modes maps H(phi) to
+H(-phi), so every spectrum is even about the sweet spots 0 and Phi_0/2.
+:func:`fold_flux` reduces a flux set to its distinct spectra (phi mod 1
+reflected into [0, 1/2], merged within :data:`FOLD_ATOL`), and
+:func:`flux_sweep` and the single-loop forward model solve only those: 51
+of the device sweep's 101 points on [0, 1], 20 of the fit grid's 40 on
+[0.05, 0.95]. The chi ladder, at one flux, has nothing to fold.
 """
 
 import functools
@@ -143,6 +151,14 @@ LINDEP = 1e-14
 
 #: Default label overlap below which chi and transitions are flagged.
 MIN_CONFIDENCE = 0.7
+
+#: Folded fluxes (Phi_0) at most this far apart are one spectrum in
+#: :func:`fold_flux`. A grid point phi and its mirror 1 - phi fold to
+#: values one rounding apart (at most 2.2e-16 on linspace grids over
+#: [0, 1], [0.05, 0.95] and [-1, 2]), while distinct points of those grids
+#: lie 0.0099 or more apart. 4 ulp of 1.0 merges every such mirror pair
+#: and keeps any two fluxes a grid means to tell apart (1e-9 and more).
+FOLD_ATOL = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -251,6 +267,32 @@ def qubit_gradient(lq: float, cj: float, ej: float, phis,
     d_lq = -0.5 * fq / lq * d_fq + 0.25 * zeta * ej / lq * d_zeta
     d_cj = -0.5 * fq / cj * d_fq - 0.25 * zeta * ej / cj * d_zeta
     return np.stack([d_lq, d_cj, d_ej, ej * d_phi], axis=-1)
+
+
+def fold_flux(phis):
+    """The distinct spectra of a set of fluxes: ``(representatives,
+    inverse, sign)``.
+
+    H(phi + 1) = H(phi), and the Fock parity of both modes, which flips
+    phi_q and phi_r, maps H(phi) to H(-phi) in the truncated basis too. So
+    levels, labels and squared overlaps at phi are those at its folded
+    value, phi mod 1 reflected into [0, 1/2], and only dE/dphi changes
+    sign: ``sign`` is -1 where phi was reflected, else +1. Folded values
+    within :data:`FOLD_ATOL` of their sorted neighbour form one group,
+    solved at its smallest value, so ``representatives[inverse]`` stands
+    for every phi whatever the order of ``phis``. NaN, and +-inf, whose
+    fold is NaN, stay groups of their own.
+    """
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    with np.errstate(invalid="ignore"):          # inf mod 1 is NaN
+        r = np.mod(phis, 1.0)
+    folded = np.minimum(r, 1.0 - r)
+    order = np.argsort(folded, kind="stable")
+    # a gap that is not <= FOLD_ATOL, NaN included, opens a group
+    start = ~(np.diff(folded[order], prepend=-np.inf) <= FOLD_ATOL)
+    inverse = np.empty(phis.size, dtype=np.intp)
+    inverse[order] = np.cumsum(start) - 1
+    return folded[order][start], inverse, np.where(r > 0.5, -1.0, 1.0)
 
 
 def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
@@ -621,9 +663,15 @@ def flux_sweep(eff: EffectiveFluxonium, flux_grid,
                min_confidence: float = MIN_CONFIDENCE) -> SweepResult:
     """Transition frequencies and chi over a flux grid.
 
-    Grid points are solved one after another, in grid order. Per-point
-    solver and label failures are recorded in ``errors`` and the sweep
-    continues.
+    Each distinct spectrum is solved once: the grid is folded by
+    :func:`fold_flux` (period Phi_0, mirror symmetry about 0 and Phi_0/2),
+    and the representatives are solved one after another, in ascending
+    folded flux. On the default 0-1 Phi_0 grid of 101 points, 50 points
+    mirror another (0 and 1 fold together too), so 51 are solved. Their
+    rows, frequencies and chi or the failure of each transition, are then
+    written out for every grid point in grid order; results of mirrored
+    points are bit-equal. Solver and label failures are recorded in
+    ``errors`` at every grid point they stand for, and the sweep continues.
     """
     flux_grid = np.atleast_1d(np.asarray(flux_grid, dtype=float))
     if not np.all(np.isfinite(flux_grid)):
@@ -634,20 +682,30 @@ def flux_sweep(eff: EffectiveFluxonium, flux_grid,
         pairs.append((tr if isinstance(tr, str) else f"{pair[0]}->{pair[1]}",
                       pair))
     labels = set(CHI_LABELS).union(*(pair for _, pair in pairs))
-    points, errors = [], []
-    for phi in flux_grid:
+    reps, inverse, _ = fold_flux(flux_grid)
+    # per representative: chi, and (name, frequency, failure) per transition
+    rows = []
+    for phi in reps:
         try:
             spec = diagonalize_labeled(build_hamiltonian(eff, phi, basis),
                                        labels)
         except SolverError as exc:
-            errors.append(SweepError(phi, "*", str(exc)))
+            rows.append((None, [("*", None, str(exc))]))
             continue
-        shift = _chi_from_levels(spec, min_confidence)
+        outcomes = []
         for name, pair in pairs:
             try:
-                freq = transition_frequency(spec, *pair, min_confidence)
+                outcomes.append((name, transition_frequency(
+                    spec, *pair, min_confidence), None))
             except LabelError as exc:
-                errors.append(SweepError(phi, name, str(exc)))
+                outcomes.append((name, None, str(exc)))
+        rows.append((_chi_from_levels(spec, min_confidence), outcomes))
+    points, errors = [], []
+    for phi, i in zip(flux_grid, inverse):
+        shift, outcomes = rows[i]
+        for name, freq, failure in outcomes:
+            if failure is not None:
+                errors.append(SweepError(phi, name, failure))
                 continue
             points.append(SweepPoint(flux_phi0=float(phi), transition=name,
                                      freq_ghz=freq, chi_mhz=shift.chi_mhz,

@@ -626,6 +626,16 @@ class TestCli:
         assert payload["rate_Hz"] == rate
         assert payload["log10_rate_Hz"] == pytest.approx(log10, rel=1e-3)
 
+    def test_phaseslip_tiny_charging_energy(self, tmp_path, capsys):
+        out = tmp_path / "rate.json"
+        assert main(["phaseslip", "--ec-ghz", "1e-320", "--out",
+                     str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        payload = gfio.read_json(out)
+        assert payload["rate_Hz"] == 0.0
+        assert payload["log10_rate_Hz"] == pytest.approx(-2.828e162,
+                                                         rel=1e-3)
+
     def test_junctions_command(self, tmp_path, capsys):
         assert main(["junctions", "--wire-length-m", "1e-6",
                      "--grain-size-m", "4e-9"]) == 0

@@ -491,6 +491,35 @@ class TestSubsetForward:
             d_levels, qubit_gradient(*p, phis, vectors[:, :, :3]), rtol=0,
             atol=1e-12)
 
+    @pytest.mark.parametrize("phi", [0.7, -0.3, 1.7])
+    def test_mirrored_flux_flips_only_the_flux_derivative(self, phi):
+        """A flux that folds onto 0.3 by reflection has 0.3's levels and
+        parameter derivatives, and the opposite flux derivative, which
+        matches a central difference at its own flux."""
+        p = list(TRUE.values())
+        phis = np.array([0.3, phi])
+        levels, d_levels = single_loop_transitions(*p, phis)
+        np.testing.assert_array_equal(levels[1], levels[0])
+        np.testing.assert_array_equal(d_levels[1, :, :3], d_levels[0, :, :3])
+        np.testing.assert_array_equal(d_levels[1, :, 3], -d_levels[0, :, 3])
+        fd = (single_loop_transitions(*p, [phi + 1e-5])[0]
+              - single_loop_transitions(*p, [phi - 1e-5])[0]) / 2e-5
+        np.testing.assert_allclose(d_levels[1, :, 3], fd[0], rtol=1e-6)
+
+    def test_fit_grid_solves_one_matrix_per_mirror_pair(self, monkeypatch):
+        sizes = []
+        solve = estimation._solve_lowest
+
+        def spy(h, k):
+            sizes.append(len(h))
+            return solve(h, k)
+
+        monkeypatch.setattr(estimation, "_solve_lowest", spy)
+        levels, d_levels = single_loop_transitions(
+            *TRUE.values(), np.linspace(0.05, 0.95, 40))
+        assert sizes == [20]
+        assert levels.shape == (40, 3) and d_levels.shape == (40, 3, 4)
+
     @pytest.mark.parametrize("n_levels", [0, -1, 5])
     def test_n_levels_outside_basis_rejected(self, n_levels):
         with pytest.raises(ValueError, match=r"n_levels must be in \[1, "

@@ -53,6 +53,16 @@ class TestPhaseSlipRate:
         ratio = got / float(exact)
         assert 1 / 1.01 < ratio < 1.01
 
+    def test_tiny_charging_energy_keeps_log_finite(self):
+        # E_J / E_C overflows at E_C = 1e-320; sqrt(8 E_J) / sqrt(E_C) does
+        # not, and the log rate is about -sqrt(8 * 53e3 / 1e-320) / ln 10
+        result = phase_slip_rate(JunctionArrayModel(75_000, 53e3, 1e-320))
+        assert math.isfinite(result.log10_rate_hz)
+        assert result.log10_rate_hz == pytest.approx(-2.828e162, rel=1e-3)
+        assert result.rate_hz == 0.0
+        assert phase_slip_rate(DEVICE_ARRAY).rate_hz == pytest.approx(
+            3.983963932495194e-23, rel=1e-12)
+
     def test_linear_in_junction_count(self):
         single = phase_slip_rate(JunctionArrayModel(1, 53e3, 48.0)).rate_hz
         double = phase_slip_rate(JunctionArrayModel(2, 53e3, 48.0)).rate_hz

@@ -469,6 +469,71 @@ class TestFluxSweep:
                              r"non-finite entries in factors=0\]", e.message)
 
 
+class TestFluxFold:
+    """Mirrored and periodic fluxes share one solve: period Phi_0 and
+    mirror symmetry about 0 and Phi_0/2."""
+
+    def test_device_grid_solves_51_of_101_points(self, monkeypatch):
+        built = []
+        build = spectrum.build_hamiltonian
+
+        def spy(eff, phi, basis):
+            built.append(phi)
+            return build(eff, phi, basis)
+
+        monkeypatch.setattr(spectrum, "build_hamiltonian", spy)
+        grid = np.linspace(0.0, 1.0, 101)
+        sweep = flux_sweep(EFF, grid, BASIS, transitions=("f01", "fr"))
+        assert len(built) == 51 and not sweep.errors
+        assert all(0.0 <= phi <= 0.5 for phi in built)
+        # rows come in grid order, f01 then fr; phi and 1 - phi are bit-equal
+        rows = [(p.freq_ghz, p.chi_mhz) for p in sweep.points]
+        assert [p.flux_phi0 for p in sweep.points[::2]] == list(grid)
+        for i in range(101):
+            assert rows[2 * i:2 * i + 2] == rows[200 - 2 * i:202 - 2 * i]
+
+    def test_shifted_and_mirrored_grids_agree(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        sweeps = [flux_sweep(EFF, g, BASIS, transitions=("f01", "fr"))
+                  for g in (grid, grid + 1.0, 1.0 - grid)]
+        freqs = np.array([[p.freq_ghz for p in s.points] for s in sweeps])
+        chis = np.array([[p.chi_mhz for p in s.points] for s in sweeps])
+        assert np.max(np.abs(freqs - freqs[0])) < 1e-12
+        assert np.max(np.abs(chis - chis[0])) < 1e-9
+
+    def test_fold_rule(self):
+        reps, inverse, sign = spectrum.fold_flux(
+            [0.7, 0.3, 1.3, -0.3, 0.5, 0.3 + 1e-9, 0.0, 1.0])
+        np.testing.assert_array_equal(reps, [0.0, 0.3, 0.3 + 1e-9, 0.5])
+        np.testing.assert_array_equal(inverse, [1, 1, 1, 1, 3, 2, 0, 0])
+        np.testing.assert_array_equal(sign, [-1, 1, 1, -1, 1, 1, 1, 1])
+
+    def test_representatives_ignore_grid_order(self):
+        grid = np.linspace(0.05, 0.95, 40)
+        reps, inverse, _ = spectrum.fold_flux(grid)
+        perm = np.random.default_rng(0).permutation(grid.size)
+        reps_s, inverse_s, _ = spectrum.fold_flux(grid[perm])
+        assert reps.size == 20
+        np.testing.assert_array_equal(reps_s, reps)
+        np.testing.assert_array_equal(inverse_s, inverse[perm])
+
+    def test_non_finite_fluxes_stay_apart(self):
+        # NaN and inf fold to NaN without a RuntimeWarning (an error here)
+        reps, inverse, _ = spectrum.fold_flux([np.nan, 0.3, np.inf, np.nan])
+        assert reps[0] == 0.3 and np.all(np.isnan(reps[1:]))
+        assert sorted(inverse) == [0, 1, 2, 3] and inverse[1] == 0
+
+    def test_solver_error_recorded_at_every_mirrored_point(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(spectrum, "MAX_ITER", 1)
+        sweep = flux_sweep(EFF, [0.7, 0.5, 0.3], BASIS)
+        assert sweep.points == []
+        assert [(e.flux_phi0, e.transition) for e in sweep.errors] == [
+            (0.7, "*"), (0.5, "*"), (0.3, "*")]
+        assert sweep.errors[0].message == sweep.errors[2].message
+        assert "no convergence in 1 iterations" in sweep.errors[0].message
+
+
 class TestConvergenceReport:
     def test_single_rung_has_no_deltas(self):
         rows = convergence_report(EFF, 0.5, [(25, 15)])
