@@ -5,8 +5,11 @@ dispersive-shift and phase-slip evaluation, telegraph-trace simulation and
 analysis. :func:`main` resolves the configuration once: built-in defaults,
 then the INI file given by ``--config`` (unknown sections or keys are
 rejected), then the flags given, whose argparse ``dest`` names their
-"section.key". Every output embeds the resolved configuration and tool
-version, and re-running with the same inputs reproduces outputs
+"section.key". A flag value is cast and checked like an INI value, by
+:data:`CONFIG_SCHEMA`, with the same error message. ``junctions`` is the
+one subcommand without ``--config``. Every output path is then checked
+once, before any work. Every output embeds the resolved configuration and
+tool version, and re-running with the same inputs reproduces outputs
 bit-identically.
 
 Exit codes: 0 success, 1 numerical non-convergence, 2 input/config error
@@ -15,6 +18,7 @@ or an unreadable or unwritable file.
 
 import argparse
 import configparser
+import functools
 import sys
 from pathlib import Path
 
@@ -82,14 +86,17 @@ def load_config(path=None) -> dict:
             if key not in CONFIG_SCHEMA[section]:
                 raise ConfigError(
                     f"unknown config key '{key}' in section [{section}]")
-            caster = CONFIG_SCHEMA[section][key]
-            try:
-                config[section][key] = caster(raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad value for [{section}] {key} = {raw!r}: {exc}"
-                ) from exc
+            config[section][key] = _cast(section, key, raw)
     return config
+
+
+def _cast(section, key, raw):
+    """An INI or flag value cast to its key's CONFIG_SCHEMA type."""
+    try:
+        return CONFIG_SCHEMA[section][key](raw)
+    except ValueError as exc:
+        raise ConfigError(
+            f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
 
 
 def effective_from_config(circ: dict):
@@ -122,20 +129,21 @@ def _basis_from(config):
                          config["basis"]["n_res"])
 
 
-def _check_out(args, *paths):
-    """Reject output paths that cannot take a file, before any work; an
-    unset optional path is skipped.
+def _check_out(args):
+    """Reject output paths that cannot take a file, before any work: ``--out``
+    when set and, for a ``companion`` command, its :func:`io.companion` file.
 
     No output may name the same file as another output, an input of
     ``args`` (``--config``, ``--data``, ``--trace``, ``--traces``) or an
-    input trace's sidecar (:func:`io.companion`).
+    input trace's sidecar.
     """
     traces = getattr(args, "traces", None) or [getattr(args, "trace", None)]
     traces = [p for p in traces if p]
     taken = {Path(p).resolve() for p in [
         args.config, getattr(args, "data", None), *traces,
         *map(io.companion, traces)] if p}
-    for path in map(Path, filter(None, paths)):
+    outs = [args.out] + ([io.companion(args.out)] if args.companion else [])
+    for path in map(Path, filter(None, outs)):
         if path.is_dir():
             raise ConfigError(f"output path {path} is a directory")
         if not path.parent.is_dir():
@@ -148,7 +156,6 @@ def _check_out(args, *paths):
 
 
 def cmd_sweep(args, config, meta) -> int:
-    _check_out(args, args.out, io.companion(args.out))
     eff = effective_from_config(config["circuit"])
     sweep_cfg = config["sweep"]
     if sweep_cfg["points"] < 1:
@@ -174,7 +181,6 @@ def cmd_sweep(args, config, meta) -> int:
 
 
 def cmd_chi(args, config, meta) -> int:
-    _check_out(args, args.out)
     eff = effective_from_config(config["circuit"])
     min_conf = config["tolerances"]["min_confidence"]
     if args.ladder:
@@ -206,7 +212,6 @@ def cmd_chi(args, config, meta) -> int:
 
 
 def cmd_fit(args, config, meta) -> int:
-    _check_out(args, args.out)
     dataset = io.read_spectroscopy_csv(args.data)
     fit_cfg = config["fit"]
     if fit_cfg["forward"] not in ("single-loop", "coupled"):
@@ -227,7 +232,6 @@ def cmd_fit(args, config, meta) -> int:
 
 
 def cmd_phaseslip(args, config, meta) -> int:
-    _check_out(args, args.out)
     n = args.n_junctions
     if n is None:
         geom = config["geometry"]
@@ -241,14 +245,13 @@ def cmd_phaseslip(args, config, meta) -> int:
             "meta": meta, **io.fields(model), **io.fields(rate),
             "current_activated_above_phi0": CURRENT_ACTIVATED_BIAS_PHI0})
     print(f"phase-slip rate: {rate.rate_hz:.3e} Hz "
-          f"(log10 = {rate.log10_rate_hz:.2f})")
+          f"(log10 = {rate.log10_rate_hz:.6g})")
     if rate.warning:
         print("warning: " + rate.warning, file=sys.stderr)
     return 0
 
 
 def cmd_junctions(args, config, meta) -> int:
-    _check_out(args, args.out)
     geom = config["geometry"]
     n = effective_junction_count(geom["wire_length_m"], geom["grain_size_m"])
     if args.out:
@@ -258,7 +261,6 @@ def cmd_junctions(args, config, meta) -> int:
 
 
 def cmd_simulate_trace(args, config, meta) -> int:
-    _check_out(args, args.out, io.companion(args.out))
     tc = config["trace"]
     trace = simulate_telegraph(tc["rate_eo_hz"], tc["rate_oe_hz"],
                                tc["duration_s"], tc["dt_s"],
@@ -271,7 +273,6 @@ def cmd_simulate_trace(args, config, meta) -> int:
 
 
 def cmd_analyze_trace(args, config, meta) -> int:
-    _check_out(args, args.out)
     trace = io.read_trace_csv(args.trace)
     events = detect_jumps(trace,
                           threshold_in_mads=config["trace"]["threshold_mads"],
@@ -287,7 +288,6 @@ def cmd_analyze_trace(args, config, meta) -> int:
 def cmd_coincidence(args, config, meta) -> int:
     if len(args.traces) < 2:
         raise ConfigError("coincidence needs at least two traces")
-    _check_out(args, args.out)
     traces = [io.read_trace_csv(p) for p in args.traces]
     spans = [tr.span_s for tr in traces]
     span = (max(s[0] for s in spans), min(s[1] for s in spans))
@@ -305,7 +305,6 @@ def cmd_coincidence(args, config, meta) -> int:
 
 
 def cmd_decay_fit(args, config, meta) -> int:
-    _check_out(args, args.out)
     fit = fit_decay(io.read_decay_csv(args.data, args.kind))
     io.write_json(args.out, {"meta": meta, **io.fields(fit)})
     names = {"exponential": "T1", "ramsey": "T2*", "echo": "T2"}
@@ -314,16 +313,11 @@ def cmd_decay_fit(args, config, meta) -> int:
 
 
 def cmd_parabola_fit(args, config, meta) -> int:
-    _check_out(args, args.out)
     fit = fit_parabola(*io.read_columns(args.data, io.PARABOLA_COLUMNS))
     io.write_json(args.out, {"meta": meta, **io.fields(fit)})
     print(f"parabola: f_max = {fit.f_max:.6f} GHz at "
           f"B = {fit.b_offset:.4g} uT, curvature {fit.curvature:.4g}")
     return 0
-
-
-def _add_config(p):
-    p.add_argument("--config", default=None, help="INI configuration file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,99 +327,92 @@ def build_parser() -> argparse.ArgumentParser:
                     "trace analysis")
     parser.add_argument("--version", action="version",
                         version=f"gradflux {__version__}")
-    parser.set_defaults(config=None)
+    parser.set_defaults(config=None, companion=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand but junctions reads an INI file
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="INI configuration file")
+    configured = functools.partial(sub.add_parser, parents=[config])
 
-    p = sub.add_parser("sweep", help="flux sweep of transitions and chi")
-    _add_config(p)
-    p.add_argument("--start", dest="sweep.start", type=float)
-    p.add_argument("--stop", dest="sweep.stop", type=float)
-    p.add_argument("--points", dest="sweep.points", type=int)
+    p = configured("sweep", help="flux sweep of transitions and chi")
+    p.add_argument("--start", dest="sweep.start")
+    p.add_argument("--stop", dest="sweep.stop")
+    p.add_argument("--points", dest="sweep.points")
     p.add_argument("--transitions", dest="sweep.transitions",
                    help="comma list, e.g. f01,f02,fr")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero on any per-point error")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, companion=True)
 
-    p = sub.add_parser("chi", help="dispersive shift at one flux bias")
-    _add_config(p)
+    p = configured("chi", help="dispersive shift at one flux bias")
     p.add_argument("--flux", type=float, default=0.5)
     p.add_argument("--ladder", default=None,
                    help="basis ladder, e.g. 25x15,40x25,70x50")
     p.add_argument("--out", default=None, help="output JSON path")
     p.set_defaults(func=cmd_chi)
 
-    p = sub.add_parser("fit", help="fit circuit parameters to spectroscopy")
-    _add_config(p)
+    p = configured("fit", help="fit circuit parameters to spectroscopy")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument("--forward", dest="fit.forward",
                    choices=("single-loop", "coupled"))
-    p.add_argument("--starts", dest="fit.n_starts", type=int)
-    p.add_argument("--seed", dest="fit.seed", type=int)
-    p.add_argument("--basis-m", dest="fit.basis_m", type=int,
+    p.add_argument("--starts", dest="fit.n_starts")
+    p.add_argument("--seed", dest="fit.seed")
+    p.add_argument("--basis-m", dest="fit.basis_m",
                    help="Fock states of the single-loop model; the coupled "
                         "model uses a fixed 20x8 basis")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("phaseslip", help="junction-array phase-slip rate")
-    _add_config(p)
+    p = configured("phaseslip", help="junction-array phase-slip rate")
     p.add_argument("--n-junctions", type=int, default=None)
     p.add_argument("--ej-ghz", type=float, default=DEVICE_ARRAY.ej_grain_ghz)
     p.add_argument("--ec-ghz", type=float, default=DEVICE_ARRAY.ec_grain_ghz)
-    p.add_argument("--wire-length-m", dest="geometry.wire_length_m",
-                   type=float)
-    p.add_argument("--grain-size-m", dest="geometry.grain_size_m",
-                   type=float)
+    p.add_argument("--wire-length-m", dest="geometry.wire_length_m")
+    p.add_argument("--grain-size-m", dest="geometry.grain_size_m")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_phaseslip)
 
     p = sub.add_parser("junctions", help="effective junction count")
     p.add_argument("--wire-length-m", dest="geometry.wire_length_m",
-                   type=float, required=True)
+                   required=True)
     p.add_argument("--grain-size-m", dest="geometry.grain_size_m",
-                   type=float, required=True)
+                   required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_junctions)
 
-    p = sub.add_parser("simulate-trace", help="synthetic telegraph trace")
-    _add_config(p)
-    p.add_argument("--rate-eo", dest="trace.rate_eo_hz", type=float)
-    p.add_argument("--rate-oe", dest="trace.rate_oe_hz", type=float)
-    p.add_argument("--duration", dest="trace.duration_s", type=float)
-    p.add_argument("--dt", dest="trace.dt_s", type=float)
-    p.add_argument("--noise", dest="trace.noise_sigma", type=float)
-    p.add_argument("--seed", dest="trace.seed", type=int)
+    p = configured("simulate-trace", help="synthetic telegraph trace")
+    p.add_argument("--rate-eo", dest="trace.rate_eo_hz")
+    p.add_argument("--rate-oe", dest="trace.rate_oe_hz")
+    p.add_argument("--duration", dest="trace.duration_s")
+    p.add_argument("--dt", dest="trace.dt_s")
+    p.add_argument("--noise", dest="trace.noise_sigma")
+    p.add_argument("--seed", dest="trace.seed")
     p.add_argument("--label", default="")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_simulate_trace)
+    p.set_defaults(func=cmd_simulate_trace, companion=True)
 
-    p = sub.add_parser("analyze-trace", help="detect jumps, estimate rate")
-    _add_config(p)
+    p = configured("analyze-trace", help="detect jumps, estimate rate")
     p.add_argument("--trace", required=True, help="trace CSV")
-    p.add_argument("--threshold", dest="trace.threshold_mads", type=float)
-    p.add_argument("--window", dest="trace.window", type=int)
+    p.add_argument("--threshold", dest="trace.threshold_mads")
+    p.add_argument("--window", dest="trace.window")
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=cmd_analyze_trace)
 
-    p = sub.add_parser("coincidence", help="pairwise event coincidences")
-    _add_config(p)
+    p = configured("coincidence", help="pairwise event coincidences")
     p.add_argument("--traces", nargs="+", required=True)
     p.add_argument("--window", type=float, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_coincidence)
 
-    p = sub.add_parser("decay-fit", help="fit T1/Ramsey/echo curve")
-    _add_config(p)
+    p = configured("decay-fit", help="fit T1/Ramsey/echo curve")
     p.add_argument("--data", required=True, help="curve CSV (t_us,inversion)")
     p.add_argument("--kind", choices=("exponential", "ramsey", "echo"),
                    required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decay_fit)
 
-    p = sub.add_parser("parabola-fit", help="fit kinetic-inductance parabola")
-    _add_config(p)
+    p = configured("parabola-fit", help="fit kinetic-inductance parabola")
     p.add_argument("--data", required=True, help="curve CSV (b_ut,freq_GHz)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_parabola_fit)
@@ -437,10 +424,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        for dest, value in vars(args).items():
+        for dest, raw in vars(args).items():
             section, dot, key = dest.partition(".")
-            if dot and value is not None:
-                config[section][key] = value
+            if dot and raw is not None:
+                config[section][key] = _cast(section, key, raw)
+        _check_out(args)
         return args.func(args, config, build_meta(args.command, config))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

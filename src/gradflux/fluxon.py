@@ -268,9 +268,9 @@ def detect_jumps(trace: TimeTrace,
     MAD and so the gate is 0, and every nonzero shift counts);
     (2) boundary localization by a two-plateau least-squares scan;
     (3) verification of each boundary against the median levels of the full
-    adjacent segments, requiring both the MAD gate and a
-    :data:`Z_VERIFY`-sigma significance, iterated until the retained set is
-    stable. The two-stage gate keeps single-window false positives
+    adjacent segments, requiring a nonzero median difference, the MAD gate
+    and a :data:`Z_VERIFY`-sigma significance, iterated until the retained
+    set is stable. The two-stage gate keeps single-window false positives
     suppressed while retaining near-threshold events that a one-shot window
     test at the full threshold would drop.
     """
@@ -304,7 +304,10 @@ def detect_jumps(trace: TimeTrace,
             dlev = float(np.median(right) - np.median(left))
             se = MEDIAN_EFF * sigma * math.sqrt(1.0 / left.size
                                                 + 1.0 / right.size)
-            if abs(dlev) >= gate and abs(dlev) >= Z_VERIFY * se:
+            # on a noise-free trace gate and se are 0: a boundary between
+            # equal medians is no step
+            if (dlev != 0.0 and abs(dlev) >= gate
+                    and abs(dlev) >= Z_VERIFY * se):
                 keep.append(b)
                 sizes[b] = dlev
             else:

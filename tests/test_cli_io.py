@@ -603,7 +603,7 @@ class TestCli:
             assert all(np.isfinite(v) for v in payload[key].values())
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
-    def test_phaseslip_device_values(self, tmp_path):
+    def test_phaseslip_device_values(self, tmp_path, capsys):
         out = tmp_path / "rate.json"
         code = main(["phaseslip", "--wire-length-m", "300e-6",
                      "--grain-size-m", "4e-9", "--out", str(out)])
@@ -611,6 +611,8 @@ class TestCli:
         payload = gfio.read_json(out)
         assert payload["n_junctions"] == 75_000
         assert 0.0 < payload["rate_Hz"] <= 1e-20
+        assert capsys.readouterr().out == (
+            "phase-slip rate: 3.984e-23 Hz (log10 = -22.3997)\n")
 
     @pytest.mark.parametrize("argv, rate, log10", [
         (["--ej-ghz", "1e120"], 0.0, -1.773e59),
@@ -630,11 +632,18 @@ class TestCli:
         out = tmp_path / "rate.json"
         assert main(["phaseslip", "--ec-ghz", "1e-320", "--out",
                      str(out)]) == 0
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr() == (
+            "phase-slip rate: 0.000e+00 Hz (log10 = -2.82794e+162)\n", "")
         payload = gfio.read_json(out)
         assert payload["rate_Hz"] == 0.0
         assert payload["log10_rate_Hz"] == pytest.approx(-2.828e162,
                                                          rel=1e-3)
+
+    def test_phaseslip_warns_below_charging_energy(self, capsys):
+        assert main(["phaseslip", "--ej-ghz", "1.0", "--ec-ghz", "4.0"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: E_J/E_C = 0.25 < 1: outside the dilute phase-slip "
+            "regime\n")
 
     def test_junctions_command(self, tmp_path, capsys):
         assert main(["junctions", "--wire-length-m", "1e-6",
@@ -744,6 +753,48 @@ class TestCli:
         assert code == 1
         assert "numerical error" in err and "dim=1125" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["chi", "--config", "{dir}/none.ini"],
+         "config file not found: {dir}/none.ini"),
+        (["coincidence", "--traces", "{trace_a}", "--window", "5.0",
+          "--out", "{dir}/coinc.json"],
+         "coincidence needs at least two traces"),
+    ], ids=["missing-config", "one-trace"])
+    def test_bad_arguments_exit_2(self, tmp_path, capsys, command_inputs,
+                                  argv, message):
+        _, inputs = command_inputs
+        assert main([a.format(dir=tmp_path, **inputs) for a in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {message.format(dir=tmp_path)}\n")
+
+    # command, its required arguments, flag, config key, bad value
+    @pytest.mark.parametrize("command, required, flag, key, raw", [
+        ("sweep", [], "--points", "sweep.points", "abc"),
+        ("sweep", [], "--start", "sweep.start", "0.5x"),
+        ("fit", ["--data", "{spec}"], "--seed", "fit.seed", "1.5"),
+        ("phaseslip", [], "--grain-size-m", "geometry.grain_size_m", "4nm"),
+        ("simulate-trace", [], "--duration", "trace.duration_s", "long"),
+        ("analyze-trace", ["--trace", "{trace_a}"], "--window",
+         "trace.window", "15.0"),
+    ], ids=["sweep-points", "sweep-start", "fit-seed", "phaseslip-grain",
+            "simulate-duration", "analyze-window"])
+    def test_bad_flag_value_reads_as_bad_ini_value(self, tmp_path, capsys,
+                                                   command_inputs, command,
+                                                   required, flag, key, raw):
+        _, inputs = command_inputs
+        section, name = key.split(".")
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[{section}]\n{name} = {raw}\n")
+        argv = [command, *(a.format(**inputs) for a in required),
+                "--out", str(tmp_path / "out")]
+        errors = []
+        for extra in ([flag, raw], ["--config", str(ini)]):
+            assert main(argv + extra) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(
+            f"error: bad value for [{section}] {name} = {raw!r}: ")
 
     def test_missing_data_file_exit_2(self, tmp_path):
         code = main(["fit", "--data", str(tmp_path / "nope.csv"),

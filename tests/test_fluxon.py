@@ -206,6 +206,11 @@ class TestDetectJumps:
         for e in events:
             assert np.min(np.abs(trace.switch_times - e.time_s)) <= 1.0
         assert {1637, 1871, 1992, 2961} <= {e.index for e in events}
+        # gate and standard error are 0 here, so a boundary between equal
+        # medians (these six once passed as size-0 steps) must not verify
+        assert all(e.size != 0.0 for e in events)
+        assert not {655, 826, 1977, 2038, 2396, 2720} & {e.index
+                                                         for e in events}
 
     def test_single_step_at_85_minutes(self):
         # readout-frequency jump 85 min into a two-hour trace, SNR 10

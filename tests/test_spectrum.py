@@ -579,7 +579,9 @@ class TestLanczosSolve:
         assert h.basis.dim > DENSE_MAX_DIM
         for solve in (lambda: diagonalize_labeled(h, CHI_LABELS),
                       lambda: spectrum._labeled(h, N_LOWEST)):
-            monkeypatch.setattr(spectrum, "DENSE_MAX_DIM", DENSE_MAX_DIM)
+            # 0, not DENSE_MAX_DIM: the bound grows with the pair count, to
+            # 768 at N_LOWEST, which would leave the 24x20 solve dense
+            monkeypatch.setattr(spectrum, "DENSE_MAX_DIM", 0)
             lanczos = solve()
             monkeypatch.setattr(spectrum, "DENSE_MAX_DIM", h.basis.dim)
             dense = solve()
