@@ -6,11 +6,12 @@ analysis. :func:`main` resolves the configuration once: built-in defaults,
 then the INI file given by ``--config`` (unknown sections or keys are
 rejected), then the flags given, whose argparse ``dest`` names their
 "section.key". A flag value is cast and checked like an INI value, by
-:data:`CONFIG_SCHEMA`, with the same error message. ``junctions`` is the
-one subcommand without ``--config``. Every output path is then checked
-once, before any work. Every output embeds the resolved configuration and
-tool version, and re-running with the same inputs reproduces outputs
-bit-identically.
+:data:`CONFIG_SCHEMA`, with the same error message; ``fit`` checks
+``fit.forward``, from either, before it reads its dataset. ``junctions``
+is the one subcommand without ``--config``. Every output path is then
+checked once, before any work. Every output embeds the resolved
+configuration and tool version, and re-running with the same inputs
+reproduces outputs bit-identically.
 
 Exit codes: 0 success, 1 numerical non-convergence, 2 input/config error
 or an unreadable or unwritable file.
@@ -212,11 +213,11 @@ def cmd_chi(args, config, meta) -> int:
 
 
 def cmd_fit(args, config, meta) -> int:
-    dataset = io.read_spectroscopy_csv(args.data)
     fit_cfg = config["fit"]
     if fit_cfg["forward"] not in ("single-loop", "coupled"):
         raise ConfigError("fit.forward must be 'single-loop' or 'coupled', "
                           f"got {fit_cfg['forward']!r}")
+    dataset = io.read_spectroscopy_csv(args.data)
     resonator = None
     if fit_cfg["forward"] == "coupled":
         circ = config["circuit"]
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument("--forward", dest="fit.forward",
-                   choices=("single-loop", "coupled"))
+                   help="single-loop or coupled")
     p.add_argument("--starts", dest="fit.n_starts")
     p.add_argument("--seed", dest="fit.seed")
     p.add_argument("--basis-m", dest="fit.basis_m",

@@ -123,19 +123,15 @@ def single_loop_transitions(lq, cj, ej, phis, m=BASIS_M, n_levels=3):
     :func:`~gradflux.spectrum.fold_flux` (period Phi_0, mirror symmetry
     about 0 and Phi_0/2), and the flux derivative of a reflected point
     changes sign. The fit's 40-point grid on [0.05, 0.95] folds to 20
-    matrices. Non-finite parameters leave no spectrum to fold, so then
-    every flux gets its own matrix. Non-finite parameters or fluxes raise
-    :class:`~gradflux.spectrum.SolverError`, which counts the non-finite
-    entries of the stack solved; ``n_levels`` outside [1, m] raises
+    matrices. A non-finite flux raises ``ValueError`` from the fold;
+    non-finite parameters raise :class:`~gradflux.spectrum.SolverError`,
+    which counts the non-finite entries of the folded stack solved
+    (20 x 30 x 30 on the fit grid); ``n_levels`` outside [1, m] raises
     ``ValueError``.
     """
     if not 1 <= n_levels <= m:
         raise ValueError(f"n_levels must be in [1, m={m}], got {n_levels}")
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    if np.all(np.isfinite((lq, cj, ej))):
-        reps, inverse, sign = fold_flux(phis)
-    else:
-        reps, inverse, sign = phis, np.arange(phis.size), np.ones(phis.size)
+    reps, inverse, sign = fold_flux(phis)
     levels, u = _solve_lowest(qubit_hamiltonians(lq, cj, ej, reps, m),
                               n_levels)
     d_levels = qubit_gradient(lq, cj, ej, reps, u)[inverse]

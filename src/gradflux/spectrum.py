@@ -280,16 +280,16 @@ def fold_flux(phis):
     sign: ``sign`` is -1 where phi was reflected, else +1. Folded values
     within :data:`FOLD_ATOL` of their sorted neighbour form one group,
     solved at its smallest value, so ``representatives[inverse]`` stands
-    for every phi whatever the order of ``phis``. NaN, and +-inf, whose
-    fold is NaN, stay groups of their own.
+    for every phi whatever the order of ``phis``. A NaN or +-inf flux
+    raises ``ValueError``.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    with np.errstate(invalid="ignore"):          # inf mod 1 is NaN
-        r = np.mod(phis, 1.0)
+    if not np.all(np.isfinite(phis)):
+        raise ValueError("fluxes must be finite")
+    r = np.mod(phis, 1.0)
     folded = np.minimum(r, 1.0 - r)
     order = np.argsort(folded, kind="stable")
-    # a gap that is not <= FOLD_ATOL, NaN included, opens a group
-    start = ~(np.diff(folded[order], prepend=-np.inf) <= FOLD_ATOL)
+    start = np.diff(folded[order], prepend=-np.inf) > FOLD_ATOL
     inverse = np.empty(phis.size, dtype=np.intp)
     inverse[order] = np.cumsum(start) - 1
     return folded[order][start], inverse, np.where(r > 0.5, -1.0, 1.0)
@@ -672,10 +672,10 @@ def flux_sweep(eff: EffectiveFluxonium, flux_grid,
     written out for every grid point in grid order; results of mirrored
     points are bit-equal. Solver and label failures are recorded in
     ``errors`` at every grid point they stand for, and the sweep continues.
+    A non-finite flux raises ``ValueError`` from :func:`fold_flux` before
+    any solve.
     """
     flux_grid = np.atleast_1d(np.asarray(flux_grid, dtype=float))
-    if not np.all(np.isfinite(flux_grid)):
-        raise ValueError("flux grid must be finite")
     pairs = []
     for tr in transitions:
         pair = parse_transition(tr)

@@ -1,8 +1,10 @@
 """File-format and command-line behavior tests."""
 
+import configparser
 import inspect
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -252,7 +254,38 @@ class TestPinnedFormats:
         with pytest.raises(ValueError, match=message):
             gfio.read_columns(path, gfio.TRACE_COLUMNS)
 
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(lang):
+    """The first ``lang`` code block of the README's "Command line"."""
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    return text.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 class TestConfig:
+    def test_readme_cli_reference(self):
+        ini = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        ini.read_string(_readme_block("ini"))
+        assert {s: set(ini[s]) for s in ini.sections()} == {
+            s: set(keys) for s, keys in cli.DEFAULT_CONFIG.items()}
+        for section, keys in cli.DEFAULT_CONFIG.items():
+            for key, default in keys.items():
+                value = ini[section][key]
+                if isinstance(default, str):
+                    assert value == default, (section, key)
+                else:
+                    assert float(value) == pytest.approx(default, rel=1e-3), (
+                        section, key)
+        commands = _readme_block("sh").replace("\\\n", " ").splitlines()
+        assert len(commands) == 10
+        parser = cli.build_parser()
+        for line in commands:
+            words = shlex.split(line)
+            assert words[0] == "gradflux"
+            parser.parse_args(words[1:])
+
     def test_defaults_complete(self):
         config = load_config(None)
         assert config["circuit"]["lq_eff"] == 172.0
@@ -546,17 +579,29 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: initial guess needs at least one f01 row\n")
 
-    def test_fit_unknown_forward_exit_2(self, tmp_path, capsys):
-        data = tmp_path / "spec.csv"
-        data.write_text("field_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
-                        + "".join(f"0.{k},phi0,f01,{9 - k},0.001\n"
-                                  for k in range(1, 5)))
-        ini = tmp_path / "cfg.ini"
-        ini.write_text("[fit]\nforward = bogus\n")
-        code = main(["fit", "--data", str(data), "--config", str(ini),
+    # one message from a flag or an INI value, checked before the dataset
+    # is read
+    @pytest.mark.parametrize("argv", [
+        ["--data", "{dir}/spec.csv", "--forward", "bogus"],
+        ["--data", "{dir}/spec.csv", "--config", "{dir}/cfg.ini"],
+        ["--data", "{dir}/missing.csv", "--forward", "bogus"]],
+        ids=["flag", "ini", "flag-missing-data"])
+    def test_fit_unknown_forward_exit_2(self, tmp_path, capsys, argv):
+        (tmp_path / "spec.csv").write_text(
+            "field_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
+            + "".join(f"0.{k},phi0,f01,{9 - k},0.001\n" for k in range(1, 5)))
+        (tmp_path / "cfg.ini").write_text("[fit]\nforward = bogus\n")
+        code = main(["fit", *[a.format(dir=tmp_path) for a in argv],
                      "--out", str(tmp_path / "fit.json")])
         assert code == 2
-        assert "fit.forward" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: fit.forward must be 'single-loop' or 'coupled', "
+            "got 'bogus'\n")
+
+    def test_fit_help_names_both_models(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fit", "--help"])
+        assert "single-loop or coupled" in capsys.readouterr().out
 
     def test_fit_runs_on_synthetic_data(self, tmp_path):
         from gradflux import single_loop_transitions
@@ -657,12 +702,14 @@ class TestCli:
         (["junctions", "--wire-length-m", "1e-6", "--grain-size-m", "nan"],
          "grain_size_m"),
         (["phaseslip", "--ej-ghz", "inf"], "ej_grain_ghz"),
+        (["sweep", "--start", "nan", "--out", "{dir}/s.csv"], "fluxes"),
     ], ids=["junctions-inf-wire", "phaseslip-inf-wire",
-            "junctions-nan-grain", "phaseslip-inf-ej"])
-    def test_non_finite_input_exit_2(self, capsys, argv, name):
-        assert main(argv) == 2
+            "junctions-nan-grain", "phaseslip-inf-ej", "sweep-nan-start"])
+    def test_non_finite_input_exit_2(self, tmp_path, capsys, argv, name):
+        assert main([a.format(dir=tmp_path) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err
+        assert not any(tmp_path.iterdir())
 
     def test_trace_simulate_analyze_roundtrip(self, tmp_path):
         trace_path = tmp_path / "trace.csv"

@@ -527,17 +527,18 @@ class TestSubsetForward:
             single_loop_transitions(*TRUE.values(), [0.5], m=4,
                                     n_levels=n_levels)
 
-    # the "-True" ids are those of the eigenvector-returning forward call,
-    # kept from when a values-only one was tested beside it
-    @pytest.mark.parametrize("params, phis, count", [
-        ((np.nan, 3.4, 5.1), np.linspace(0.05, 0.95, 40), 40 * 30 * 30),
-        ((172.0, 3.4, np.inf), np.linspace(0.05, 0.95, 40), 40 * 30 * 30),
-        ((172.0, 3.4, 5.1), [np.nan], 30 * 30)],
-        ids=["lq-nan-True", "ej-inf-True", "phi-nan-True"])
-    def test_non_finite_input_raises_solver_error(self, params, phis, count):
+    # the count covers the folded stack: 20 matrices on the fit grid
+    @pytest.mark.parametrize("params", [(np.nan, 3.4, 5.1),
+                                        (172.0, 3.4, np.inf)],
+                             ids=["lq-nan", "ej-inf"])
+    def test_non_finite_input_raises_solver_error(self, params):
         with pytest.raises(SolverError, match=r"\[dim=30, non-finite "
-                           rf"entries in stack={count}\]"):
-            single_loop_transitions(*params, phis)
+                           rf"entries in stack={20 * 30 * 30}\]$"):
+            single_loop_transitions(*params, np.linspace(0.05, 0.95, 40))
+
+    def test_non_finite_flux_raises_value_error(self):
+        with pytest.raises(ValueError, match="fluxes must be finite"):
+            single_loop_transitions(*TRUE.values(), [np.nan])
 
 
 class TestSharedInductance:

@@ -517,11 +517,15 @@ class TestFluxFold:
         np.testing.assert_array_equal(reps_s, reps)
         np.testing.assert_array_equal(inverse_s, inverse[perm])
 
-    def test_non_finite_fluxes_stay_apart(self):
-        # NaN and inf fold to NaN without a RuntimeWarning (an error here)
-        reps, inverse, _ = spectrum.fold_flux([np.nan, 0.3, np.inf, np.nan])
-        assert reps[0] == 0.3 and np.all(np.isnan(reps[1:]))
-        assert sorted(inverse) == [0, 1, 2, 3] and inverse[1] == 0
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_flux_rejected(self, bad):
+        with pytest.raises(ValueError, match="fluxes must be finite"):
+            spectrum.fold_flux([0.3, bad, 0.7])
+
+    def test_sweep_rejects_non_finite_flux(self):
+        with pytest.raises(ValueError, match="fluxes must be finite"):
+            flux_sweep(EFF, [0.3, np.inf])
 
     def test_solver_error_recorded_at_every_mirrored_point(self,
                                                             monkeypatch):
@@ -582,13 +586,13 @@ class TestLanczosSolve:
             # 0, not DENSE_MAX_DIM: the bound grows with the pair count, to
             # 768 at N_LOWEST, which would leave the 24x20 solve dense
             monkeypatch.setattr(spectrum, "DENSE_MAX_DIM", 0)
-            lanczos = solve()
+            davidson = solve()
             monkeypatch.setattr(spectrum, "DENSE_MAX_DIM", h.basis.dim)
             dense = solve()
-            assert lanczos.energies.size == dense.energies.size
-            assert np.max(np.abs(lanczos.energies - dense.energies)) < 1e-9
-            assert lanczos.index_of == dense.index_of
-            assert np.max(np.abs(lanczos.confidence
+            assert davidson.energies.size == dense.energies.size
+            assert np.max(np.abs(davidson.energies - dense.energies)) < 1e-9
+            assert davidson.index_of == dense.index_of
+            assert np.max(np.abs(davidson.confidence
                                  - dense.confidence)) < 1e-9
 
     def test_rerun_bit_identical(self):
