@@ -23,9 +23,9 @@ from scipy.optimize import brentq, curve_fit, least_squares
 
 from .circuit import DEVICE_GEOMETRY, balanced_branch_circuit, reduce_circuit
 from .spectrum import (DEFAULT_BASIS, FockBasisSpec, LabelError,
-                       SolverError, _solve_lowest, build_hamiltonian,
-                       diagonalize_labeled, dispersive_shift, fold_flux,
-                       parse_transition, qubit_gradient, qubit_hamiltonians,
+                       SolverError, _solve_lowest, dispersive_shift,
+                       fold_flux, folded_spectra, parse_transition,
+                       qubit_gradient, qubit_hamiltonians,
                        transition_frequency)
 from .units import EC_GHZ_FF, EL_GHZ_NH, mode_frequency
 
@@ -119,15 +119,13 @@ def single_loop_transitions(lq, cj, ej, phis, m=BASIS_M, n_levels=3):
     [nH], cj [fF], ej [GHz] and the flux [Phi_0], from the same solve's
     eigenvectors and exact wherever the levels are non-degenerate.
 
-    Only the distinct spectra are solved: the fluxes are folded by
-    :func:`~gradflux.spectrum.fold_flux` (period Phi_0, mirror symmetry
-    about 0 and Phi_0/2), and the flux derivative of a reflected point
-    changes sign. The fit's 40-point grid on [0.05, 0.95] folds to 20
-    matrices. A non-finite flux raises ``ValueError`` from the fold;
-    non-finite parameters raise :class:`~gradflux.spectrum.SolverError`,
-    which counts the non-finite entries of the folded stack solved
-    (20 x 30 x 30 on the fit grid); ``n_levels`` outside [1, m] raises
-    ``ValueError``.
+    Only the distinct spectra are solved, folded as in
+    :func:`~gradflux.spectrum.folded_spectra`; the flux derivative of a
+    reflected point changes sign. A non-finite flux raises ``ValueError``
+    from the fold; non-finite parameters raise
+    :class:`~gradflux.spectrum.SolverError`, which counts the non-finite
+    entries of the folded stack solved (20 x 30 x 30 on the fit grid);
+    ``n_levels`` outside [1, m] raises ``ValueError``.
     """
     if not 1 <= n_levels <= m:
         raise ValueError(f"n_levels must be in [1, m={m}], got {n_levels}")
@@ -152,20 +150,25 @@ def _model_freqs_coupled(lq, cj, ej, phis, transitions, resonator, basis):
     """Labeled transition per row of the two-mode model, and its
     derivatives in (lq, cj, ej, phi).
 
-    With H = diag(D) - g phi_q (x) X_n, D = e_q (+) k f_r, a level E with
-    eigenvector v has dE/df_r = sum k v^2, dE/dln g = E - sum D v^2, and
-    the qubit part :func:`~gradflux.spectrum.qubit_gradient` of (u_q (x) I) v.
+    Rows read their spectra from :func:`~gradflux.spectrum.folded_spectra`,
+    whose first SolverError is raised. With H = diag(D) - g phi_q (x) X_n,
+    D = e_q (+) k f_r, a level E with eigenvector v has dE/df_r = sum k v^2,
+    dE/dln g = E - sum D v^2, and the qubit part
+    :func:`~gradflux.spectrum.qubit_gradient` of (u_q (x) I) v.
     """
     arms = balanced_branch_circuit(lq_eff=lq, cj=cj, ej=ej, **resonator)
     eff, ls, lr = reduce_circuit(arms), arms.ls, arms.lr
     m, n = basis.m_qubit, basis.n_res
+    pairs = [parse_transition(t) for t in transitions]
+    reps, solved, inverse, sign = folded_spectra(eff, phis, pairs, basis)
+    for outcome in solved:
+        if isinstance(outcome, SolverError):
+            raise outcome
     freqs = np.empty(len(phis))
     d_lng = np.empty((len(phis), 2))
     y = np.empty((len(phis), 2, m, n))
-    for i, phi in enumerate(phis):
-        h = build_hamiltonian(eff, phi, basis)
-        pair = parse_transition(transitions[i])
-        spec = diagonalize_labeled(h, pair)
+    for i, pair in enumerate(pairs):
+        h, spec = solved[inverse[i]]
         freqs[i] = transition_frequency(spec, *pair, min_confidence=0.0)
         j = [spec.index_of[label] for label in pair]
         d_lng[i] = spec.energies[j] - h.diagonal @ spec.vectors[:, j] ** 2
@@ -178,7 +181,9 @@ def _model_freqs_coupled(lq, cj, ej, phis, transitions, resonator, basis):
     dln_lr = ((lr + ls) / q - 1.0 / arms.l3) * dl1
     # f_r ~ (lr_eff cr)^-1/2 and g ~ (1/lrq) zeta_q zeta_r, zeta ~ (L/C)^1/4
     dln_g = -(lr + ls) / q * dl1 + 0.25 / lq + 0.25 * dln_lr
-    d = qubit_gradient(lq, cj, ej, np.asarray(phis)[:, None], y).sum(-2)
+    # y lives in the folded flux's basis; dE/dphi flips where reflected
+    d = qubit_gradient(lq, cj, ej, reps[inverse, None], y).sum(-2)
+    d[..., 3] *= sign[:, None]
     d[..., 0] += (dln_g * d_lng
                   - 0.5 * mode_frequency(eff.lr, eff.cr) * dln_lr * d_fr)
     d[..., 1] -= 0.25 / cj * d_lng

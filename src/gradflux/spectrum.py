@@ -55,11 +55,10 @@ levels, where the labels are taken as they come.
 
 H has period Phi_0, and the Fock parity of both modes maps H(phi) to
 H(-phi), so every spectrum is even about the sweet spots 0 and Phi_0/2.
-:func:`fold_flux` reduces a flux set to its distinct spectra (phi mod 1
-reflected into [0, 1/2], merged within :data:`FOLD_ATOL`), and
-:func:`flux_sweep` and the single-loop forward model solve only those: 51
-of the device sweep's 101 points on [0, 1], 20 of the fit grid's 40 on
-[0.05, 0.95]. The chi ladder, at one flux, has nothing to fold.
+:func:`fold_flux` reduces a flux set to its distinct spectra, which
+:func:`folded_spectra` solves once each for :func:`flux_sweep` and the
+coupled forward model; the single-loop model folds its fluxonium stack
+too. The chi ladder, at one flux, has nothing to fold.
 """
 
 import functools
@@ -557,6 +556,32 @@ def diagonalize_labeled(h: HamiltonianMatrix, labels) -> SpectrumResult:
         k *= 2
 
 
+def folded_spectra(eff: EffectiveFluxonium, phis, labels,
+                   basis: FockBasisSpec):
+    """Each distinct spectrum of a flux set, built and labeled once:
+    ``(representatives, solved, inverse, sign)``, folded by :func:`fold_flux`.
+
+    Each representative, in ascending folded flux, is solved by
+    :func:`diagonalize_labeled` for the union of ``labels[i]`` over the
+    ``phis[i]`` it stands for. ``solved[r]`` is ``(h, spec)``, or the
+    :class:`SolverError` its build or solve raised. The device sweep's 101
+    points on [0, 1] fold to 51 solves, the fit grid's 40 on [0.05, 0.95]
+    to 20.
+    """
+    reps, inverse, sign = fold_flux(phis)
+    wanted = [set() for _ in reps]
+    for r, row in zip(inverse, labels, strict=True):
+        wanted[r].update(row)
+    solved = []
+    for phi, row in zip(reps, wanted):
+        try:
+            h = build_hamiltonian(eff, phi, basis)
+            solved.append((h, diagonalize_labeled(h, row)))
+        except SolverError as exc:
+            solved.append(exc)
+    return reps, solved, inverse, sign
+
+
 def parse_transition(name):
     """Map a transition name to a ((n_r, m_q), (n_r, m_q)) label pair.
 
@@ -663,17 +688,12 @@ def flux_sweep(eff: EffectiveFluxonium, flux_grid,
                min_confidence: float = MIN_CONFIDENCE) -> SweepResult:
     """Transition frequencies and chi over a flux grid.
 
-    Each distinct spectrum is solved once: the grid is folded by
-    :func:`fold_flux` (period Phi_0, mirror symmetry about 0 and Phi_0/2),
-    and the representatives are solved one after another, in ascending
-    folded flux. On the default 0-1 Phi_0 grid of 101 points, 50 points
-    mirror another (0 and 1 fold together too), so 51 are solved. Their
-    rows, frequencies and chi or the failure of each transition, are then
-    written out for every grid point in grid order; results of mirrored
-    points are bit-equal. Solver and label failures are recorded in
-    ``errors`` at every grid point they stand for, and the sweep continues.
-    A non-finite flux raises ``ValueError`` from :func:`fold_flux` before
-    any solve.
+    Every grid point reads its representative's spectrum from
+    :func:`folded_spectra`, solved once for the chi labels and every
+    transition's, so mirrored points are bit-equal; rows come in grid
+    order. Solver and label failures are recorded in ``errors`` at every
+    grid point they stand for, and the sweep continues. A non-finite flux
+    raises ``ValueError`` from :func:`fold_flux` before any solve.
     """
     flux_grid = np.atleast_1d(np.asarray(flux_grid, dtype=float))
     pairs = []
@@ -682,30 +702,20 @@ def flux_sweep(eff: EffectiveFluxonium, flux_grid,
         pairs.append((tr if isinstance(tr, str) else f"{pair[0]}->{pair[1]}",
                       pair))
     labels = set(CHI_LABELS).union(*(pair for _, pair in pairs))
-    reps, inverse, _ = fold_flux(flux_grid)
-    # per representative: chi, and (name, frequency, failure) per transition
-    rows = []
-    for phi in reps:
-        try:
-            spec = diagonalize_labeled(build_hamiltonian(eff, phi, basis),
-                                       labels)
-        except SolverError as exc:
-            rows.append((None, [("*", None, str(exc))]))
+    _, solved, inverse, _ = folded_spectra(
+        eff, flux_grid, [labels] * flux_grid.size, basis)
+    points, errors = [], []
+    for phi, r in zip(flux_grid, inverse):
+        if isinstance(solved[r], SolverError):
+            errors.append(SweepError(phi, "*", str(solved[r])))
             continue
-        outcomes = []
+        _, spec = solved[r]
+        shift = _chi_from_levels(spec, min_confidence)
         for name, pair in pairs:
             try:
-                outcomes.append((name, transition_frequency(
-                    spec, *pair, min_confidence), None))
+                freq = transition_frequency(spec, *pair, min_confidence)
             except LabelError as exc:
-                outcomes.append((name, None, str(exc)))
-        rows.append((_chi_from_levels(spec, min_confidence), outcomes))
-    points, errors = [], []
-    for phi, i in zip(flux_grid, inverse):
-        shift, outcomes = rows[i]
-        for name, freq, failure in outcomes:
-            if failure is not None:
-                errors.append(SweepError(phi, name, failure))
+                errors.append(SweepError(phi, name, str(exc)))
                 continue
             points.append(SweepPoint(flux_phi0=float(phi), transition=name,
                                      freq_ghz=freq, chi_mhz=shift.chi_mhz,

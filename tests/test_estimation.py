@@ -7,7 +7,7 @@ from gradflux import (DecayCurve, FitError, LabelError, SpectroscopyDataset,
                       balanced_branch_circuit, dispersive_shift, estimation,
                       fit_decay, fit_parabola, fit_shared_inductance,
                       fit_spectrum, initial_guess, reduce_circuit,
-                      single_loop_transitions)
+                      single_loop_transitions, spectrum)
 from gradflux.spectrum import (FockBasisSpec, SolverError, qubit_gradient,
                                qubit_hamiltonians)
 
@@ -260,6 +260,37 @@ class TestFitSpectrum:
         assert best.best_start == 0 and best.nfev == len(calls) == 2 + 1 + 1
         assert np.isfinite(best.chi2) and best.start_objectives[1] == np.inf
 
+    def test_coupled_solver_error_ends_start_as_model_failure(self,
+                                                              monkeypatch):
+        """A non-finite two-mode factor at one folded flux makes the coupled
+        model's eigensolve raise SolverError, which ends each start at its
+        best point as a model failure."""
+        data, resonator, basis = coupled_dataset()
+        monkeypatch.setattr(estimation, "COUPLED_BASIS", basis)
+        build = spectrum.build_hamiltonian
+        calls = []
+
+        def poisoned(eff, phi, basis):
+            h = build(eff, phi, basis)
+            if phi < 0.15:          # the lowest of the four folded fluxes
+                calls.append(phi)
+                if len(calls) >= 3:
+                    h.diagonal[0] = np.nan
+            return h
+
+        monkeypatch.setattr(spectrum, "build_hamiltonian", poisoned)
+        with pytest.raises(FitError, match=r"0 of 2 used up their 2000 "
+                           r"evaluations, 2 stopped on a model failure "
+                           r"\(first: eigensolver failed: factors must not "
+                           r"contain infs or NaNs \[dim=96, non-finite "
+                           r"entries in factors=1\]\)") as err:
+            fit_spectrum(data, init=dict(lq_nh=180.0, cj_ff=3.2, ej_ghz=4.8),
+                         resonator=resonator, n_starts=2, seed=0)
+        best = err.value.best
+        assert best.status == "model-failure" and best.forward == "coupled"
+        assert best.best_start == 0 and best.nfev == len(calls) == 2 + 1 + 1
+        assert np.isfinite(best.chi2) and best.start_objectives[1] == np.inf
+
     def test_negative_offset_start_is_not_pinned(self):
         """A negative start offset keeps the offset's default (-0.6, 0.6)
         bounds, so the fit recovers it."""
@@ -422,6 +453,35 @@ class TestJacobian:
         fd = (freqs(p, phis + 1e-5) - freqs(p, phis - 1e-5)) / 2e-5
         # df/dphi vanishes at 0.5 by symmetry: those entries get atol
         np.testing.assert_allclose(jac[:, 3], fd, rtol=1e-6, atol=1e-8)
+
+    def test_coupled_mirrored_and_shifted_rows_share_one_solve(
+            self, monkeypatch):
+        """The coupled model folds its rows: the 40-row fit grid builds 20
+        Hamiltonians, and the grid mirrored or shifted by Phi_0 gives the
+        same frequencies and parameter columns, with the flux column
+        negated under the mirror."""
+        data = synthetic_dataset()
+        _, resonator, _ = coupled_dataset()
+        built = []
+        build = spectrum.build_hamiltonian
+
+        def spy(eff, phi, basis):
+            built.append(phi)
+            return build(eff, phi, basis)
+
+        def forward(x):
+            return estimation._model_freqs_coupled(
+                *TRUE.values(), x, data.transition, resonator,
+                estimation.COUPLED_BASIS)
+
+        monkeypatch.setattr(spectrum, "build_hamiltonian", spy)
+        freqs, jac = forward(data.x)
+        assert len(built) == 20
+        for x, sign in ((1.0 - data.x, -1.0), (data.x + 1.0, 1.0)):
+            f, j = forward(x)
+            np.testing.assert_allclose(f, freqs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(j, jac * [1.0, 1.0, 1.0, sign],
+                                       rtol=1e-9, atol=1e-11)
 
     def test_coupled_without_shared_inductance_is_single_loop(self):
         """At ls = 0 the coupling g vanishes (lrq = inf) and the coupled

@@ -603,9 +603,9 @@ class TestLanczosSolve:
     @pytest.mark.parametrize("exc", [
         (spectrum, "MAX_ITER", 1),
         (np.linalg, "eigh", no_convergence)])
-    def test_arpack_failure_is_solver_error(self, exc, monkeypatch):
-        # named for the ARPACK solve that Davidson replaced; the solve fails
-        # at its iteration cap (exc0) or in its inner dense solve (exc1)
+    def test_davidson_failure_is_solver_error(self, exc, monkeypatch):
+        # the solve fails at its iteration cap (exc0) or in its inner dense
+        # solve (exc1)
         h = build_hamiltonian(EFF, 0.5, FockBasisSpec(45, 25))
         monkeypatch.setattr(*exc)
         with pytest.raises(SolverError,
@@ -631,7 +631,8 @@ class TestLanczosSolve:
         assert len(seen) == calls
 
     def test_coupled_fit_basis_stays_dense(self, monkeypatch):
-        # the coupled forward model's 20x8 basis (dim 160) over a flux sweep
+        # the coupled forward model's 20x8 basis (dim 160) over a flux sweep,
+        # whose 21 fluxes on [0, 1] fold to 11
         def never(h, k):
             raise AssertionError(f"Davidson solve at dim {h.basis.dim}")
 
@@ -642,7 +643,7 @@ class TestLanczosSolve:
             172.0, 3.4, 5.1, phis, ("f01", "f02") * 10 + ("f01",),
             {"ls": 2.8, "lr": 21.6, "cr": 20.2}, estimation.COUPLED_BASIS)
         assert estimation.COUPLED_BASIS.dim == 160
-        assert len(sizes) == phis.size
+        assert len(sizes) == 11
 
 
 class TestDavidsonAgainstDense:
@@ -812,11 +813,12 @@ class TestCertifiedSolve:
 
         sizes = solve_sizes(monkeypatch)
         freqs, jac = forward()
-        assert len(sizes) == phis.size and max(sizes) < 60
+        # one solve per distinct flux, for its f01 and f02 rows together
+        assert len(sizes) == 3 and max(sizes) < 60
         # every row from one 60-pair solve, with no certificate
-        monkeypatch.setattr(estimation, "diagonalize_labeled",
+        monkeypatch.setattr(spectrum, "diagonalize_labeled",
                             lambda h, labels: spectrum._labeled(h, 60))
         freqs_60, jac_60 = forward()
-        assert len(sizes) == 2 * phis.size and set(sizes[6:]) == {60}
+        assert len(sizes) == 6 and set(sizes[3:]) == {60}
         np.testing.assert_allclose(freqs, freqs_60, rtol=0, atol=1e-10)
         np.testing.assert_allclose(jac, jac_60, rtol=0, atol=1e-10)
