@@ -250,17 +250,21 @@ def initial_guess(dataset: SpectroscopyDataset) -> dict:
 
 
 def _default_bounds(init):
-    return {k: (v / 3.0, v * 3.0) for k, v in init.items()}
+    """A factor of 3 around each initial value, ordered for either sign."""
+    return {k: tuple(sorted((v / 3.0, v * 3.0))) for k, v in init.items()}
 
 
 def _latin_hypercube(lo, hi, n_starts, rng):
-    """Stratified start points in log space, one stratum per start per axis."""
-    d = lo.size
-    pts = np.empty((n_starts, d))
-    for k in range(d):
+    """Stratified start points (McKay, Beckman & Conover, Technometrics 21,
+    239 (1979)): each axis draws a permutation of its strata, then a point
+    in each, spread in log space where lo > 0 and linearly otherwise; a
+    zero-width axis lands on its value to rounding."""
+    pts = np.empty((n_starts, lo.size))
+    for k, log in enumerate(lo > 0):
         strata = (rng.permutation(n_starts) + rng.random(n_starts)) / n_starts
-        pts[:, k] = np.exp(np.log(lo[k]) + strata * (np.log(hi[k]) -
-                                                     np.log(lo[k])))
+        a, b = (np.log(lo[k]), np.log(hi[k])) if log else (lo[k], hi[k])
+        t = a + strata * (b - a)
+        pts[:, k] = np.exp(t) if log else t
     return pts
 
 
@@ -288,9 +292,10 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
     Minimizes sum(((f_model - f_meas)/sigma)^2) by trust-region-reflective
     least squares (``scipy.optimize.least_squares``, method "trf") on the
     weighted residual vector, from the heuristic initial guess plus
-    ``n_starts - 1`` Latin-hypercube points over the bounds (deterministic
-    per ``seed``). Parameters with zero-width bounds are pinned at that
-    value and left out of the solve.
+    ``n_starts - 1`` :func:`_latin_hypercube` points over the bounds
+    (deterministic per ``seed``), by default :func:`_default_bounds` and
+    (-0.6, 0.6) for the offset. Parameters with zero-width bounds are
+    pinned at that value and left out of the solve.
     Giving ``resonator`` ({ls, lr, cr}) selects the coupled two-mode
     forward model in the fixed :data:`COUPLED_BASIS`; without it the
     single-loop fluxonium model in ``basis_m`` Fock states is fitted.
@@ -313,8 +318,8 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
 
     Raises :class:`FitError` if no start converges, with the best-so-far
     result attached: its ``status`` is "max-evaluations" if some start ran
-    out of budget, else "model-failure". Raises ``ValueError`` for
-    under-determined datasets, a dataset without f01 rows and no ``init``,
+    out of budget, else "model-failure". Raises ``ValueError`` for fewer
+    rows than free parameters, a dataset without f01 rows and no ``init``,
     bounds with lower > upper and an ``n_starts`` or ``max_nfev`` below 1.
     """
     if n_starts < 1:
@@ -328,10 +333,6 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
         init.setdefault("scale_phi0_per_t", 1.0 / DEVICE_GEOMETRY.field_per_phi0_t)
         init.setdefault("offset_phi0", 0.0)
         names += ["scale_phi0_per_t", "offset_phi0"]
-    if len(dataset) < len(names):
-        raise ValueError(
-            f"under-determined: {len(dataset)} rows for {len(names)} "
-            "parameters")
 
     all_bounds = _default_bounds({k: init[k] for k in names if init[k] != 0})
     all_bounds["offset_phi0"] = (-0.6, 0.6)     # either sign
@@ -347,6 +348,12 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
     crossed = [k for k, a, b in zip(names, lo, hi) if not a <= b]
     if crossed:
         raise ValueError(f"bounds for {crossed} have lower > upper")
+    # least_squares rejects zero-width bounds: pinned parameters stay out of
+    # the solver's vector and keep their start value, which is the pin
+    free = lo < hi
+    if len(dataset) < np.count_nonzero(free):
+        raise ValueError(f"under-determined: {len(dataset)} rows for "
+                         f"{np.count_nonzero(free)} free parameters")
     x0 = np.clip(np.array([init[k] for k in names]), lo, hi)
 
     x_meas = dataset.x
@@ -368,18 +375,8 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
                                            d[:, 3]])
         return freqs, d[:, :3]
 
-    rng = np.random.default_rng(seed)
-    span_lo = np.where(lo > 0, lo, np.maximum(lo, 1e-6))
-    pts = _latin_hypercube(span_lo, np.maximum(hi, span_lo * (1 + 1e-12)),
-                           n_starts - 1, rng)
-    if "offset_phi0" in names:      # linear axis, not log
-        k = names.index("offset_phi0")
-        pts[:, k] = lo[k] + rng.random(n_starts - 1) * (hi[k] - lo[k])
+    pts = _latin_hypercube(lo, hi, n_starts - 1, np.random.default_rng(seed))
     starts = [x0] + [np.clip(p, lo, hi) for p in pts]
-
-    # least_squares rejects zero-width bounds: pinned parameters stay out of
-    # the solver's vector and keep their start value, which is the pin
-    free = lo < hi
 
     def run_start(st):
         out = _Start(p=st)

@@ -141,11 +141,14 @@ def _data_lines(fh, path, columns, lines):
             for n, line in itertools.chain([first], numbered))
 
 
-def _number(path, line, cell):
+def _number(path, line, cell, column):
     try:
-        return float(cell)
+        value = float(cell)
+        if not np.isfinite(value):
+            raise ValueError(f"column {column} must be finite, got {value}")
     except ValueError as exc:
         raise ValueError(f"{path}, line {line}: {exc}") from None
+    return value
 
 
 def read_columns(path, columns) -> list:
@@ -167,11 +170,11 @@ def read_columns(path, columns) -> list:
             # numpy counts rows from the first data line; name the file line
             reason = re.sub(r" at row \d+", "", str(exc))
             raise ValueError(f"{path}, line {lines[-1]}: {reason}") from None
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"{path}, line {lines[i]}: non-finite number in "
-                         f"{data[i].tolist()}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}, line {lines[i]}: column {columns[j]} "
+                         f"must be finite, got {data[i, j]}")
     return list(data.T.copy())
 
 
@@ -205,13 +208,13 @@ def read_spectroscopy_csv(path) -> SpectroscopyDataset:
         if len(row) < required:
             raise ValueError(f"{path}, line {line}: {len(row)} cells, "
                              f"expected at least {required}")
-        x.append(_number(path, line, row[0]))
+        x.append(_number(path, line, row[0], "x"))
         units.add(row[1].strip())
         trans.append(row[2].strip())
-        freq.append(_number(path, line, row[3]))
+        freq.append(_number(path, line, row[3], "freq_ghz"))
         cell = row[4].strip() if len(row) > 4 else ""
         if cell:
-            sigma.append(_number(path, line, cell))
+            sigma.append(_number(path, line, cell, "sigma_ghz"))
         else:
             sigma.append(DEFAULT_SIGMA_GHZ)
             defaulted = True

@@ -342,9 +342,9 @@ def solve_hermitian(h: HamiltonianMatrix, lowest: int):
     try:
         return _davidson(h, k)
     except SolverError as exc:
-        # an inner dense solve names the projected size, not the Hamiltonian's
-        raise SolverError(f"{exc} [dim={dim}, non-finite entries in "
-                          "factors=0]") from exc
+        # the Hamiltonian's size replaces the one an inner dense solve names
+        raise SolverError(f"{str(exc).split(' [dim=')[0]} [dim={dim}, "
+                          "non-finite entries in factors=0]") from exc
 
 
 def _davidson(h: HamiltonianMatrix, k: int):

@@ -463,24 +463,25 @@ class TestCli:
          "unknown config key 'outer_area_m2'"),
         ("fit", "spec.csv",
          "field_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
-         "0.5,phi0,f01,3.9,0.001\nnan,phi0,f01,5.0,0.001\n", "column x"),
+         "0.5,phi0,f01,3.9,0.001\nnan,phi0,f01,5.0,0.001\n",
+         "spec.csv, line 3: column x"),
         ("fit", "spec.csv",
          "field_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
          "0.5,phi0,f01,3.9,0.001\n0.3,phi0,f01,inf,0.001\n",
-         "column freq_ghz"),
+         "spec.csv, line 3: column freq_ghz"),
         ("fit", "spec.csv",
          "field_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
          "0.5,phi0,f01,3.9,0.001\n0.3,phi0,f01,5.0,inf\n",
-         "column sigma_ghz"),
+         "spec.csv, line 3: column sigma_ghz"),
         ("analyze-trace", "trace.csv",
          "t_s,value\n" + "".join(f"{t}.0,0.1\n" for t in range(11))
-         + "inf,0.1\n", "trace.csv, line 13"),
+         + "inf,0.1\n", "trace.csv, line 13: column t_s"),
         ("decay-fit", "t1.csv",
          "t_us,inversion\n0.0,0.8\n1.0,nan\n2.0,0.6\n3.0,0.5\n",
-         "t1.csv, line 3"),
+         "t1.csv, line 3: column inversion"),
         ("parabola-fit", "par.csv",
          "b_ut,freq_GHz\n-1.0,7.4\n0.0,inf\n1.0,7.4\n2.0,7.3\n",
-         "par.csv, line 3"),
+         "par.csv, line 3: column freq_GHz"),
     ], ids=["ini-no-section", "ini-duplicate-key", "ini-stray-percent",
             "trace-short-row", "dataset-short-row", "trace-non-numeric",
             "dataset-non-numeric", "sweep-zero-points",

@@ -94,6 +94,38 @@ class TestFitSpectrum:
         assert fit.params["offset_phi0"] == 0.0
         assert fit.params["lq_nh"] == pytest.approx(TRUE["lq_nh"], rel=1e-3)
 
+    def test_negative_initial_scale_gets_ordered_default_bounds(self):
+        """A field pointing the other way: the default band around a
+        negative scale runs from 3x to 1/3x of it."""
+        scale = -3.6e6
+        data = synthetic_dataset(n=24, unit="tesla", scale=scale,
+                                 offset=0.02)
+        fit = fit_spectrum(data, init=dict(lq_nh=180.0, cj_ff=3.2,
+                                           ej_ghz=4.8,
+                                           scale_phi0_per_t=-3.5e6),
+                           n_starts=4, seed=0)
+        assert fit.status == "converged"
+        assert fit.bounds["scale_phi0_per_t"] == (-3.5e6 * 3.0, -3.5e6 / 3.0)
+        assert fit.params["scale_phi0_per_t"] == pytest.approx(scale,
+                                                               rel=1e-6)
+        assert fit.params["offset_phi0"] == pytest.approx(0.02, abs=1e-6)
+
+    def test_pinned_axes_are_not_counted_as_free(self):
+        """Four rows fix the three circuit parameters once scale and
+        offset are pinned; two rows do not."""
+        pins = {"scale_phi0_per_t": (3.6e6, 3.6e6), "offset_phi0": (0.0, 0.0)}
+        init = dict(lq_nh=180.0, cj_ff=3.2, ej_ghz=4.8,
+                    scale_phi0_per_t=3.6e6, offset_phi0=0.0)
+        data = synthetic_dataset(n=4, unit="tesla", scale=3.6e6)
+        fit = fit_spectrum(data, init=init, bounds=pins, n_starts=2, seed=0)
+        assert fit.status == "converged"
+        for key, val in TRUE.items():
+            assert fit.params[key] == pytest.approx(val, rel=1e-6)
+        with pytest.raises(ValueError, match="under-determined: 2 rows for 3 "
+                                             "free parameters"):
+            fit_spectrum(synthetic_dataset(n=2, unit="tesla", scale=3.6e6),
+                         init=init, bounds=pins, n_starts=1)
+
     def test_one_start_runs_from_the_initial_guess(self):
         """A one-start fit reports one start, the first of a longer fit."""
         data = synthetic_dataset(n=12, noise_ghz=1e-3, seed=2)
@@ -400,6 +432,24 @@ def coupled_dataset():
     data = SpectroscopyDataset(x=phis, transition=trans, freq_ghz=freq,
                                sigma_ghz=np.full(8, 1e-3))
     return data, resonator, basis
+
+
+class TestLatinHypercube:
+    def test_one_point_per_stratum_on_each_free_axis(self):
+        """Log strata where lo > 0, linear strata otherwise, in the order
+        of each axis's permutation draw; a pinned axis clips to its value."""
+        lo, hi, n = np.array([2.0, -0.6, 3.5]), np.array([50.0, 0.2, 3.5]), 7
+        pts = estimation._latin_hypercube(lo, hi, n, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        perms = []
+        for _ in lo:
+            perms.append(rng.permutation(n))
+            rng.random(n)
+        strata = [np.log(pts[:, 0] / lo[0]) / np.log(hi[0] / lo[0]),
+                  (pts[:, 1] - lo[1]) / (hi[1] - lo[1])]
+        for perm, s in zip(perms, strata):
+            np.testing.assert_array_equal(np.floor(n * s), perm)
+        assert np.all(np.clip(pts, lo, hi)[:, 2] == 3.5)
 
 
 class TestJacobian:

@@ -51,6 +51,32 @@ def solve_sizes(monkeypatch):
     return sizes
 
 
+def second_order_chi(h):
+    """chi [MHz] of ``h`` from second-order perturbation theory in its
+    coupling (Zhu, Ferguson, Manucharyan & Koch, Phys. Rev. B 87, 024510
+    (2013)), read from its factors alone, and the largest first-order
+    admixture amplitude of the four chi states.
+
+    State (i, k) couples to (j, k + 1) by C_ij sqrt(k + 1) across
+    e_i - e_j - f_r and to (j, k - 1) by C_ij sqrt(k) across
+    e_i - e_j + f_r, so E2(i, k) = sum_j C_ij^2 [k / (e_i - e_j + f_r)
+    + (k + 1) / (e_i - e_j - f_r)].
+    """
+    e = h.diagonal.reshape(h.basis.m_qubit, h.basis.n_res)[:, 0]
+    f_r = h.diagonal[1] - h.diagonal[0]
+    c = h.coupling
+    # C_ij over the detuning to (j, k + 1) and to (j, k - 1), for i = 0, 1
+    up = c[:2] / (e[:2, None] - e - f_r)
+    down = c[:2] / (e[:2, None] - e + f_r)
+
+    def e2(i, k):
+        return c[i] @ (k * down[i] + (k + 1) * up[i])
+
+    chi = (e2(1, 1) - e2(1, 0)) - (e2(0, 1) - e2(0, 0))
+    # at k <= 1 the largest matrix elements are sqrt(2) C_ij up, C_ij down
+    return 1e3 * chi, max(np.abs(np.sqrt(2.0) * up).max(), np.abs(down).max())
+
+
 def uncoupled(ej=0.0, lq=100.0, lr=20.0, cj=3.0, cr=18.0):
     return EffectiveFluxonium(lq=lq, lr=lr, lrq=math.inf, cj=cj, cr=cr,
                               ej=ej, alpha=0.0)
@@ -402,6 +428,33 @@ class TestDispersiveShift:
         assert shift.min_overlap < 0.7
         assert "exclusion" in shift.reason
 
+    @pytest.mark.parametrize("basis, fluxes", [
+        (BASIS, np.linspace(0.0, 0.5, 51)),
+        (FockBasisSpec(70, 50), [0.0, 0.1, 0.4, 0.5])], ids=["25x15", "70x50"])
+    def test_second_order_perturbation_oracle(self, basis, fluxes):
+        """The numerical chi against second-order perturbation theory.
+
+        Both the perturbative error and the labels' lost overlap are second
+        order in the admixture amplitudes, so the relative deviation is
+        bounded by a multiple of 1 - min_overlap: over the 51 fluxes at
+        25x15 the ratio spans 0.84-2.1, peaking at 0.24 beside the qubit-
+        readout crossing. Every flagged point must lie where the expansion
+        breaks down, a chi state being admixed with amplitude >= 1/2.
+        """
+        valid = 0
+        for phi in fluxes:
+            shift = dispersive_shift(EFF, phi, basis)
+            chi, amplitude = second_order_chi(
+                build_hamiltonian(EFF, phi, basis))
+            if not shift.valid:
+                assert amplitude >= 0.5, phi
+                continue
+            valid += 1
+            assert np.sign(chi) == np.sign(shift.chi_mhz), phi
+            assert (abs(chi - shift.chi_mhz) / abs(shift.chi_mhz)
+                    <= 2.5 * (1.0 - shift.min_overlap)), phi
+        assert valid >= 0.9 * len(fluxes)
+
     def test_qubit_crosses_readout_near_measured_frequency(self):
         # f01 sweeps from above to below the readout; the crossing sits
         # near the measured 7.445 GHz readout frequency
@@ -609,8 +662,10 @@ class TestLanczosSolve:
         h = build_hamiltonian(EFF, 0.5, FockBasisSpec(45, 25))
         monkeypatch.setattr(*exc)
         with pytest.raises(SolverError,
-                           match=r"dim=1125, non-finite entries in factors=0"):
+                           match=r"dim=1125, non-finite entries in factors=0"
+                           ) as err:
             diagonalize_labeled(h, CHI_LABELS)
+        assert str(err.value).count("[dim=") == 1
 
     @pytest.mark.parametrize("m, n, calls", [(12, 16, 0), (13, 15, 1)])
     def test_routing_at_crossover(self, m, n, calls, monkeypatch):
