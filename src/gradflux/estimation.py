@@ -198,11 +198,11 @@ class FitResult:
     nuisance scale_phi0_per_t and offset_phi0. ``sensitivity`` is the rms
     derivative of the model frequencies per parameter at the optimum (GHz
     per parameter unit); ``stderr`` the covariance-proxy standard errors
-    from the weighted Jacobian, nan only if it is singular. ``nfev`` counts
-    forward-model evaluations over all starts. ``status`` is "converged",
-    or, on the result a :class:`FitError` carries, "max-evaluations" or
-    "model-failure". ``forward`` names the model fitted, "single-loop" or
-    "coupled".
+    from the weighted Jacobian's free columns: 0 if pinned, nan if those
+    are singular. ``nfev`` counts forward-model evaluations over all
+    starts. ``status`` is "converged", or, on the result a
+    :class:`FitError` carries, "max-evaluations" or "model-failure".
+    ``forward`` names the model fitted, "single-loop" or "coupled".
     """
 
     params: dict
@@ -291,17 +291,18 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
 
     Minimizes sum(((f_model - f_meas)/sigma)^2) by trust-region-reflective
     least squares (``scipy.optimize.least_squares``, method "trf") on the
-    weighted residual vector, from the heuristic initial guess plus
-    ``n_starts - 1`` :func:`_latin_hypercube` points over the bounds
-    (deterministic per ``seed``), by default :func:`_default_bounds` and
-    (-0.6, 0.6) for the offset. Parameters with zero-width bounds are
-    pinned at that value and left out of the solve.
+    weighted residual vector, from ``init`` plus ``n_starts - 1``
+    :func:`_latin_hypercube` points over the bounds (deterministic per
+    ``seed``), by default :func:`_default_bounds` and (-0.6, 0.6) for the
+    offset. Parameters with zero-width bounds are pinned at that value and
+    left out of the solve; an axis missing from ``init`` starts from
+    :func:`initial_guess`, the device geometry's scale or a zero offset.
     Giving ``resonator`` ({ls, lr, cr}) selects the coupled two-mode
     forward model in the fixed :data:`COUPLED_BASIS`; without it the
     single-loop fluxonium model in ``basis_m`` Fock states is fitted.
-    ``forward`` in the result records which. Datasets in tesla add
-    field-to-flux scale and offset nuisance parameters unless they are
-    pinned via ``init``/``bounds`` with zero-width bounds.
+    ``forward`` in the result records which. Tesla datasets add the
+    field-to-flux scale and offset to the fit's axes, which every key of
+    ``init``, ``bounds`` and ``stderr`` names.
 
     Either model returns its analytic Jacobian with every evaluation, and
     TRF's Jacobian at a point reuses the evaluation just made there; the
@@ -318,26 +319,28 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
 
     Raises :class:`FitError` if no start converges, with the best-so-far
     result attached: its ``status`` is "max-evaluations" if some start ran
-    out of budget, else "model-failure". Raises ``ValueError`` for fewer
-    rows than free parameters, a dataset without f01 rows and no ``init``,
-    bounds with lower > upper and an ``n_starts`` or ``max_nfev`` below 1.
+    out of budget, else "model-failure". Raises ``ValueError`` for an
+    unknown key, fewer rows than free parameters, a guess on a dataset
+    without f01 rows, crossed bounds and ``n_starts`` or ``max_nfev`` < 1.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     if max_nfev < 1:
         raise ValueError(f"max_nfev must be at least 1, got {max_nfev}")
 
-    init = dict(init) if init else initial_guess(dataset)
-    names = ["lq_nh", "cj_ff", "ej_ghz"]
-    if dataset.unit == "tesla":
-        init.setdefault("scale_phi0_per_t", 1.0 / DEVICE_GEOMETRY.field_per_phi0_t)
-        init.setdefault("offset_phi0", 0.0)
-        names += ["scale_phi0_per_t", "offset_phi0"]
+    defaults = ({"scale_phi0_per_t": 1.0 / DEVICE_GEOMETRY.field_per_phi0_t,
+                 "offset_phi0": 0.0} if dataset.unit == "tesla" else {})
+    names = ["lq_nh", "cj_ff", "ej_ghz", *defaults]
+    init, bounds = init or {}, bounds or {}
+    unknown = [k for k in [*init, *bounds] if k not in names]
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}: the fit's axes are {names}")
+    if not init.keys() >= set(names[:3]):   # the guess needs an f01 row
+        defaults.update(initial_guess(dataset))
+    init = {**defaults, **init}
 
-    all_bounds = _default_bounds({k: init[k] for k in names if init[k] != 0})
-    all_bounds["offset_phi0"] = (-0.6, 0.6)     # either sign
-    if bounds:
-        all_bounds.update(bounds)
+    all_bounds = {**_default_bounds({k: init[k] for k in names if init[k]}),
+                  "offset_phi0": (-0.6, 0.6), **bounds}   # offset: either sign
     missing = [k for k in names if k not in all_bounds]
     if missing:
         raise ValueError(
@@ -375,6 +378,9 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
                                            d[:, 3]])
         return freqs, d[:, :3]
 
+    def weighted_free(jac):     # what TRF solves with, and the covariance
+        return jac[:, free] / sig[:, None]
+
     pts = _latin_hypercube(lo, hi, n_starts - 1, np.random.default_rng(seed))
     starts = [x0] + [np.clip(p, lo, hi) for p in pts]
 
@@ -400,7 +406,7 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
             # TRF asks for the Jacobian at the point it has just evaluated
             if last is None or not np.array_equal(x, last[0]):
                 residuals(x)
-            return last[1][:, free] / sig[:, None]
+            return weighted_free(last[1])
 
         try:
             if not least_squares(
@@ -436,14 +442,13 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
     jac = best.jac
     sensitivity = {names[k]: float(np.sqrt(np.mean(jac[:, k] ** 2)))
                    for k in range(len(names))}
-    jw = jac / sig[:, None]
-    stderr = {k: float("nan") for k in names}
+    jw = weighted_free(jac)
+    var = np.zeros(len(names))                  # a pinned axis does not vary
     try:
-        cov = np.linalg.inv(jw.T @ jw)
-        stderr = {names[k]: float(np.sqrt(max(cov[k, k], 0.0)))
-                  for k in range(len(names))}
+        var[free] = np.diag(np.linalg.inv(jw.T @ jw))
     except np.linalg.LinAlgError:
-        pass
+        var[free] = np.nan
+    stderr = dict(zip(names, map(float, np.sqrt(np.maximum(var, 0.0)))))
 
     result = FitResult(
         params=params, stderr=stderr, sensitivity=sensitivity,
@@ -588,21 +593,18 @@ def fit_decay(curve: DecayCurve) -> DecayFit:
 
     params = dict(zip(names, (float(v) for v in popt)))
     stderr = dict(zip(names, (float(v) for v in perr)))
-    tau = params["tau"] * span
-    tau_err = stderr["tau"] * span
-    if curve.kind == "ramsey":
-        # report detuning back in 1/t units, sign conventions free
-        params["detuning"] = params["detuning"] / span
-        stderr["detuning"] = stderr["detuning"] / span
+    for d in (params, stderr):      # back to the units of t
+        d["tau"] *= span
+        if curve.kind == "ramsey":  # detuning in 1/t, sign convention free
+            d["detuning"] /= span
+    tau = float(params["tau"])
     if tau <= 0:
         raise FitError(f"fitted time constant not positive: {tau:g}")
     if tau > 100.0 * span:
         raise FitError(
             f"no decay resolvable: fitted time constant {tau:g} vastly "
             f"exceeds the observation window {span:g}")
-    params["tau"] = tau
-    stderr["tau"] = tau_err
-    return DecayFit(kind=curve.kind, tau=float(tau), tau_stderr=float(tau_err),
+    return DecayFit(kind=curve.kind, tau=tau, tau_stderr=float(stderr["tau"]),
                     params=params, stderr=stderr)
 
 

@@ -156,8 +156,9 @@ def read_columns(path, columns) -> list:
     :func:`numpy.loadtxt` call over its data lines.
 
     Cells may be quoted and padded with spaces; cells past the last column
-    are ignored. A cell that is not a finite number, or a row too short,
-    raises ValueError naming the file and line.
+    are ignored. A cell that is not a finite number, a row too short, or a
+    time that does not exceed the one above it raises ValueError naming
+    the file and line.
     """
     lines = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -175,6 +176,12 @@ def read_columns(path, columns) -> list:
         i, j = bad[0]
         raise ValueError(f"{path}, line {lines[i]}: column {columns[j]} "
                          f"must be finite, got {data[i, j]}")
+    t = data[:, 0]      # the sample times, in a trace or decay file
+    back = np.flatnonzero(np.diff(t) <= 0) + 1
+    if columns in (TRACE_COLUMNS, DECAY_COLUMNS) and back.size:
+        i = back[0]
+        raise ValueError(f"{path}, line {lines[i]}: column {columns[0]} must "
+                         f"be strictly increasing, got {t[i - 1]} then {t[i]}")
     return list(data.T.copy())
 
 

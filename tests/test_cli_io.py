@@ -482,13 +482,22 @@ class TestCli:
         ("parabola-fit", "par.csv",
          "b_ut,freq_GHz\n-1.0,7.4\n0.0,inf\n1.0,7.4\n2.0,7.3\n",
          "par.csv, line 3: column freq_GHz"),
+        ("analyze-trace", "trace.csv",
+         "t_s,value\n0.0,0.1\n1.0,0.2\n1.0,0.1\n2.0,0.1\n",
+         "trace.csv, line 4: column t_s must be strictly increasing, "
+         "got 1.0 then 1.0"),
+        ("decay-fit", "t1.csv",
+         "t_us,inversion\n0.0,0.8\n2.0,0.7\n1.0,0.6\n3.0,0.5\n4.0,0.4\n",
+         "t1.csv, line 4: column t_us must be strictly increasing, "
+         "got 2.0 then 1.0"),
     ], ids=["ini-no-section", "ini-duplicate-key", "ini-stray-percent",
             "trace-short-row", "dataset-short-row", "trace-non-numeric",
             "dataset-non-numeric", "sweep-zero-points",
             "sweep-negative-points", "ini-run-section",
             "sweep-no-transitions", "ini-outer-area", "dataset-nan-flux",
             "dataset-inf-freq", "dataset-inf-sigma", "trace-inf-time",
-            "decay-nan", "parabola-inf"])
+            "decay-nan", "parabola-inf", "trace-repeated-time",
+            "decay-time-goes-back"])
     def test_malformed_input_exit_2(self, tmp_path, capsys, command, name,
                                     text, where):
         path = tmp_path / name

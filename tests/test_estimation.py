@@ -126,6 +126,59 @@ class TestFitSpectrum:
             fit_spectrum(synthetic_dataset(n=2, unit="tesla", scale=3.6e6),
                          init=init, bounds=pins, n_starts=1)
 
+    def test_partial_init_takes_the_guess_for_missing_axes(self):
+        """The criterion-5 rows with only ej_ghz given: lq_nh and cj_ff
+        start from the heuristic guess."""
+        data = synthetic_dataset(noise_ghz=1e-3, seed=0)
+        fit = fit_spectrum(data, init={"ej_ghz": 5.0}, n_starts=8, seed=0)
+        assert fit.status == "converged"
+        for key, val in TRUE.items():
+            assert fit.params[key] == pytest.approx(val, rel=1e-3)
+
+    @pytest.mark.parametrize("keys, unknown", [
+        (dict(init=dict(TRUE, ej=5.0)), "'ej'"),
+        (dict(bounds={"ej": (5.1, 5.1)}), "'ej'"),
+        (dict(init=dict(TRUE, offset_phi0=0.0)), "'offset_phi0'"),
+    ], ids=["init", "bounds", "field-axis-on-phi0"])
+    def test_unknown_keys_rejected(self, keys, unknown):
+        data = synthetic_dataset(n=12)
+        with pytest.raises(ValueError, match=rf"\[{unknown}\].*axes are "
+                                             r"\['lq_nh', 'cj_ff', 'ej_ghz'\]"):
+            fit_spectrum(data, n_starts=1, **keys)
+
+    def test_stderr_from_the_free_columns(self):
+        """A pinned axis reads 0; the free ones are sqrt(diag((J^T J)^-1))
+        of the weighted free columns at the optimum."""
+        data = synthetic_dataset(n=24, noise_ghz=1e-3, seed=3)
+        fit = fit_spectrum(data, init=dict(TRUE),
+                           bounds={"ej_ghz": (5.1, 5.1)}, n_starts=2, seed=0)
+        assert fit.stderr["ej_ghz"] == 0.0
+        p = fit.params
+        _, d = estimation._model_freqs_single_loop(
+            p["lq_nh"], p["cj_ff"], p["ej_ghz"], data.x, data.transition,
+            estimation.BASIS_M)
+        jw = d[:, :2] / data.sigma_ghz[:, None]
+        expected = np.sqrt(np.diag(np.linalg.inv(jw.T @ jw)))
+        np.testing.assert_allclose(
+            [fit.stderr["lq_nh"], fit.stderr["cj_ff"]], expected, rtol=1e-9)
+
+    def test_pinned_field_axes_leave_the_phi0_stderr(self):
+        """Scale and offset pinned, a tesla fit is the phi0 fit of the
+        same rows, uncertainties included; the pins read 0."""
+        pins = {"scale_phi0_per_t": (3.6e6, 3.6e6), "offset_phi0": (0.0, 0.0)}
+        tesla = fit_spectrum(
+            synthetic_dataset(n=24, noise_ghz=1e-3, seed=3, unit="tesla",
+                              scale=3.6e6),
+            init=dict(TRUE, scale_phi0_per_t=3.6e6, offset_phi0=0.0),
+            bounds=pins, n_starts=2, seed=0)
+        phi0 = fit_spectrum(synthetic_dataset(n=24, noise_ghz=1e-3, seed=3),
+                            init=dict(TRUE), n_starts=2, seed=0)
+        for key in TRUE:
+            assert tesla.stderr[key] == pytest.approx(phi0.stderr[key],
+                                                      rel=1e-6)
+        assert tesla.stderr["scale_phi0_per_t"] == 0.0
+        assert tesla.stderr["offset_phi0"] == 0.0
+
     def test_one_start_runs_from_the_initial_guess(self):
         """A one-start fit reports one start, the first of a longer fit."""
         data = synthetic_dataset(n=12, noise_ghz=1e-3, seed=2)
