@@ -114,19 +114,22 @@ N_LOWEST = 80
 #: matrix-free block Davidson solve runs. Dense ``dsyevr`` costs about the
 #: same at any pair count k, the Davidson solve grows with its block. Break-
 #: even dims for k pairs (device circuit, phi = 0.5 and 0.26, 2 BLAS
-#: threads, median of 9 solves; dense / Davidson on either side):
+#: threads, median of 9 solves; dense, with its matrix assembly, / Davidson
+#: on either side; the k = 32 and 80 rows were timed at TOL = 1e-10):
 #:
 #:     k     break-even    below                    above
-#:     2     180-195       1.3 / 1.4 ms at 180      1.6 / 0.9 ms at 195
-#:     4     150-180       1.0 / 1.2 ms at 150      1.5 / 1.2 ms at 180
-#:     6     150-180       1.2 / 1.6 ms at 150      1.8 / 1.5 ms at 180
-#:     8     about 180     1.2 / 1.8 ms at 150      2.0 / 2.0 ms at 180
-#:     16    255-300       4.6 / 8.5 ms at 255      8.9 / 6.8 ms at 300
+#:     2     120-150       0.5 / 0.7 ms at 120      0.9 / 0.7 ms at 150
+#:     4     120-165       0.9 / 1.4 ms at 120      1.3 / 0.8 ms at 165
+#:     6     150-180       1.2 / 1.3 ms at 150      1.6 / 1.6 ms at 180
+#:     8     150-180       1.2 / 1.6 ms at 150      1.6 / 1.5 ms at 180
+#:     16    180-195       2.6 / 3.7 ms at 180      2.4 / 2.2 ms at 195
 #:     32    300-375       10 / 16 ms at 300        15 / 14 ms at 375
 #:     80    600-900       45 / 71 ms at 600        92 / 67 ms at 900
 #:
-#: So a solve of up to 18 pairs stays dense up to DENSE_MAX_DIM, and above
-#: that the bound grows with the Davidson block k + GUARD, to four times
+#: The bound stays above the few-pair break-even: it keeps the coupled
+#: fit's dim-160 solves dense, and no benchmark workload times that fit. A
+#: solve of up to 18 pairs stays dense up to DENSE_MAX_DIM, and above that
+#: the bound grows with the Davidson block k + GUARD, to four times
 #: DENSE_MAX_DIM at N_LOWEST pairs: 192 at k = 16, 318 at k = 32 and 768
 #: at k = 80.
 DENSE_MAX_DIM = 192
@@ -134,12 +137,14 @@ DENSE_MAX_DIM = 192
 #: The Davidson solve: GUARD pairs beyond the wanted ones ride in its block
 #: (they speed up the highest wanted pair), its basis holds CAP blocks before
 #: a thick restart, and it stops once every wanted residual norm is at most
-#: TOL (GHz), or fails after MAX_ITER iterations. The device sweep and the
-#: ladder take 7-8 iterations; a circuit at half the coupling where H loses
-#: its lower bound takes about 50.
+#: TOL (GHz), or fails after MAX_ITER iterations. An energy then errs by
+#: at most about TOL^2 / gap, far below what gradflux reports. The device
+#: sweep takes 6-7 iterations (315 over its 51 solves) and each rung of the
+#: chi ladder 7; a circuit at half the coupling where H loses its lower
+#: bound takes about 50.
 GUARD = 2
 CAP = 3
-TOL = 1e-10
+TOL = 1e-8
 MAX_ITER = 200
 
 #: Smallest |diagonal - theta| (GHz) a Davidson correction divides by, and
@@ -363,13 +368,18 @@ def _davidson(h: HamiltonianMatrix, k: int):
     :data:`TOL`, and raises :class:`SolverError` after :data:`MAX_ITER`
     iterations.
 
-    The pairs returned are exact and orthonormal to within TOL, but an
-    iteration could skip a level that no correction reached. The labels
-    stay right all the same: :func:`_certified` needs only orthonormal
-    eigenvectors, since for each basis state b the weight r_b = 1 - sum_j
-    v_bj^2 left by the solved levels bounds b's overlap with every unsolved
-    level, skipped ones included. A skipped level cannot take a certified
-    label, so the energies and labels read through ``index_of`` are exact.
+    The Ritz vectors returned are orthonormal to rounding by construction.
+    A Ritz value with residual norm ||r|| errs by at most ||r||^2 / delta,
+    delta its gap to the rest of the spectrum (the Kato-Temple bound;
+    Parlett, The Symmetric Eigenvalue Problem, SIAM 1998), and its squared
+    overlaps err to first order in ||r|| / delta. An iteration could skip
+    a level that no correction reached, but the labels stay right all the
+    same: :func:`_certified` needs only orthonormal eigenvectors, since for
+    each basis state b the weight r_b = 1 - sum_j v_bj^2 left by the solved
+    levels bounds b's overlap with every unsolved level, skipped ones
+    included. A skipped level cannot take a certified label, so the labels
+    read through ``index_of`` are right and their energies within those
+    bounds.
     """
     dim, d = h.basis.dim, h.diagonal
     b = min(k + GUARD, dim)
@@ -649,10 +659,12 @@ def dispersive_shift(eff: EffectiveFluxonium, phi_eff: float,
                      ) -> DispersiveShiftResult:
     """Dispersive shift chi at one flux bias, in MHz.
 
-    Solves only the levels the four chi labels need. Results are flagged
-    invalid near avoided crossings.
+    Solves only the levels the four chi labels need, at ``phi_eff`` folded
+    by :func:`fold_flux` as :func:`flux_sweep` folds it, so the two agree
+    bit for bit. Results are flagged invalid near avoided crossings.
     """
-    spec = diagonalize_labeled(build_hamiltonian(eff, phi_eff, basis),
+    phi = float(fold_flux(phi_eff)[0][0])
+    spec = diagonalize_labeled(build_hamiltonian(eff, phi, basis),
                                CHI_LABELS)
     return _chi_from_levels(spec, min_confidence)
 
@@ -745,8 +757,10 @@ def convergence_report(eff: EffectiveFluxonium, phi_eff: float,
     Quote chi at the +-0.01 MHz level only after the chi deltas at the top
     of the ladder drop below that scale. f01 is read at any overlap, but a
     rung where no solved level keeps the (0, 0) or (0, 1) label raises
-    :class:`LabelError`.
+    :class:`LabelError`. Each rung solves ``phi_eff`` folded by
+    :func:`fold_flux`, as :func:`dispersive_shift` does.
     """
+    phi = float(fold_flux(phi_eff)[0][0])
     bases = [FockBasisSpec(int(m), int(n)) for m, n in basis_ladder]
     if any(b.dim <= a.dim for a, b in zip(bases, bases[1:])):
         raise ValueError("basis ladder dims must strictly ascend, got "
@@ -754,7 +768,7 @@ def convergence_report(eff: EffectiveFluxonium, phi_eff: float,
     rows = []
     prev_f01 = prev_chi = None
     for basis in bases:
-        spec = diagonalize_labeled(build_hamiltonian(eff, phi_eff, basis),
+        spec = diagonalize_labeled(build_hamiltonian(eff, phi, basis),
                                    CHI_LABELS)
         f01 = transition_frequency(spec, (0, 0), (0, 1), 0.0)
         shift = _chi_from_levels(spec, min_confidence)

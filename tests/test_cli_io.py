@@ -713,8 +713,11 @@ class TestCli:
          "grain_size_m"),
         (["phaseslip", "--ej-ghz", "inf"], "ej_grain_ghz"),
         (["sweep", "--start", "nan", "--out", "{dir}/s.csv"], "fluxes"),
+        (["chi", "--flux", "nan", "--out", "{dir}/c.json"], "fluxes"),
+        (["chi", "--flux", "inf", "--ladder", "25x15"], "fluxes"),
     ], ids=["junctions-inf-wire", "phaseslip-inf-wire",
-            "junctions-nan-grain", "phaseslip-inf-ej", "sweep-nan-start"])
+            "junctions-nan-grain", "phaseslip-inf-ej", "sweep-nan-start",
+            "chi-nan-flux", "ladder-inf-flux"])
     def test_non_finite_input_exit_2(self, tmp_path, capsys, argv, name):
         assert main([a.format(dir=tmp_path) for a in argv]) == 2
         err = capsys.readouterr().err
