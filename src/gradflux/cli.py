@@ -431,7 +431,7 @@ def main(argv=None) -> int:
                 config[section][key] = _cast(section, key, raw)
         _check_out(args)
         return args.func(args, config, build_meta(args.command, config))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FitError, LabelError, SolverError) as exc:

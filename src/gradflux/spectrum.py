@@ -22,12 +22,11 @@ Every dense symmetric solve, of the fluxonium as of the two-mode matrix,
 goes through :func:`_solve_lowest`: numpy's ``eigh`` for full solves,
 LAPACK's MRRR driver for the lowest k pairs of a larger matrix.
 :func:`solve_hermitian` uses it on the two-mode factors for full solves and
-up to a measured dimension crossover (192 for a few pairs, 768 for 80);
-above it a block Davidson solve finds the lowest levels, applying H as the
-structured product above, so no dim^2 array is formed. Its projected and
-Gram matrices, a few block widths wide, are solved in full by
-:func:`_solve_lowest` as well, so each iteration runs on numpy's BLAS
-alone.
+up to a measured dimension crossover, 192; above it a block Davidson solve
+finds the lowest levels, applying H as the structured product above, so no
+dim^2 array is formed. Its projected and Gram matrices, a few block widths
+wide, are solved in full by :func:`_solve_lowest` as well, so each
+iteration runs on numpy's BLAS alone.
 
 Eigenvalues are reported relative to the harmonic zero-point energy, so two
 uncoupled linear modes give exactly n*f_r + m*f_q.
@@ -110,12 +109,12 @@ CHI_LABELS = ((0, 0), (1, 0), (0, 1), (1, 1))
 #: come, certified or not.
 N_LOWEST = 80
 
-#: Largest dimension whose few-pair subset solve stays dense; above it the
-#: matrix-free block Davidson solve runs. Dense ``dsyevr`` costs about the
-#: same at any pair count k, the Davidson solve grows with its block. Break-
-#: even dims for k pairs (device circuit, phi = 0.5 and 0.26, 2 BLAS
-#: threads, median of 9 solves; dense, with its matrix assembly, / Davidson
-#: on either side; the k = 32 and 80 rows were timed at TOL = 1e-10):
+#: Largest dimension whose subset solve stays dense; above it the
+#: matrix-free block Davidson solve runs, and a full solve is dense at any
+#: dimension. Dense ``dsyevr`` costs about the same at any pair count k, the
+#: Davidson solve grows with its block. Break-even dims for k pairs (device
+#: circuit, phi = 0.5 and 0.26, 2 BLAS threads, median of 9 solves; dense,
+#: with its matrix assembly, / Davidson on either side):
 #:
 #:     k     break-even    below                    above
 #:     2     120-150       0.5 / 0.7 ms at 120      0.9 / 0.7 ms at 150
@@ -123,15 +122,13 @@ N_LOWEST = 80
 #:     6     150-180       1.2 / 1.3 ms at 150      1.6 / 1.6 ms at 180
 #:     8     150-180       1.2 / 1.6 ms at 150      1.6 / 1.5 ms at 180
 #:     16    180-195       2.6 / 3.7 ms at 180      2.4 / 2.2 ms at 195
-#:     32    300-375       10 / 16 ms at 300        15 / 14 ms at 375
-#:     80    600-900       45 / 71 ms at 600        92 / 67 ms at 900
 #:
-#: The bound stays above the few-pair break-even: it keeps the coupled
-#: fit's dim-160 solves dense, and no benchmark workload times that fit. A
-#: solve of up to 18 pairs stays dense up to DENSE_MAX_DIM, and above that
-#: the bound grows with the Davidson block k + GUARD, to four times
-#: DENSE_MAX_DIM at N_LOWEST pairs: 192 at k = 16, 318 at k = 32 and 768
-#: at k = 80.
+#: The bound stays above the few-pair break-even to keep the coupled fit's
+#: dim-160 solves dense, and with them that model's Hellmann-Feynman
+#: Jacobian exact to rounding. A Davidson eigenvector, and so the Jacobian,
+#: errs to first order in ||r|| / delta (residual norm over gap), its
+#: energy only to second: on Davidson at TOL the 20x8 coupled model's
+#: frequencies moved by under 1e-13 GHz but its Jacobian by up to 1.3e-9.
 DENSE_MAX_DIM = 192
 
 #: The Davidson solve: GUARD pairs beyond the wanted ones ride in its block
@@ -326,10 +323,9 @@ def solve_hermitian(h: HamiltonianMatrix, lowest: int):
     """Ascending eigenvalues and eigenvectors of the two-mode Hamiltonian.
 
     The lowest ``lowest`` pairs, by :func:`_solve_lowest` on ``h.matrix``
-    up to the dense bound (:data:`DENSE_MAX_DIM`, raised for many pairs),
-    else by :func:`_davidson` on ``h.matvec``. At k pairs the bound is at
-    least 9(k + GUARD), so a full solve is always dense. Both
-    repeat bit for bit on rerun; failures raise :class:`SolverError`.
+    for a full solve or up to :data:`DENSE_MAX_DIM`, else by
+    :func:`_davidson` on ``h.matvec``. Both repeat bit for bit on rerun;
+    failures raise :class:`SolverError`.
     """
     dim = h.basis.dim
     nonfinite = sum(int(np.count_nonzero(~np.isfinite(x)))
@@ -341,8 +337,7 @@ def solve_hermitian(h: HamiltonianMatrix, lowest: int):
     k = min(lowest, dim)
     if k < 1:
         raise ValueError(f"lowest must be >= 1, got {lowest}")
-    grow = max(1.0, 4 * (k + GUARD) / (N_LOWEST + GUARD))
-    if dim <= DENSE_MAX_DIM * grow:
+    if k == dim or dim <= DENSE_MAX_DIM:
         return _solve_lowest(h.matrix, k)
     try:
         return _davidson(h, k)

@@ -980,6 +980,27 @@ class TestCli:
         assert main(["chi", "--ladder", ladder]) == 2
         assert where in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, argv", [
+        ("cmd_sweep", ["sweep", "--points", "1000000000000"]),
+        ("cmd_simulate_trace", ["simulate-trace", "--duration", "1e12",
+                                "--dt", "1", "--rate-eo", "1e-9",
+                                "--rate-oe", "1e-9"])])
+    def test_memory_error_exit_2(self, command, argv, tmp_path, monkeypatch,
+                                 capsys):
+        # the allocation is faked: a real one that large could succeed on an
+        # overcommitting kernel and only fail once touched
+        message = ("Unable to allocate 7.28 TiB for an array with shape "
+                   "(1000000000000,) and data type float64")
+
+        def too_large(args, config, meta):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, command, too_large)
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_label_error_exit_1(self, tmp_path, monkeypatch, capsys):
         def unresolved(args, config, meta):
             raise LabelError("label (1, 1) not retained in spectrum")

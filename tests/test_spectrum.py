@@ -51,6 +51,19 @@ def solve_sizes(monkeypatch):
     return sizes
 
 
+def davidson_calls(monkeypatch):
+    """The pair counts of every Davidson solve from here on, in order."""
+    calls = []
+    davidson = spectrum._davidson
+
+    def spy(h, k):
+        calls.append(k)
+        return davidson(h, k)
+
+    monkeypatch.setattr(spectrum, "_davidson", spy)
+    return calls
+
+
 def second_order_chi(h):
     """chi [MHz] of ``h`` from second-order perturbation theory in its
     coupling (Zhu, Ferguson, Manucharyan & Koch, Phys. Rev. B 87, 024510
@@ -648,8 +661,7 @@ class TestLanczosSolve:
         assert h.basis.dim > DENSE_MAX_DIM
         for solve in (lambda: diagonalize_labeled(h, CHI_LABELS),
                       lambda: spectrum._labeled(h, N_LOWEST)):
-            # 0, not DENSE_MAX_DIM: the bound grows with the pair count, to
-            # 768 at N_LOWEST, which would leave the 24x20 solve dense
+            # the bound set to 0 and then to dim forces each method in turn
             monkeypatch.setattr(spectrum, "DENSE_MAX_DIM", 0)
             davidson = solve()
             monkeypatch.setattr(spectrum, "DENSE_MAX_DIM", h.basis.dim)
@@ -681,21 +693,25 @@ class TestLanczosSolve:
 
     @pytest.mark.parametrize("m, n, calls", [(12, 16, 0), (13, 15, 1)])
     def test_routing_at_crossover(self, m, n, calls, monkeypatch):
-        # dim 192 is the last dense one for a few pairs, dim 195 on Davidson;
-        # a full solve is dense on either side
-        seen = []
-        davidson = spectrum._davidson
-
-        def spy(h, k):
-            seen.append(h.shape)
-            return davidson(h, k)
-
-        monkeypatch.setattr(spectrum, "_davidson", spy)
+        # dim 192 is the last dense one, dim 195 on Davidson; a full solve
+        # is dense on either side
+        seen = davidson_calls(monkeypatch)
         h = build_hamiltonian(EFF, 0.5, FockBasisSpec(m, n))
         diagonalize_labeled(h, CHI_LABELS)
         assert len(seen) == calls
         assert spectrum._labeled(h, h.basis.dim).energies.size == h.basis.dim
         assert len(seen) == calls
+
+    def test_many_pairs_share_the_bound(self, monkeypatch):
+        # one bound at any pair count: N_LOWEST pairs at dim 375 run on
+        # Davidson, and a full solve there stays dense
+        seen = davidson_calls(monkeypatch)
+        h = build_hamiltonian(EFF, 0.5, FockBasisSpec(25, 15))
+        spectrum._labeled(h, N_LOWEST)
+        assert seen == [N_LOWEST]
+        w, _ = spectrum.solve_hermitian(h, h.basis.dim)
+        assert w.size == h.basis.dim
+        assert seen == [N_LOWEST]
 
     def test_coupled_fit_basis_stays_dense(self, monkeypatch):
         # the coupled forward model's 20x8 basis (dim 160) over a flux sweep,
