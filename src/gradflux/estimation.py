@@ -16,10 +16,11 @@ shift (bracketed root search), exponential/Ramsey/echo decay-curve fits,
 and the parabolic kinetic-inductance frequency shift.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, curve_fit, least_squares
+from scipy.optimize import OptimizeWarning, brentq, curve_fit, least_squares
 
 from .circuit import DEVICE_GEOMETRY, balanced_branch_circuit, reduce_circuit
 from .spectrum import (DEFAULT_BASIS, FockBasisSpec, LabelError,
@@ -556,7 +557,8 @@ def fit_decay(curve: DecayCurve) -> DecayFit:
 
     Time is normalized internally to the curve span, so rescaling t rescales
     the fitted time constant exactly. Negative fitted time constants and
-    unresolvable (constant) curves raise :class:`FitError`.
+    unresolvable curves (constant, or a fit whose covariance is not finite)
+    raise :class:`FitError`.
     """
     t, y = curve.t, curve.value
     if np.ptp(y) == 0.0:
@@ -585,10 +587,16 @@ def fit_decay(curve: DecayCurve) -> DecayFit:
         p0 = [np.ptp(y) / 2.0, 1.0 / 3.0, f0, 0.0, y.mean()]
         names = ("amplitude", "tau", "detuning", "phase", "offset")
 
-    try:
-        popt, pcov = curve_fit(f, ts, y, p0=p0, maxfev=20000)
-    except RuntimeError as exc:
-        raise FitError(f"decay fit did not converge: {exc}") from exc
+    with warnings.catch_warnings():
+        # an unestimated covariance is raised below as a FitError
+        warnings.simplefilter("ignore", OptimizeWarning)
+        try:
+            popt, pcov = curve_fit(f, ts, y, p0=p0, maxfev=20000)
+        except RuntimeError as exc:
+            raise FitError(f"decay fit did not converge: {exc}") from exc
+    if not np.all(np.isfinite(pcov)):
+        raise FitError("no decay resolvable: the fit's covariance is not "
+                       "finite")
     perr = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
 
     params = dict(zip(names, (float(v) for v in popt)))

@@ -771,6 +771,21 @@ class TestCli:
         payload = gfio.read_json(out)
         assert payload["tau_us"] == pytest.approx(10.0, rel=1e-3)
 
+    def test_unresolved_decay_fit_exit_1(self, tmp_path, capsys):
+        # a flat echo, 1 +- 1e-9 alternating, whose fit resolves no decay
+        data = tmp_path / "flat.csv"
+        gfio.write_decay_csv(data, DecayCurve(
+            t=np.linspace(0.0, 10.0, 6),
+            value=1.0 + 1e-9 * (-1.0) ** np.arange(6), kind="echo"))
+        out = tmp_path / "flat.json"
+        code = main(["decay-fit", "--data", str(data), "--kind", "echo",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "numerical error: no decay resolvable: the fit's covariance is "
+            "not finite\n")
+        assert not out.exists()
+
     def test_parabola_fit_command(self, tmp_path):
         b = np.linspace(-5.0, 5.0, 11)
         y = 7.445 - 3e-4 * (b - 0.2) ** 2

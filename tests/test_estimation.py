@@ -778,6 +778,15 @@ class TestFitDecay:
         with pytest.raises(FitError, match="constant"):
             fit_decay(curve)
 
+    def test_unresolved_decay_rejected(self):
+        # a flat echo, 1 +- 1e-9 alternating: the fit cannot estimate its
+        # covariance and would report its start guess with an infinite error
+        curve = DecayCurve(t=np.linspace(0.0, 10.0, 6),
+                           value=1.0 + 1e-9 * (-1.0) ** np.arange(6),
+                           kind="echo")
+        with pytest.raises(FitError, match="covariance is not finite"):
+            fit_decay(curve)
+
     def test_growing_curve_rejected(self):
         # exponential growth forces a negative fitted time constant
         t = np.linspace(0.0, 10.0, 30)

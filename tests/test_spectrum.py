@@ -38,30 +38,18 @@ def start_size(h, labels):
     return 1 + max(order.index(mq * h.basis.n_res + nr) for nr, mq in labels)
 
 
-def solve_sizes(monkeypatch):
-    """The pair counts of every labeled solve from here on, in order."""
-    sizes = []
-    labeled = spectrum._labeled
-
-    def spy(h, lowest):
-        sizes.append(lowest)
-        return labeled(h, lowest)
-
-    monkeypatch.setattr(spectrum, "_labeled", spy)
-    return sizes
-
-
-def davidson_calls(monkeypatch):
-    """The pair counts of every Davidson solve from here on, in order."""
-    calls = []
-    davidson = spectrum._davidson
+def pair_counts(monkeypatch, name):
+    """Pair counts k of every later ``spectrum.<name>(h, k)`` call, in
+    order: labeled solves for "_labeled", Davidson ones for "_davidson"."""
+    counts = []
+    solve = getattr(spectrum, name)
 
     def spy(h, k):
-        calls.append(k)
-        return davidson(h, k)
+        counts.append(k)
+        return solve(h, k)
 
-    monkeypatch.setattr(spectrum, "_davidson", spy)
-    return calls
+    monkeypatch.setattr(spectrum, name, spy)
+    return counts
 
 
 def second_order_chi(h):
@@ -647,30 +635,56 @@ def no_convergence(*args, **kwargs):
 # the criterion-1 rungs on the Davidson solve, and a rung just above the
 # crossover
 ABOVE_CROSSOVER = [(50, 40), (70, 50), (24, 20)]
+# the device sweep and the chi ladder, as build_hamiltonian's arguments
+SWEEP = [(EFF, phi, BASIS) for phi in np.linspace(0.0, 1.0, 101)]
+LADDER = [(EFF, 0.5, FockBasisSpec(m, n))
+          for m, n in ((25, 15), (40, 25), (50, 40), (70, 50))]
+DEGENERATE = EffectiveFluxonium(lq=100.0, lr=25.0, lrq=math.inf, cj=4.0,
+                                cr=4.0, ej=0.0, alpha=0.0)
 
 
-class TestLanczosSolve:
-    """Matrix-free block Davidson above DENSE_MAX_DIM against the dense
-    solve."""
+def random_circuits():
+    """(eff, phi) of four random circuits; the first at half the inductive
+    coupling at which H loses its lower bound, about 20 times the device's."""
+    rng = np.random.default_rng(11)
+    for strong in (True, False, False, False):
+        lq, lr, lrq = rng.uniform(10, 500, 3)
+        cj, cr = rng.uniform(1, 30, 2)
+        yield (EffectiveFluxonium(lq=lq, lr=lr,
+                                  lrq=math.sqrt(lq * lr) if strong else lrq,
+                                  cj=cj, cr=cr, ej=rng.uniform(0, 12),
+                                  alpha=0.0),
+               rng.uniform(0, 1))
 
-    @pytest.mark.parametrize("phi", [0.0, 0.26, 0.5])
-    @pytest.mark.parametrize("m, n", ABOVE_CROSSOVER)
-    def test_parity_with_dense(self, m, n, phi, monkeypatch):
-        # the labeled solve, and the largest solve a labeled one reaches
-        h = build_hamiltonian(EFF, phi, FockBasisSpec(m, n))
-        assert h.basis.dim > DENSE_MAX_DIM
-        for solve in (lambda: diagonalize_labeled(h, CHI_LABELS),
-                      lambda: spectrum._labeled(h, N_LOWEST)):
-            # the bound set to 0 and then to dim forces each method in turn
-            monkeypatch.setattr(spectrum, "DENSE_MAX_DIM", 0)
-            davidson = solve()
-            monkeypatch.setattr(spectrum, "DENSE_MAX_DIM", h.basis.dim)
-            dense = solve()
-            assert davidson.energies.size == dense.energies.size
-            assert np.max(np.abs(davidson.energies - dense.energies)) < 1e-11
-            assert davidson.index_of == dense.index_of
-            assert np.max(np.abs(davidson.confidence
-                                 - dense.confidence)) < 1e-9
+
+@pytest.fixture(scope="session")
+def dense():
+    """{(eff, phi, basis): (h, energies, vectors)}: the N_LOWEST lowest
+    pairs, solved densely, of every matrix the tests check Davidson against.
+    All are solved once, before any Davidson solve: numpy's and scipy's BLAS
+    pools taking turns at every matrix cost 3x at 2 threads."""
+    cases = (SWEEP + LADDER
+             + [(EFF, phi, FockBasisSpec(m, n)) for m, n in ABOVE_CROSSOVER
+                for phi in (0.0, 0.26, 0.5)]
+             + [(eff, phi, BASIS) for eff, phi in random_circuits()]
+             + [(uncoupled(ej=5.1), 0.3, BASIS), (DEGENERATE, 0.3, BASIS)])
+    hs = {case: build_hamiltonian(*case) for case in cases}
+    assert min(h.basis.dim for h in hs.values()) > DENSE_MAX_DIM
+    return {case: (h, *spectrum._solve_lowest(h.matrix, N_LOWEST))
+            for case, h in hs.items()}
+
+
+def dense_labeled(ref, k):
+    """``_labeled`` at k, from the first k pairs of a :func:`dense` one."""
+    h, w, v = ref
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "solve_hermitian",
+                   lambda h, lowest: (w[:lowest], v[:, :lowest]))
+        return spectrum._labeled(h, k)
+
+
+class TestDavidsonSolve:
+    """Matrix-free block Davidson above DENSE_MAX_DIM."""
 
     def test_rerun_bit_identical(self):
         ladder = [ABOVE_CROSSOVER[-1]]
@@ -695,7 +709,7 @@ class TestLanczosSolve:
     def test_routing_at_crossover(self, m, n, calls, monkeypatch):
         # dim 192 is the last dense one, dim 195 on Davidson; a full solve
         # is dense on either side
-        seen = davidson_calls(monkeypatch)
+        seen = pair_counts(monkeypatch, "_davidson")
         h = build_hamiltonian(EFF, 0.5, FockBasisSpec(m, n))
         diagonalize_labeled(h, CHI_LABELS)
         assert len(seen) == calls
@@ -705,7 +719,7 @@ class TestLanczosSolve:
     def test_many_pairs_share_the_bound(self, monkeypatch):
         # one bound at any pair count: N_LOWEST pairs at dim 375 run on
         # Davidson, and a full solve there stays dense
-        seen = davidson_calls(monkeypatch)
+        seen = pair_counts(monkeypatch, "_davidson")
         h = build_hamiltonian(EFF, 0.5, FockBasisSpec(25, 15))
         spectrum._labeled(h, N_LOWEST)
         assert seen == [N_LOWEST]
@@ -720,7 +734,7 @@ class TestLanczosSolve:
             raise AssertionError(f"Davidson solve at dim {h.basis.dim}")
 
         monkeypatch.setattr(spectrum, "_davidson", never)
-        sizes = solve_sizes(monkeypatch)
+        sizes = pair_counts(monkeypatch, "_labeled")
         phis = np.linspace(0.0, 1.0, 21)
         estimation._model_freqs_coupled(
             172.0, 3.4, 5.1, phis, ("f01", "f02") * 10 + ("f01",),
@@ -730,70 +744,63 @@ class TestLanczosSolve:
 
 
 class TestDavidsonAgainstDense:
-    """The Davidson solve against the dense one on the same matrix, forced
-    by DENSE_MAX_DIM, at the first and at the largest labeled solve size."""
+    """Davidson against :func:`dense`, at the start size and at N_LOWEST."""
 
     @staticmethod
-    def both(h, k, monkeypatch):
-        with monkeypatch.context() as mp:
-            mp.setattr(spectrum, "DENSE_MAX_DIM", 0)
-            davidson = spectrum._labeled(h, k)
-            mp.setattr(spectrum, "DENSE_MAX_DIM", h.basis.dim)
-            dense = spectrum._labeled(h, k)
-        return davidson, dense
-
-    def assert_same(self, h, monkeypatch):
-        for k in (start_size(h, CHI_LABELS), N_LOWEST):
-            davidson, dense = self.both(h, k, monkeypatch)
+    def assert_same(ref):
+        for k in (start_size(ref[0], CHI_LABELS), N_LOWEST):
+            davidson = spectrum._labeled(ref[0], k)
+            dense = dense_labeled(ref, k)
             assert np.max(np.abs(davidson.energies - dense.energies)) < 1e-11
             assert davidson.index_of == dense.index_of
             assert np.max(np.abs(davidson.confidence
                                  - dense.confidence)) < 1e-9
 
-    def test_device_sweep(self, monkeypatch):
-        for phi in np.linspace(0.0, 1.0, 101):
-            self.assert_same(build_hamiltonian(EFF, phi, BASIS), monkeypatch)
+    def test_reference_slices_are_direct_solves(self, dense):
+        # the harness's premise: a reference's first k pairs are a k-pair one
+        for phi in (0.0, 0.26, 0.5):
+            h, w, v = dense[EFF, phi, FockBasisSpec(24, 20)]
+            for k in (start_size(h, CHI_LABELS), N_LOWEST):
+                w_k, v_k = spectrum._solve_lowest(h.matrix, k)
+                assert np.max(np.abs(w[:k] - w_k)) < 1e-12
+                assert np.max(np.abs(v[:, :k] ** 2 - v_k ** 2)) < 1e-12
 
-    def test_random_circuits(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        for strong in (True, False, False, False):
-            lq, lr, lrq = rng.uniform(10, 500, 3)
-            cj, cr = rng.uniform(1, 30, 2)
-            # strong: half the inductive coupling at which H loses its
-            # lower bound, about 20 times the device's
-            eff = EffectiveFluxonium(lq=lq, lr=lr,
-                                     lrq=math.sqrt(lq * lr) if strong else lrq,
-                                     cj=cj, cr=cr, ej=rng.uniform(0, 12),
-                                     alpha=0.0)
-            self.assert_same(build_hamiltonian(eff, rng.uniform(0, 1), BASIS),
-                             monkeypatch)
+    @pytest.mark.parametrize("phi", [0.0, 0.26, 0.5])
+    @pytest.mark.parametrize("m, n", ABOVE_CROSSOVER)
+    def test_above_crossover(self, m, n, phi, dense):
+        self.assert_same(dense[EFF, phi, FockBasisSpec(m, n)])
 
-    def test_uncoupled_converges_at_the_start(self, monkeypatch):
+    def test_device_sweep(self, dense):
+        for case in SWEEP:
+            self.assert_same(dense[case])
+
+    def test_random_circuits(self, dense):
+        for eff, phi in random_circuits():
+            self.assert_same(dense[eff, phi, BASIS])
+
+    def test_uncoupled_converges_at_the_start(self, dense, monkeypatch):
         # the start block's unit vectors are eigenvectors: zero residuals
-        h = build_hamiltonian(uncoupled(ej=5.1), 0.3, BASIS)
-        self.assert_same(h, monkeypatch)
+        h, _, _ = ref = dense[uncoupled(ej=5.1), 0.3, BASIS]
+        self.assert_same(ref)
         monkeypatch.setattr(spectrum, "MAX_ITER", 1)
         for k in (start_size(h, CHI_LABELS), N_LOWEST):
-            davidson, _ = self.both(h, k, monkeypatch)
+            davidson = spectrum._labeled(h, k)
             assert np.array_equal(davidson.energies, np.sort(h.diagonal)[:k])
             assert np.all(davidson.confidence == 1.0)
 
-    def test_exact_degeneracies_at_the_block_edge(self, monkeypatch):
+    def test_exact_degeneracies_at_the_block_edge(self, dense):
         # f_r = 2 f_q exactly: level m_q + 2 n_r is (m_q + 2 n_r) f_q, and
         # the chi labels' 5 levels, their 7-vector start block and the 80th
         # level each split a degenerate group. Within such a group either
         # solver may order and pick the levels differently, so compare each
         # kept label's energy.
-        eff = EffectiveFluxonium(lq=100.0, lr=25.0, lrq=math.inf, cj=4.0,
-                                 cr=4.0, ej=0.0, alpha=0.0)
-        f_q = mode_frequency(eff.lq, eff.cj)
-        assert mode_frequency(eff.lr, eff.cr) == 2.0 * f_q
-        h = build_hamiltonian(eff, 0.3, BASIS)
+        f_q = mode_frequency(DEGENERATE.lq, DEGENERATE.cj)
+        assert mode_frequency(DEGENERATE.lr, DEGENERATE.cr) == 2.0 * f_q
+        h, _, _ = ref = dense[DEGENERATE, 0.3, BASIS]
         assert start_size(h, CHI_LABELS) == 5
         for k in (start_size(h, CHI_LABELS), N_LOWEST):
-            for spec in self.both(h, k, monkeypatch):
-                assert np.array_equal(spec.energies,
-                                      np.sort(h.diagonal)[:k])
+            for spec in (spectrum._labeled(h, k), dense_labeled(ref, k)):
+                assert np.array_equal(spec.energies, np.sort(h.diagonal)[:k])
                 assert np.all(spec.confidence == 1.0)
                 for (nr, mq), j in spec.index_of.items():
                     assert spec.energies[j] == h.diagonal[mq * BASIS.n_res
@@ -801,65 +808,57 @@ class TestDavidsonAgainstDense:
 
 
 class TestCertifiedSolve:
-    """Labeled lowest-k solves against the N_LOWEST solve they replace."""
+    """Labeled lowest-k solves against the dense N_LOWEST reference."""
 
     @staticmethod
     def chi_valid(spec):
-        levels = [spec.index_of.get(label) for label in CHI_LABELS]
-        return None not in levels and min(
-            spec.confidence[j] for j in levels) >= MIN_CONFIDENCE
+        return spectrum._chi_from_levels(spec, MIN_CONFIDENCE).valid
 
-    def assert_matches_full(self, h, labels, sizes):
-        """One solve at the start size, with the labels, energies and chi
-        validity of the N_LOWEST solve; returns that validity. ``sizes``
-        is a :func:`solve_sizes` list."""
-        full = spectrum._labeled(h, N_LOWEST)
+    def assert_matches_full(self, ref, labels, sizes, doublings=0):
+        """Solves at the start size and ``doublings`` times at twice the
+        last, with the labels, energies and chi validity of the reference;
+        returns the last. ``sizes`` is a :func:`pair_counts` list."""
+        full = dense_labeled(ref, N_LOWEST)
         sizes.clear()
-        certified = diagonalize_labeled(h, labels)
-        assert sizes == [start_size(h, labels)]
+        certified = diagonalize_labeled(ref[0], labels)
+        start = start_size(ref[0], labels)
+        assert sizes == [start * 2 ** i for i in range(doublings + 1)]
         for label in labels:
             j = certified.index_of[label]
             assert j == full.index_of[label]
             assert abs(certified.energies[j] - full.energies[j]) < 1e-12
         assert self.chi_valid(certified) == self.chi_valid(full)
-        return self.chi_valid(certified)
+        return certified
 
-    def test_sweep_grid_matches_full_solve(self, monkeypatch):
+    def test_sweep_grid_matches_full_solve(self, dense, monkeypatch):
         # 101 points, through the avoided crossing near 0.26
         labels = set(CHI_LABELS) | {(0, 2), (2, 0)}
-        sizes = solve_sizes(monkeypatch)
-        invalid = 0
-        for phi in np.linspace(0.0, 1.0, 101):
-            h = build_hamiltonian(EFF, phi, BASIS)
-            invalid += not self.assert_matches_full(h, labels, sizes)
+        sizes = pair_counts(monkeypatch, "_labeled")
+        invalid = sum(not self.chi_valid(self.assert_matches_full(
+            dense[case], labels, sizes)) for case in SWEEP)
         assert invalid > 0                # the exclusion zones are covered
 
-    def test_start_certifies_device_sweep_and_ladder(self, monkeypatch):
+    def test_start_certifies_device_sweep_and_ladder(self, dense,
+                                                     monkeypatch):
         # the chi labels, which a sweep of f01 and fr also reads, at the
         # 101 sweep points and on the four chi-ladder rungs at half flux
-        sizes = solve_sizes(monkeypatch)
-        for phi in np.linspace(0.0, 1.0, 101):
-            self.assert_matches_full(build_hamiltonian(EFF, phi, BASIS),
-                                     CHI_LABELS, sizes)
-        for m, n in ((25, 15), (40, 25), (50, 40), (70, 50)):
-            h = build_hamiltonian(EFF, 0.5, FockBasisSpec(m, n))
-            assert self.assert_matches_full(h, CHI_LABELS, sizes)
+        sizes = pair_counts(monkeypatch, "_labeled")
+        for case in SWEEP:
+            self.assert_matches_full(dense[case], CHI_LABELS, sizes)
+        for case in LADDER:
+            assert self.chi_valid(self.assert_matches_full(
+                dense[case], CHI_LABELS, sizes))
 
-    def test_doubling_reaches_full_solve_result(self, monkeypatch):
+    def test_doubling_reaches_full_solve_result(self, dense, monkeypatch):
         # at 0.26 the nine labels up to n_r, m_q = 2 fail the certificate at
         # their start size and hold at twice it
-        h = build_hamiltonian(EFF, 0.26, BASIS)
+        ref = dense[EFF, 0.26, BASIS]
         labels = [(nr, mq) for nr in range(3) for mq in range(3)]
-        full = spectrum._labeled(h, N_LOWEST)
-        sizes = solve_sizes(monkeypatch)
-        certified = diagonalize_labeled(h, labels)
-        start = start_size(h, labels)
-        assert sizes == [start, 2 * start]
-        assert certified.energies.size == 2 * start
+        certified = self.assert_matches_full(
+            ref, labels, pair_counts(monkeypatch, "_labeled"), doublings=1)
+        full = dense_labeled(ref, N_LOWEST)
         for label in labels:
             j = certified.index_of[label]
-            assert j == full.index_of[label]
-            assert abs(certified.energies[j] - full.energies[j]) < 1e-12
             assert abs(certified.confidence[j] - full.confidence[j]) < 1e-12
 
     def test_label_beyond_lowest_levels_raises(self):
@@ -878,7 +877,7 @@ class TestCertifiedSolve:
         mq, nr = divmod(int(np.argsort(h.diagonal, kind="stable")[rank]),
                         BASIS.n_res)
         assert start_size(h, [(0, 0), (nr, mq)]) == rank + 1
-        sizes = solve_sizes(monkeypatch)
+        sizes = pair_counts(monkeypatch, "_labeled")
         diagonalize_labeled(h, [(0, 0), (nr, mq)])
         assert sizes == [N_LOWEST]
 
@@ -894,7 +893,7 @@ class TestCertifiedSolve:
             return estimation._model_freqs_coupled(*p, phis, trans,
                                                    resonator, basis)
 
-        sizes = solve_sizes(monkeypatch)
+        sizes = pair_counts(monkeypatch, "_labeled")
         freqs, jac = forward()
         # one solve per distinct flux, for its f01 and f02 rows together
         assert len(sizes) == 3 and max(sizes) < 60
