@@ -122,17 +122,25 @@ def single_loop_transitions(lq, cj, ej, phis, m=BASIS_M, n_levels=3):
 
     Only the distinct spectra are solved, folded as in
     :func:`~gradflux.spectrum.folded_spectra`; the flux derivative of a
-    reflected point changes sign. A non-finite flux raises ``ValueError``
-    from the fold; non-finite parameters raise
-    :class:`~gradflux.spectrum.SolverError`, which counts the non-finite
-    entries of the folded stack solved (20 x 30 x 30 on the fit grid);
-    ``n_levels`` outside [1, m] raises ``ValueError``.
+    reflected point changes sign. A non-finite flux or ``n_levels`` outside
+    [1, m] raises ``ValueError``. The folded stack (20 x 30 x 30 on the fit
+    grid) is checked here, once: non-finite entries and a failing solve
+    raise :class:`~gradflux.spectrum.SolverError` ending in
+    ``[dim=m, non-finite entries in stack=N]``.
     """
     if not 1 <= n_levels <= m:
         raise ValueError(f"n_levels must be in [1, m={m}], got {n_levels}")
     reps, inverse, sign = fold_flux(phis)
-    levels, u = _solve_lowest(qubit_hamiltonians(lq, cj, ej, reps, m),
-                              n_levels)
+    h = qubit_hamiltonians(lq, cj, ej, reps, m)
+    nonfinite = int(np.count_nonzero(~np.isfinite(h)))
+    try:
+        if nonfinite:
+            raise SolverError("eigensolver failed: stack must not contain "
+                              "infs or NaNs")
+        levels, u = _solve_lowest(h, n_levels)
+    except SolverError as exc:
+        raise SolverError(f"{exc} [dim={m}, non-finite entries in "
+                          f"stack={nonfinite}]") from exc
     d_levels = qubit_gradient(lq, cj, ej, reps, u)[inverse]
     d_levels[..., 3] *= sign[:, None]
     return levels[inverse], d_levels
@@ -519,7 +527,8 @@ class DecayCurve:
     """Sampled time-domain curve (population inversion versus time).
 
     ``kind`` selects the fit model: "exponential" (energy relaxation),
-    "ramsey" (decaying cosine) or "echo" (exponential).
+    "ramsey" (decaying cosine) or "echo" (exponential). Both columns must
+    be finite.
     """
 
     t: np.ndarray
@@ -536,6 +545,9 @@ class DecayCurve:
             raise ValueError(f"{self.kind} curve needs >= 5 samples")
         if self.t.size != self.value.size:
             raise ValueError("t and value must have equal length")
+        for name in ("t", "value"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"curve column {name} must be finite")
         if not np.all(np.diff(self.t) > 0):
             raise ValueError("t must be strictly increasing")
 
@@ -626,14 +638,17 @@ class ParabolaFit:
 def fit_parabola(b, f) -> ParabolaFit:
     """Least-squares concave parabola f(B) = f_max - c (B - B_offset)^2.
 
-    ``b`` holds the fields and ``f`` the frequencies, of equal length. The
-    curvature c is required to be non-negative (the kinetic-inductance
-    shift always bends the resonance down); convex or collinear-degenerate
-    data raise :class:`FitError`.
+    ``b`` holds the fields and ``f`` the frequencies, of equal length and
+    finite, else ``ValueError``. The curvature c is required to be
+    non-negative (the kinetic-inductance shift always bends the resonance
+    down); convex or collinear-degenerate data raise :class:`FitError`.
     """
     b, fvals = np.asarray(b, dtype=float), np.asarray(f, dtype=float)
     if b.shape != fvals.shape:
         raise ValueError("b and f must have equal length")
+    for name, x in (("b", b), ("f", fvals)):
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{name} must be finite")
     if np.unique(b).size < 3:
         raise FitError("degenerate data: need >= 3 distinct abscissae")
     a2, a1, a0 = np.polyfit(b, fvals, 2)

@@ -49,6 +49,16 @@ def _require_positive(name, value):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
+def _span(span):
+    """(start, end) of an observation window [s], both finite, end > start."""
+    t0, t1 = float(span[0]), float(span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"span must be finite, got {(t0, t1)!r}")
+    if t1 <= t0:
+        raise ValueError("span end must exceed span start")
+    return t0, t1
+
+
 @dataclass(frozen=True)
 class JunctionArrayModel:
     """Effective junction array describing the superinductor wire.
@@ -360,11 +370,10 @@ def estimate_lifetime(events, span) -> DwellStats:
     ``span`` is the (start, end) observation window in seconds. The rate
     estimate is n_events / span, bounded at the :data:`CONFIDENCE` level; a
     zero-event trace gives rate 0 with a -ln(1-CONFIDENCE)/span upper bound
-    (about 3/T at 95%).
+    (about 3/T at 95%). Non-finite event times or span ends raise
+    ``ValueError``.
     """
-    t0, t1 = (float(span[0]), float(span[1]))
-    if t1 <= t0:
-        raise ValueError("span end must exceed span start")
+    t0, t1 = _span(span)
     times = _event_times(events)
     if times.size and (times[0] < t0 or times[-1] > t1):
         raise ValueError("events must lie within the span")
@@ -411,9 +420,12 @@ class CoincidenceResult:
 
 
 def _event_times(events):
-    return np.sort(np.asarray(
+    times = np.sort(np.asarray(
         [e.time_s if isinstance(e, JumpEvent) else float(e) for e in events],
         dtype=float))
+    if not np.all(np.isfinite(times)):
+        raise ValueError("event times must be finite")
+    return times
 
 
 def coincidence_analysis(event_lists, window_s: float,
@@ -427,15 +439,14 @@ def coincidence_analysis(event_lists, window_s: float,
     expectation under independent Poisson processes is
     2 * rate_a * rate_b * window * T, and the excess ratio their quotient
     (None when the expectation vanishes). Ratios near one indicate
-    uncorrelated tunneling events.
+    uncorrelated tunneling events. Non-finite event times or span ends
+    raise ``ValueError``.
     """
     if len(event_lists) < 2:
         raise ValueError("need at least two event lists")
     _require_positive("window_s", window_s)
-    t0, t1 = float(span[0]), float(span[1])
+    t0, t1 = _span(span)
     total = t1 - t0
-    if total <= 0:
-        raise ValueError("span end must exceed span start")
 
     times = []
     for ev in event_lists:

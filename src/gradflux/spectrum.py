@@ -73,7 +73,7 @@ from .units import EL_GHZ_NH, mode_frequency, phase_zpf
 
 class SolverError(RuntimeError):
     """Eigensolver failure (dense or Davidson), naming the dimension and the
-    non-finite entries counted in the Hamiltonian's factors."""
+    non-finite entries counted in the factors or stack given to solve."""
 
 
 class LabelError(RuntimeError):
@@ -324,27 +324,29 @@ def solve_hermitian(h: HamiltonianMatrix, lowest: int):
 
     The lowest ``lowest`` pairs, by :func:`_solve_lowest` on ``h.matrix``
     for a full solve or up to :data:`DENSE_MAX_DIM`, else by
-    :func:`_davidson` on ``h.matvec``. Both repeat bit for bit on rerun;
-    failures raise :class:`SolverError`.
+    :func:`_davidson` on ``h.matvec``; both repeat bit for bit on rerun.
+    Checked here once, non-finite factors or energies and failing solves
+    raise :class:`SolverError` ending in ``[dim=D, non-finite entries in
+    factors=N]``.
     """
     dim = h.basis.dim
-    nonfinite = sum(int(np.count_nonzero(~np.isfinite(x)))
-                    for x in (h.diagonal, h.coupling))
-    if nonfinite:
-        raise SolverError("eigensolver failed: factors must not contain infs "
-                          f"or NaNs [dim={dim}, non-finite entries in "
-                          f"factors={nonfinite}]")
     k = min(lowest, dim)
     if k < 1:
         raise ValueError(f"lowest must be >= 1, got {lowest}")
-    if k == dim or dim <= DENSE_MAX_DIM:
-        return _solve_lowest(h.matrix, k)
+    nonfinite = sum(int(np.count_nonzero(~np.isfinite(x)))
+                    for x in (h.diagonal, h.coupling))
     try:
-        return _davidson(h, k)
+        if nonfinite:
+            raise SolverError("eigensolver failed: factors must not contain "
+                              "infs or NaNs")
+        w, v = (_solve_lowest(h.matrix, k) if k == dim or dim <= DENSE_MAX_DIM
+                else _davidson(h, k))
+        if not np.all(np.isfinite(w)):
+            raise SolverError("eigensolver failed: non-finite energies")
     except SolverError as exc:
-        # the Hamiltonian's size replaces the one an inner dense solve names
-        raise SolverError(f"{str(exc).split(' [dim=')[0]} [dim={dim}, "
-                          "non-finite entries in factors=0]") from exc
+        raise SolverError(f"{exc} [dim={dim}, non-finite entries in "
+                          f"factors={nonfinite}]") from exc
+    return w, v
 
 
 def _davidson(h: HamiltonianMatrix, k: int):
@@ -436,22 +438,16 @@ def _solve_lowest(h: np.ndarray, k: int):
     387, 1 (2004)), faster there. numpy and scipy each bundle their own
     BLAS thread pool, and the Davidson iteration, whose inner solves are
     all full, stays in numpy's. Returns the ascending eigenvalues
-    (..., k) and their eigenvectors (..., m, k). Non-finite entries and
-    solver failures raise :class:`SolverError`, as in
-    :func:`solve_hermitian`.
+    (..., k) and their eigenvectors (..., m, k). It trusts its callers'
+    entries to be finite, as :func:`solve_hermitian` checks them; a LAPACK
+    failure raises :class:`SolverError`, which callers tag with the size.
     """
     m = h.shape[-1]
-    nonfinite = int(np.count_nonzero(~np.isfinite(h)))
-    if nonfinite:
-        raise SolverError("eigensolver failed: stack must not contain infs "
-                          f"or NaNs [dim={m}, non-finite entries in "
-                          f"stack={nonfinite}]")
     if k == m:
         try:
             return np.linalg.eigh(h)
         except np.linalg.LinAlgError as exc:
-            raise SolverError(f"eigensolver failed: {exc} [dim={m}, "
-                              "non-finite entries in stack=0]") from exc
+            raise SolverError(f"eigensolver failed: {exc}") from exc
     values = np.empty(h.shape[:-2] + (k,))
     vectors = np.empty(h.shape[:-1] + (k,))
     for i in np.ndindex(h.shape[:-2]):
@@ -459,8 +455,7 @@ def _solve_lowest(h: np.ndarray, k: int):
         w, z, _, _, info = sla.lapack.dsyevr(h[i].T, range="I", lower=0,
                                              il=1, iu=k)
         if info != 0:
-            raise SolverError(f"eigensolver failed: dsyevr info={info} "
-                              f"[dim={m}, non-finite entries in stack=0]")
+            raise SolverError(f"eigensolver failed: dsyevr info={info}")
         values[i] = w[:k]
         vectors[i] = z
     return values, vectors

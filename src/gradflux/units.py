@@ -7,17 +7,21 @@ says otherwise.
 """
 
 import numpy as np
-import scipy.constants as sc
+
+#: Planck constant [J s] and elementary charge [C], exact in the SI since
+#: 2019 (the values of ``scipy.constants``).
+PLANCK = 6.62607015e-34
+ELEMENTARY_CHARGE = 1.602176634e-19
 
 #: Superconducting flux quantum h/(2e) in Wb.
-PHI0 = sc.h / (2.0 * sc.e)
+PHI0 = PLANCK / (2.0 * ELEMENTARY_CHARGE)
 
 #: Charging-energy coefficient: E_C [GHz] = EC_GHZ_FF / C [fF], E_C = e^2/2C.
-EC_GHZ_FF = sc.e**2 / (2.0 * sc.h) * 1e6
+EC_GHZ_FF = ELEMENTARY_CHARGE**2 / (2.0 * PLANCK) * 1e6
 
 #: Inductive-energy coefficient: E_L [GHz] = EL_GHZ_NH / L [nH],
 #: E_L = (Phi_0/2pi)^2 / L.
-EL_GHZ_NH = (PHI0 / (2.0 * np.pi)) ** 2 / sc.h
+EL_GHZ_NH = (PHI0 / (2.0 * np.pi)) ** 2 / PLANCK
 
 
 def charging_energy(c_ff: float) -> float:

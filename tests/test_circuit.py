@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.constants
 
+from gradflux import units
 from gradflux import (BranchCircuit, CircuitError, DEVICE_GEOMETRY,
                       LoopGeometry, PHI0, TrappedFluxState,
                       balanced_branch_circuit, effective_flux,
@@ -158,6 +160,17 @@ class TestEffectiveFlux:
         for common in (0.0, 17.0, -123.4):
             assert effective_flux(1.2 + common, 0.9 + common, 0.0) \
                 == pytest.approx(0.15, rel=1e-12)
+
+
+class TestUnits:
+    def test_exact_si_constants_match_scipy(self):
+        # the literals are the exact SI 2019 values: every derived
+        # coefficient is bit-equal to one built on scipy.constants
+        h, e = scipy.constants.h, scipy.constants.e
+        assert (units.PLANCK, units.ELEMENTARY_CHARGE) == (h, e)
+        assert units.PHI0 == h / (2.0 * e)
+        assert units.EC_GHZ_FF == e**2 / (2.0 * h) * 1e6
+        assert units.EL_GHZ_NH == (h / (2.0 * e) / (2.0 * np.pi)) ** 2 / h
 
 
 class TestFieldGeometry:

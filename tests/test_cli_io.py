@@ -819,7 +819,7 @@ class TestCli:
         assert payload["chi_MHz"] == pytest.approx(-7.670, abs=0.05)
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
-    def test_lanczos_failure_exit_1(self, tmp_path, monkeypatch, capsys):
+    def test_davidson_failure_exit_1(self, tmp_path, monkeypatch, capsys):
         # a Davidson solve that does not converge within its iteration cap
         monkeypatch.setattr(spectrum, "MAX_ITER", 1)
         code = main(["chi", "--flux", "0.5", "--ladder", "45x25",

@@ -16,8 +16,8 @@ from gradflux import (EffectiveFluxonium, FockBasisSpec, LabelError,
                       transition_frequency)
 from gradflux import estimation, spectrum
 from gradflux.spectrum import (CHI_LABELS, DENSE_MAX_DIM, MIN_CONFIDENCE,
-                               N_LOWEST, HamiltonianMatrix, SolverError,
-                               qubit_hamiltonians, solve_hermitian)
+                               N_LOWEST, SolverError, qubit_hamiltonians,
+                               solve_hermitian)
 from gradflux.units import (charging_energy, inductive_energy, mode_frequency,
                             phase_zpf)
 
@@ -110,16 +110,6 @@ class TestHarmonicLimits:
         for nr, mq in labels:
             assert spec.energy((nr, mq)) == pytest.approx(
                 mq * f_q + nr * f_r, abs=1e-9)
-
-    @pytest.mark.parametrize("lowest", [2])
-    def test_solver_failure_carries_diagnostics(self, lowest):
-        bad = HamiltonianMatrix(diagonal=np.r_[np.nan, np.ones(11)],
-                                coupling=np.zeros((4, 4)),
-                                basis=FockBasisSpec(4, 3),
-                                qubit_vectors=np.eye(4))
-        with pytest.raises(SolverError,
-                           match=r"dim=12, non-finite entries in factors=1"):
-            solve_hermitian(bad, lowest)
 
 
 class TestNormalModeOracle:
@@ -231,6 +221,55 @@ class TestOneDenseSolver:
                             boom("dsyevr inside a Davidson solve"))
         assert spectrum._davidson(h, N_LOWEST)[1].shape == (BASIS.dim,
                                                             N_LOWEST)
+
+    @pytest.mark.parametrize("fails", [True, False],
+                             ids=["raises", "nan-energy"])
+    @pytest.mark.parametrize("lowest", [16, 192], ids=["dsyevr", "eigh"])
+    def test_dense_failure_is_solver_error(self, lowest, fails, monkeypatch):
+        # a dense two-mode solve whose LAPACK driver fails, or returns a
+        # NaN energy, names the Hamiltonian's size and factors, once
+        h = build_hamiltonian(EFF, 0.5, FockBasisSpec(12, 16))
+        lapack = scipy.linalg.lapack
+        eigh, dsyevr = np.linalg.eigh, lapack.dsyevr
+
+        def bad_eigh(a):
+            if fails:
+                no_convergence()
+            w, v = eigh(a)
+            w[0] = np.nan
+            return w, v
+
+        def bad_dsyevr(*args, **kwargs):
+            w, z, m, isuppz, info = dsyevr(*args, **kwargs)
+            if fails:
+                info = 1
+            else:
+                w[0] = np.nan
+            return w, z, m, isuppz, info
+
+        monkeypatch.setattr(np.linalg, "eigh", bad_eigh)
+        monkeypatch.setattr(lapack, "dsyevr", bad_dsyevr)
+        with pytest.raises(SolverError, match=r"^eigensolver failed: .*"
+                           r" \[dim=192, non-finite entries in factors=0\]$"
+                           ) as err:
+            solve_hermitian(h, lowest)
+        assert str(err.value).count("[dim=") == 1
+
+    def test_input_scanned_once_per_solve(self, monkeypatch):
+        # the caller's numbers are checked where they enter: one scan of
+        # each factor and one of the energies, however many inner dense
+        # solves a Davidson solve runs
+        h = build_hamiltonian(EFF, 0.5, BASIS)
+        isfinite, scans = np.isfinite, []
+
+        def spy(x):
+            if sys._getframe(1).f_code.co_filename == spectrum.__file__:
+                scans.append(np.shape(x))
+            return isfinite(x)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        solve_hermitian(h, N_LOWEST)
+        assert scans == [h.diagonal.shape, h.coupling.shape, (N_LOWEST,)]
 
     @pytest.mark.parametrize("phi", [0.0, 0.26, 0.5])
     def test_builder_and_gradient_share_one_basis(self, phi):
