@@ -14,17 +14,12 @@ All functions are pure; values are immutable dataclasses.
 import math
 from dataclasses import dataclass
 
-from .units import PHI0
+from .units import PHI0, require_finite
 
 
 class CircuitError(ValueError):
     """Degenerate circuit: a reduction denominator vanished; the message
     names it."""
-
-
-def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,15 +52,10 @@ class BranchCircuit:
     ej: float
 
     def __post_init__(self):
-        for name in ("l1", "l2", "l3", "ls", "lr", "cr", "cj", "ej"):
-            _require_finite(name, getattr(self, name))
-        for name in ("l1", "l2", "l3", "ls", "lr"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"inductance {name} must be >= 0 nH")
-        if self.cr <= 0 or self.cj <= 0:
-            raise ValueError("capacitances cr, cj must be > 0 fF")
-        if self.ej < 0:
-            raise ValueError("ej must be >= 0 GHz")
+        for name in ("l1", "l2", "l3", "ls", "lr", "ej"):
+            require_finite(name, getattr(self, name), ">=")
+        for name in ("cr", "cj"):
+            require_finite(name, getattr(self, name), ">")
         if self.l1 <= 0 and self.l3 <= 0:
             raise ValueError("at least one of l1, l3 must be > 0 nH")
 
@@ -88,18 +78,12 @@ class EffectiveFluxonium:
     alpha: float    # inductance asymmetry (dimensionless)
 
     def __post_init__(self):
-        for name in ("lq", "lr", "cj", "cr", "ej", "alpha"):
-            _require_finite(name, getattr(self, name))
-        if self.lq <= 0:
-            raise ValueError("lq must be > 0 nH")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0 nH")
+        for name in ("lq", "lr", "cj", "cr"):
+            require_finite(name, getattr(self, name), ">")
+        require_finite("ej", self.ej, ">=")
+        require_finite("alpha", self.alpha)
         if not (self.lrq > 0):   # inf allowed, NaN rejected
             raise ValueError("lrq must be > 0 nH (inf switches coupling off)")
-        if self.cr <= 0 or self.cj <= 0:
-            raise ValueError("capacitances cr, cj must be > 0 fF")
-        if self.ej < 0:
-            raise ValueError("ej must be >= 0 GHz")
 
 
 @dataclass(frozen=True)
@@ -112,8 +96,7 @@ class LoopGeometry:
     outer_area_m2: float
 
     def __post_init__(self):
-        if self.outer_area_m2 <= 0:
-            raise ValueError("outer_area_m2 must be > 0")
+        require_finite("outer_area_m2", self.outer_area_m2, ">")
 
     @property
     def inner_area_m2(self) -> float:
@@ -203,7 +186,7 @@ def effective_flux(phi1: float, phi2: float, alpha: float) -> float:
     (alpha = 0) only the imbalance matters.
     """
     for name, v in (("phi1", phi1), ("phi2", phi2), ("alpha", alpha)):
-        _require_finite(name, v)
+        require_finite(name, v)
     phi_delta = 0.5 * (phi1 - phi2)
     phi_sigma = 0.5 * (phi1 + phi2)
     return phi_delta + alpha * phi_sigma
@@ -211,7 +194,7 @@ def effective_flux(phi1: float, phi2: float, alpha: float) -> float:
 
 def flux_from_field(b_t: float, geometry: LoopGeometry) -> LoopFluxes:
     """Fluxes threaded by a homogeneous perpendicular field B [T]."""
-    _require_finite("b_t", b_t)
+    require_finite("b_t", b_t)
     outer = b_t * geometry.outer_area_m2 / PHI0
     inner = b_t * geometry.inner_area_m2 / PHI0
     return LoopFluxes(outer=outer, inner1=inner, inner2=inner)
@@ -239,10 +222,9 @@ def balanced_branch_circuit(lq_eff: float, ls: float, lr: float,
     inductance ``lq_eff``. This is the canonical way to obtain the full
     two-mode model from fitted effective parameters.
     """
-    if lq_eff <= 0:
-        raise ValueError("lq_eff must be > 0 nH")
-    if ls < 0 or lr <= 0:
-        raise ValueError("need ls >= 0 nH and lr > 0 nH")
+    require_finite("lq_eff", lq_eff, ">")
+    require_finite("ls", ls, ">=")
+    require_finite("lr", lr, ">")
     s = ls + lr
     p = ls * lr
     # solve S x^2 + (S Ls + P - 2 S Lq) x + (P Ls - Lq (S Ls + P)) = 0 for L1
@@ -267,6 +249,7 @@ def field_suppression_factor(alpha: float) -> float:
     Infinite for a perfectly balanced device. The measured suppression may
     also contain a field-gradient contribution this model does not capture.
     """
+    require_finite("alpha", alpha)
     if alpha == 0.0:
         return math.inf
     return 2.0 / abs(alpha)

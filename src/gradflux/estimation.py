@@ -28,7 +28,7 @@ from .spectrum import (DEFAULT_BASIS, FockBasisSpec, LabelError,
                        fold_flux, folded_spectra, parse_transition,
                        qubit_gradient, qubit_hamiltonians,
                        transition_frequency)
-from .units import EC_GHZ_FF, EL_GHZ_NH, mode_frequency
+from .units import EC_GHZ_FF, EL_GHZ_NH, mode_frequency, require_finite
 
 TRANSITION_KINDS = ("f01", "f02")
 
@@ -122,10 +122,12 @@ def single_loop_transitions(lq, cj, ej, phis, m=BASIS_M, n_levels=3):
 
     Only the distinct spectra are solved, folded as in
     :func:`~gradflux.spectrum.folded_spectra`; the flux derivative of a
-    reflected point changes sign. A non-finite flux or ``n_levels`` outside
+    reflected point changes sign. A non-finite flux, parameter (see
+    :func:`~gradflux.spectrum.qubit_hamiltonians`) or ``n_levels`` outside
     [1, m] raises ``ValueError``. The folded stack (20 x 30 x 30 on the fit
-    grid) is checked here, once: non-finite entries and a failing solve
-    raise :class:`~gradflux.spectrum.SolverError` ending in
+    grid) is checked here, once: non-finite entries, which finite
+    parameters can still overflow to, and a failing solve raise
+    :class:`~gradflux.spectrum.SolverError` ending in
     ``[dim=m, non-finite entries in stack=N]``.
     """
     if not 1 <= n_levels <= m:
@@ -501,6 +503,7 @@ def fit_shared_inductance(chi_measured_mhz: float, *, lq_nh: float,
     with ls in the working range, so the root is unique; it is located to
     1e-4 nH. A model chi with unresolved labels raises :class:`FitError`.
     """
+    require_finite("chi_measured_mhz", chi_measured_mhz)
     if chi_measured_mhz == 0.0:
         raise ValueError("chi_measured must be nonzero")
 

@@ -23,6 +23,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import chi2
 
+from .units import require_finite
+
 #: Gaussian consistency factor: sigma = MAD_GAUSS * mad.
 MAD_GAUSS = 1.4826022185056018
 
@@ -44,16 +46,10 @@ MAX_SWITCHES = 10**6
 CONFIDENCE = 0.95
 
 
-def _require_positive(name, value):
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-
-
 def _span(span):
     """(start, end) of an observation window [s], both finite, end > start."""
-    t0, t1 = float(span[0]), float(span[1])
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError(f"span must be finite, got {(t0, t1)!r}")
+    t0 = require_finite("span", float(span[0]))
+    t1 = require_finite("span", float(span[1]))
     if t1 <= t0:
         raise ValueError("span end must exceed span start")
     return t0, t1
@@ -75,8 +71,8 @@ class JunctionArrayModel:
     def __post_init__(self):
         if self.n_junctions < 0:
             raise ValueError("n_junctions must be >= 0")
-        _require_positive("ej_grain_ghz", self.ej_grain_ghz)
-        _require_positive("ec_grain_ghz", self.ec_grain_ghz)
+        require_finite("ej_grain_ghz", self.ej_grain_ghz, ">")
+        require_finite("ec_grain_ghz", self.ec_grain_ghz, ">")
 
 
 #: Device values: 300 um wire of 4 nm grains, E_J ~ 53 THz, E_C ~ 48 GHz.
@@ -129,8 +125,8 @@ def phase_slip_rate(model: JunctionArrayModel) -> PhaseSlipRate:
 def effective_junction_count(wire_length_m: float,
                              grain_size_m: float) -> int:
     """Number of effective junctions: one per grain along the wire."""
-    _require_positive("wire_length_m", wire_length_m)
-    _require_positive("grain_size_m", grain_size_m)
+    require_finite("wire_length_m", wire_length_m, ">")
+    require_finite("grain_size_m", grain_size_m, ">")
     n = wire_length_m / grain_size_m
     if n == math.inf:
         raise ValueError("wire_length_m / grain_size_m overflows")
@@ -183,15 +179,13 @@ def simulate_telegraph(rate_eo_hz: float, rate_oe_hz: float,
     Raises ``ValueError`` when the expected number of switches,
     2 T / (1/rate_eo + 1/rate_oe), exceeds :data:`MAX_SWITCHES`.
     """
-    if not (0 <= rate_eo_hz < math.inf and 0 <= rate_oe_hz < math.inf):
-        raise ValueError("rates must be finite and >= 0")
-    _require_positive("dt_s", dt_s)
-    _require_positive("duration_s", duration_s)
+    require_finite("rate_eo_hz", rate_eo_hz, ">=")
+    require_finite("rate_oe_hz", rate_oe_hz, ">=")
+    require_finite("dt_s", dt_s, ">")
+    require_finite("duration_s", duration_s, ">")
     if duration_s < dt_s:
         raise ValueError("need duration_s >= dt_s")
-    if not 0 <= noise_sigma < math.inf:
-        raise ValueError("noise_sigma must be finite and >= 0, "
-                         f"got {noise_sigma!r}")
+    require_finite("noise_sigma", noise_sigma, ">=")
     if rate_eo_hz > 0 and rate_oe_hz > 0:
         expected = 2.0 * duration_s / (1.0 / rate_eo_hz + 1.0 / rate_oe_hz)
         if expected > MAX_SWITCHES:
@@ -284,7 +278,7 @@ def detect_jumps(trace: TimeTrace,
     suppressed while retaining near-threshold events that a one-shot window
     test at the full threshold would drop.
     """
-    _require_positive("threshold_in_mads", threshold_in_mads)
+    require_finite("threshold_in_mads", threshold_in_mads, ">")
     if window < 2:
         raise ValueError("window must be >= 2")
     x = trace.value
@@ -444,7 +438,7 @@ def coincidence_analysis(event_lists, window_s: float,
     """
     if len(event_lists) < 2:
         raise ValueError("need at least two event lists")
-    _require_positive("window_s", window_s)
+    require_finite("window_s", window_s, ">")
     t0, t1 = _span(span)
     total = t1 - t0
 

@@ -61,14 +61,13 @@ too. The chi ladder, at one flux, has nothing to fold.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from .circuit import EffectiveFluxonium
-from .units import EL_GHZ_NH, mode_frequency, phase_zpf
+from .units import EL_GHZ_NH, mode_frequency, phase_zpf, require_finite
 
 
 class SolverError(RuntimeError):
@@ -231,9 +230,11 @@ def qubit_hamiltonians(lq: float, cj: float, ej: float, phis,
     :func:`_phase_eigenbasis`, cos(zeta theta + 2 pi phi) is applied to its
     eigenvalues for every flux in ``phis``, and the stack is rotated back
     in one batched product. Symmetric up to rounding, and C-contiguous.
+    ``lq`` and ``cj`` must be finite and > 0, ``ej`` finite.
     """
-    if lq <= 0 or cj <= 0:
-        raise ValueError("inductance and capacitance must be positive")
+    require_finite("lq", lq, ">")
+    require_finite("cj", cj, ">")
+    require_finite("ej", ej)
     if m < 2:
         raise ValueError("need at least 2 Fock states")
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
@@ -304,8 +305,7 @@ def build_hamiltonian(eff: EffectiveFluxonium, phi_eff: float,
     ladder make the diagonal, and the coupling is a product of symmetric
     factors, so the matrix is exactly symmetric.
     """
-    if not math.isfinite(phi_eff):
-        raise ValueError("phi_eff must be finite")
+    require_finite("phi_eff", phi_eff)
     m, n = basis.m_qubit, basis.n_res
     e_q, u_q = _solve_lowest(qubit_hamiltonians(
         eff.lq, eff.cj, eff.ej, phi_eff, m)[0], m)
@@ -653,6 +653,7 @@ def dispersive_shift(eff: EffectiveFluxonium, phi_eff: float,
     by :func:`fold_flux` as :func:`flux_sweep` folds it, so the two agree
     bit for bit. Results are flagged invalid near avoided crossings.
     """
+    require_finite("min_confidence", min_confidence, ">=")
     phi = float(fold_flux(phi_eff)[0][0])
     spec = diagonalize_labeled(build_hamiltonian(eff, phi, basis),
                                CHI_LABELS)
@@ -694,9 +695,10 @@ def flux_sweep(eff: EffectiveFluxonium, flux_grid,
     :func:`folded_spectra`, solved once for the chi labels and every
     transition's, so mirrored points are bit-equal; rows come in grid
     order. Solver and label failures are recorded in ``errors`` at every
-    grid point they stand for, and the sweep continues. A non-finite flux
-    raises ``ValueError`` from :func:`fold_flux` before any solve.
+    grid point they stand for, and the sweep continues. A non-finite flux or
+    a negative or non-finite ``min_confidence`` raises ``ValueError`` first.
     """
+    require_finite("min_confidence", min_confidence, ">=")
     flux_grid = np.atleast_1d(np.asarray(flux_grid, dtype=float))
     pairs = []
     for tr in transitions:
@@ -750,6 +752,7 @@ def convergence_report(eff: EffectiveFluxonium, phi_eff: float,
     :class:`LabelError`. Each rung solves ``phi_eff`` folded by
     :func:`fold_flux`, as :func:`dispersive_shift` does.
     """
+    require_finite("min_confidence", min_confidence, ">=")
     phi = float(fold_flux(phi_eff)[0][0])
     bases = [FockBasisSpec(int(m), int(n)) for m, n in basis_ladder]
     if any(b.dim <= a.dim for a, b in zip(bases, bases[1:])):

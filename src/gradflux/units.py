@@ -4,7 +4,13 @@ Library-wide conventions: inductances in nH, capacitances in fF, energies as
 frequencies E/h in GHz, magnetic flux in units of the flux quantum Phi_0, and
 magnetic field in tesla. Time-domain quantities use seconds unless a function
 says otherwise.
+
+:func:`require_finite` is the one owner of the scalar-input rule: every float
+parameter of the library is checked by it, finite and, where physical, > 0 or
+>= 0, with a ``ValueError`` that names the parameter.
 """
+
+import math
 
 import numpy as np
 
@@ -42,3 +48,13 @@ def mode_frequency(l_nh: float, c_ff: float) -> float:
 def phase_zpf(l_nh: float, c_ff: float) -> float:
     """Zero-point spread of the superconducting phase, (2 E_C / E_L)^(1/4)."""
     return (2.0 * charging_energy(c_ff) / inductive_energy(l_nh)) ** 0.25
+
+
+def require_finite(name: str, value: float, bound: str = "") -> float:
+    """``value`` if it is finite and, for ``bound`` ">" or ">=", so compares
+    with 0; else a ``ValueError`` that names ``name``."""
+    if (not math.isfinite(value) or (bound == ">" and value <= 0)
+            or (bound == ">=" and value < 0)):
+        raise ValueError(f"{name} must be finite{bound and f' and {bound} 0'}"
+                         f", got {value}")
+    return value

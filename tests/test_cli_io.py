@@ -309,6 +309,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="lq_eff"):
             load_config(path)
 
+    def test_non_finite_value_named_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.ini"
+        path.write_text("[circuit]\nlq_eff = nan\n")
+        assert main(["chi", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: lq_eff must be finite and > 0, got nan\n")
+
     def test_branch_circuit_path(self, tmp_path):
         path = tmp_path / "branch.ini"
         path.write_text("[circuit]\nl1 = 344\nl3 = 344\nl2 = 0\n")

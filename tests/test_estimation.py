@@ -690,14 +690,21 @@ class TestSubsetForward:
             single_loop_transitions(*TRUE.values(), [0.5], m=4,
                                     n_levels=n_levels)
 
-    # the count covers the folded stack: 20 matrices on the fit grid
-    @pytest.mark.parametrize("params", [(np.nan, 3.4, 5.1),
-                                        (172.0, 3.4, np.inf)],
+    @pytest.mark.parametrize("params, name", [((np.nan, 3.4, 5.1), "lq"),
+                                              ((172.0, 3.4, np.inf), "ej")],
                              ids=["lq-nan", "ej-inf"])
-    def test_non_finite_input_raises_solver_error(self, params):
-        with pytest.raises(SolverError, match=r"\[dim=30, non-finite "
-                           rf"entries in stack={20 * 30 * 30}\]$"):
+    def test_non_finite_parameter_raises_value_error(self, params, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
             single_loop_transitions(*params, np.linspace(0.05, 0.95, 40))
+
+    def test_overflowing_parameter_raises_solver_error(self):
+        # lq = 1e-320 is finite and > 0, but E_L overflows, so every
+        # diagonal entry of the 20 folded matrices on the fit grid is nan
+        with np.errstate(all="ignore"), pytest.raises(
+                SolverError, match=r"\[dim=30, non-finite entries in "
+                rf"stack={20 * 30}\]$"):
+            single_loop_transitions(1e-320, 3.4, 5.1,
+                                    np.linspace(0.05, 0.95, 40))
 
     def test_non_finite_flux_raises_value_error(self):
         with pytest.raises(ValueError, match="fluxes must be finite"):

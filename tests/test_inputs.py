@@ -5,13 +5,18 @@ import numpy as np
 import pytest
 
 from gradflux import (DecayCurve, FockBasisSpec, HamiltonianMatrix,
-                      SolverError, SpectroscopyDataset, coincidence_analysis,
-                      estimate_lifetime, fit_parabola,
-                      single_loop_transitions)
+                      LoopGeometry, SolverError, SpectroscopyDataset,
+                      balanced_branch_circuit, coincidence_analysis,
+                      convergence_report, dispersive_shift,
+                      estimate_lifetime, field_suppression_factor,
+                      fit_parabola, fit_shared_inductance, flux_sweep,
+                      reduce_circuit, single_loop_transitions)
 from gradflux.fluxon import TimeTrace
 from gradflux.spectrum import fold_flux, solve_hermitian
 
 T = np.arange(6.0)
+DEVICE = dict(ls=2.8, lr=21.6, cr=20.2, cj=3.4, ej=5.1)
+EFF = reduce_circuit(balanced_branch_circuit(lq_eff=172.0, **DEVICE))
 
 
 def with_bad(x, bad, at=-1):
@@ -63,9 +68,15 @@ ROWS = {
     "DecayCurve-value": (
         lambda x: DecayCurve(t=T, value=with_bad(np.exp(-T), x)),
         ValueError, "curve column value must be finite"),
+    "single_loop_transitions-lq": (
+        lambda x: single_loop_transitions(x, 3.4, 5.1, [0.3, 0.5], m=6),
+        ValueError, "^lq must be finite"),
+    "single_loop_transitions-cj": (
+        lambda x: single_loop_transitions(172.0, x, 5.1, [0.3, 0.5], m=6),
+        ValueError, "^cj must be finite"),
     "single_loop_transitions-ej": (
         lambda x: single_loop_transitions(172.0, 3.4, x, [0.3, 0.5], m=6),
-        SolverError, r"\[dim=6, non-finite entries in stack=72\]$"),
+        ValueError, "^ej must be finite"),
     "single_loop_transitions-flux": (
         lambda x: single_loop_transitions(172.0, 3.4, 5.1, [0.3, x], m=6),
         ValueError, "fluxes must be finite"),
@@ -77,6 +88,28 @@ ROWS = {
         lambda x: solve_hermitian(hamiltonian(
             coupling=with_bad(np.zeros((4, 4)), x, (1, 2))), 12),
         SolverError, r"\[dim=12, non-finite entries in factors=1\]$"),
+    "balanced_branch_circuit-lq_eff": (
+        lambda x: balanced_branch_circuit(lq_eff=x, **DEVICE),
+        ValueError, "^lq_eff must be finite"),
+    "LoopGeometry-outer_area_m2": (
+        LoopGeometry,
+        ValueError, "^outer_area_m2 must be finite"),
+    "field_suppression_factor-alpha": (
+        field_suppression_factor,
+        ValueError, "^alpha must be finite"),
+    "fit_shared_inductance-chi_measured_mhz": (
+        lambda x: fit_shared_inductance(x, lq_nh=172.0, cj_ff=3.4,
+                                        ej_ghz=5.1, cr_ff=20.2, lr_nh=21.6),
+        ValueError, "^chi_measured_mhz must be finite"),
+    "dispersive_shift-min_confidence": (
+        lambda x: dispersive_shift(EFF, 0.5, min_confidence=x),
+        ValueError, "^min_confidence must be finite"),
+    "flux_sweep-min_confidence": (
+        lambda x: flux_sweep(EFF, [0.5], min_confidence=x),
+        ValueError, "^min_confidence must be finite"),
+    "convergence_report-min_confidence": (
+        lambda x: convergence_report(EFF, 0.5, [(8, 4)], min_confidence=x),
+        ValueError, "^min_confidence must be finite"),
     "fold_flux": (
         lambda x: fold_flux([0.3, x]),
         ValueError, "fluxes must be finite"),
