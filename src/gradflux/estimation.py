@@ -69,7 +69,7 @@ class SpectroscopyDataset:
     ``x`` is either the effective flux in Phi_0 (unit="phi0") or the applied
     field in tesla (unit="tesla"); in the latter case field-to-flux scale
     and offset enter the fit as nuisance parameters unless pinned. The
-    numeric columns must be finite.
+    numeric columns must be finite, and the frequencies and sigmas > 0.
     """
 
     x: np.ndarray
@@ -80,11 +80,10 @@ class SpectroscopyDataset:
     sigma_defaulted: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "freq_ghz",
-                           np.asarray(self.freq_ghz, dtype=float))
-        object.__setattr__(self, "sigma_ghz",
-                           np.asarray(self.sigma_ghz, dtype=float))
+        for name, bound in (("x", ""), ("freq_ghz", ">"), ("sigma_ghz", ">")):
+            object.__setattr__(self, name, require_finite(
+                f"dataset column {name}",
+                np.asarray(getattr(self, name), dtype=float), bound))
         object.__setattr__(self, "transition", tuple(self.transition))
         if self.unit not in ("phi0", "tesla"):
             raise ValueError("unit must be 'phi0' or 'tesla'")
@@ -94,16 +93,9 @@ class SpectroscopyDataset:
             raise ValueError("dataset columns must have equal length")
         if n == 0:
             raise ValueError("dataset is empty")
-        for name in ("x", "freq_ghz", "sigma_ghz"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"dataset column {name} must be finite")
         bad = set(self.transition) - set(TRANSITION_KINDS)
         if bad:
             raise ValueError(f"unsupported transitions {sorted(bad)}")
-        if not np.all(self.freq_ghz > 0):
-            raise ValueError("frequencies must be > 0 GHz")
-        if not np.all(self.sigma_ghz > 0):
-            raise ValueError("sigmas must be > 0 GHz")
 
     def __len__(self):
         return self.x.size
@@ -331,8 +323,9 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
     Raises :class:`FitError` if no start converges, with the best-so-far
     result attached: its ``status`` is "max-evaluations" if some start ran
     out of budget, else "model-failure". Raises ``ValueError`` for an
-    unknown key, fewer rows than free parameters, a guess on a dataset
-    without f01 rows, crossed bounds and ``n_starts`` or ``max_nfev`` < 1.
+    unknown key, a non-finite ``init`` or ``bounds`` value (named by its
+    axis), fewer rows than free parameters, a guess on a dataset without
+    f01 rows, crossed bounds and ``n_starts`` or ``max_nfev`` < 1.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
@@ -346,6 +339,8 @@ def fit_spectrum(dataset: SpectroscopyDataset, init: dict | None = None,
     unknown = [k for k in [*init, *bounds] if k not in names]
     if unknown:
         raise ValueError(f"unknown keys {unknown}: the fit's axes are {names}")
+    for k, v in [*init.items(), *bounds.items()]:     # a start or both ends
+        require_finite(k, np.asarray(v, dtype=float))
     if not init.keys() >= set(names[:3]):   # the guess needs an f01 row
         defaults.update(initial_guess(dataset))
     init = {**defaults, **init}
@@ -539,18 +534,16 @@ class DecayCurve:
     kind: str = "exponential"
 
     def __post_init__(self):
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
-        object.__setattr__(self, "value",
-                           np.asarray(self.value, dtype=float))
+        for name in ("t", "value"):
+            object.__setattr__(self, name, require_finite(
+                f"curve column {name}",
+                np.asarray(getattr(self, name), dtype=float)))
         if self.kind not in ("exponential", "ramsey", "echo"):
             raise ValueError(f"unknown curve kind {self.kind!r}")
         if self.t.size < 5:
             raise ValueError(f"{self.kind} curve needs >= 5 samples")
         if self.t.size != self.value.size:
             raise ValueError("t and value must have equal length")
-        for name in ("t", "value"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"curve column {name} must be finite")
         if not np.all(np.diff(self.t) > 0):
             raise ValueError("t must be strictly increasing")
 
@@ -646,12 +639,10 @@ def fit_parabola(b, f) -> ParabolaFit:
     non-negative (the kinetic-inductance shift always bends the resonance
     down); convex or collinear-degenerate data raise :class:`FitError`.
     """
-    b, fvals = np.asarray(b, dtype=float), np.asarray(f, dtype=float)
+    b = require_finite("b", np.asarray(b, dtype=float))
+    fvals = require_finite("f", np.asarray(f, dtype=float))
     if b.shape != fvals.shape:
         raise ValueError("b and f must have equal length")
-    for name, x in (("b", b), ("f", fvals)):
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"{name} must be finite")
     if np.unique(b).size < 3:
         raise FitError("degenerate data: need >= 3 distinct abscissae")
     a2, a1, a0 = np.polyfit(b, fvals, 2)

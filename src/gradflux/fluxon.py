@@ -148,17 +148,14 @@ class TimeTrace:
     switch_times: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "t_s", np.asarray(self.t_s, dtype=float))
-        object.__setattr__(self, "value",
-                           np.asarray(self.value, dtype=float))
+        object.__setattr__(self, "t_s", require_finite(
+            "trace times", np.asarray(self.t_s, dtype=float)))
+        object.__setattr__(self, "value", require_finite(
+            "trace values", np.asarray(self.value, dtype=float)))
         if self.t_s.size != self.value.size:
             raise ValueError("t_s and value must have equal length")
-        if not np.all(np.isfinite(self.t_s)):
-            raise ValueError("trace times must be finite")
         if not np.all(np.diff(self.t_s) > 0):
             raise ValueError("t_s must be strictly increasing")
-        if not np.all(np.isfinite(self.value)):
-            raise ValueError("trace values must be finite")
 
     @property
     def span_s(self) -> tuple:
@@ -414,12 +411,9 @@ class CoincidenceResult:
 
 
 def _event_times(events):
-    times = np.sort(np.asarray(
+    return require_finite("event times", np.sort(np.asarray(
         [e.time_s if isinstance(e, JumpEvent) else float(e) for e in events],
-        dtype=float))
-    if not np.all(np.isfinite(times)):
-        raise ValueError("event times must be finite")
-    return times
+        dtype=float)))
 
 
 def coincidence_analysis(event_lists, window_s: float,

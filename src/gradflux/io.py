@@ -28,6 +28,7 @@ from .estimation import (DEFAULT_SIGMA_GHZ, DecayCurve, DecayFit, FitResult,
 from .fluxon import (CoincidenceResult, DwellStats, JunctionArrayModel,
                      PhaseSlipRate, TimeTrace)
 from .spectrum import DispersiveShiftResult, SweepPoint
+from .units import require_finite
 
 SWEEP_COLUMNS = ("flux_phi0", "transition", "freq_GHz", "chi_MHz",
                  "chi_valid")
@@ -141,14 +142,11 @@ def _data_lines(fh, path, columns, lines):
             for n, line in itertools.chain([first], numbered))
 
 
-def _number(path, line, cell, column):
+def _number(path, line, cell, column, bound=""):
     try:
-        value = float(cell)
-        if not np.isfinite(value):
-            raise ValueError(f"column {column} must be finite, got {value}")
+        return require_finite(f"column {column}", float(cell), bound)
     except ValueError as exc:
         raise ValueError(f"{path}, line {line}: {exc}") from None
-    return value
 
 
 def read_columns(path, columns) -> list:
@@ -218,10 +216,10 @@ def read_spectroscopy_csv(path) -> SpectroscopyDataset:
         x.append(_number(path, line, row[0], "x"))
         units.add(row[1].strip())
         trans.append(row[2].strip())
-        freq.append(_number(path, line, row[3], "freq_ghz"))
+        freq.append(_number(path, line, row[3], "freq_ghz", ">"))
         cell = row[4].strip() if len(row) > 4 else ""
         if cell:
-            sigma.append(_number(path, line, cell, "sigma_ghz"))
+            sigma.append(_number(path, line, cell, "sigma_ghz", ">"))
         else:
             sigma.append(DEFAULT_SIGMA_GHZ)
             defaulted = True

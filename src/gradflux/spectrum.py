@@ -285,9 +285,8 @@ def fold_flux(phis):
     for every phi whatever the order of ``phis``. A NaN or +-inf flux
     raises ``ValueError``.
     """
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    if not np.all(np.isfinite(phis)):
-        raise ValueError("fluxes must be finite")
+    phis = require_finite("fluxes",
+                          np.atleast_1d(np.asarray(phis, dtype=float)))
     r = np.mod(phis, 1.0)
     folded = np.minimum(r, 1.0 - r)
     order = np.argsort(folded, kind="stable")

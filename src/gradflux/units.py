@@ -5,12 +5,11 @@ frequencies E/h in GHz, magnetic flux in units of the flux quantum Phi_0, and
 magnetic field in tesla. Time-domain quantities use seconds unless a function
 says otherwise.
 
-:func:`require_finite` is the one owner of the scalar-input rule: every float
-parameter of the library is checked by it, finite and, where physical, > 0 or
->= 0, with a ``ValueError`` that names the parameter.
+:func:`require_finite` is the one owner of the finite-input rule, for scalars
+and arrays alike: every float parameter, data column, flux set and fit start
+value of the library is checked by it, finite and, where physical, > 0 or
+>= 0, with a ``ValueError`` that names the input and its first bad value.
 """
-
-import math
 
 import numpy as np
 
@@ -50,11 +49,15 @@ def phase_zpf(l_nh: float, c_ff: float) -> float:
     return (2.0 * charging_energy(c_ff) / inductive_energy(l_nh)) ** 0.25
 
 
-def require_finite(name: str, value: float, bound: str = "") -> float:
+def require_finite(name: str, value, bound: str = ""):
     """``value`` if it is finite and, for ``bound`` ">" or ">=", so compares
-    with 0; else a ``ValueError`` that names ``name``."""
-    if (not math.isfinite(value) or (bound == ">" and value <= 0)
-            or (bound == ">=" and value < 0)):
-        raise ValueError(f"{name} must be finite{bound and f' and {bound} 0'}"
-                         f", got {value}")
-    return value
+    with 0, every entry of it for an array; else a ``ValueError`` that names
+    ``name`` and the first offending value."""
+    ok = np.isfinite(value)
+    if bound:
+        ok &= value > 0 if bound == ">" else value >= 0
+    if ok.all():
+        return value
+    value = np.asarray(value)[~ok][0]
+    raise ValueError(f"{name} must be finite{bound and f' and {bound} 0'}"
+                     f", got {value}")

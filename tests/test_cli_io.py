@@ -596,6 +596,18 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: initial guess needs at least one f01 row\n")
 
+    def test_fit_negative_frequency_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "spec.csv"
+        data.write_text("field_or_flux,unit,transition,freq_GHz,sigma_GHz\n"
+                        + "".join(f"0.{k},phi0,f01,{k - 2},0.001\n"
+                                  for k in range(1, 5)))
+        code = main(["fit", "--data", str(data),
+                     "--out", str(tmp_path / "fit.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}, line 2: column freq_ghz must be finite and > 0, "
+            "got -1.0\n")
+
     # one message from a flag or an INI value, checked before the dataset
     # is read
     @pytest.mark.parametrize("argv", [

@@ -396,6 +396,22 @@ class TestFitSpectrum:
             fit_spectrum(data, init=dict(TRUE), bounds={"cj_ff": (4.0, 3.0)},
                          n_starts=1)
 
+    @pytest.mark.parametrize("keys, name", [
+        (dict(init=dict(TRUE, lq_nh=np.nan)), "lq_nh"),
+        (dict(init=dict(TRUE, lq_nh=np.inf)), "lq_nh"),
+        (dict(init=dict(TRUE), bounds={"ej_ghz": (0.0, np.inf)}), "ej_ghz"),
+        (dict(init=dict(TRUE), bounds={"ej_ghz": (np.nan, 10.0)}), "ej_ghz"),
+    ], ids=["init-nan", "init-inf", "bound-inf", "bound-nan"])
+    def test_non_finite_start_or_bound_named_by_its_axis(self, keys, name):
+        """Checked before the default bounds or the Latin-hypercube starts
+        read the value, so it raises no RuntimeWarning (an error here)."""
+        f01 = synthetic_dataset(n=20)
+        data = SpectroscopyDataset(x=f01.x[::2], transition=("f01",) * 10,
+                                   freq_ghz=f01.freq_ghz[::2],
+                                   sigma_ghz=f01.sigma_ghz[::2])
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            fit_spectrum(data, n_starts=2, **keys)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             SpectroscopyDataset(x=np.array([]), transition=(),
